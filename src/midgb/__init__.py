@@ -42,6 +42,7 @@ from .errors import (
     NonPrimeFieldError,
     OrderNotLexError,
     ParseError,
+    RenormalizationError,
     TooLargeError,
     ZeroInputError,
     ZeroInverseError,
@@ -91,6 +92,7 @@ __all__ = [
     "OrderNotLexError",
     "PairQueue",
     "ParseError",
+    "RenormalizationError",
     "Polynomial",
     "PolyRing",
     "PrimeField",

@@ -24,12 +24,14 @@ def buchberger_round(state: RunState) -> None:
     max_deg = 0
     if not s.is_zero:
         degree_monitor(s, state.ring, "created", state.field_active)
+        # folding and scaling an irreducible remainder keep it irreducible
+        reduced_at = state.renewals
         h = state.canon(normal_form(s, state.basis.polys))
         if not h.is_zero:
             for p in state.screen_batch([h]):
                 if state.inconsistent:
                     break
-                kept = state.insert_new(p)
+                kept = state.insert_new(p, reduced_at)
                 if kept is not None:
                     added += 1
                     max_deg = max(max_deg, kept.degree())

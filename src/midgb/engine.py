@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 from .errors import BoundViolationError, EmptyQueueError, ZeroInputError
-from .monomials import mono_coprime, mono_divides, mono_lcm, mono_mul, total_degree
+from .monomials import mono_coprime, mono_divides, mono_lcm, mono_mask, total_degree
 from .poly import Polynomial, PolyRing, is_field_polynomial
 
 
@@ -25,6 +26,11 @@ class CriticalPair:
     right: int
     lcm: tuple
     degree: int
+
+    @cached_property
+    def mask(self) -> int:
+        """Support bitmask of the lcm (see ``mono_mask``)."""
+        return mono_mask(self.lcm)
 
 
 class PairQueue:
@@ -71,13 +77,15 @@ class TemporaryBasis:
 
     Two members may share a leading monomial only when raw inputs collide; the
     lookup keeps the first (insertion order), matching the reducer-choice rule.
+    ``masks[i]`` is the support bitmask of member i's leading monomial.
     """
 
-    __slots__ = ("polys", "lm_index")
+    __slots__ = ("polys", "lm_index", "masks")
 
     def __init__(self):
         self.polys: list = []
         self.lm_index: dict = {}
+        self.masks: list = []
 
     def __len__(self):
         return len(self.polys)
@@ -89,6 +97,7 @@ class TemporaryBasis:
         idx = len(self.polys)
         self.polys.append(p)
         self.lm_index.setdefault(p.lm(), idx)
+        self.masks.append(mono_mask(p.lm()))
         return idx
 
 
@@ -121,27 +130,34 @@ def update(basis: TemporaryBasis, queue: PairQueue, h: Polynomial) -> int:
       * an existing pair (f, g) is dropped when LM(h) divides lcm(f, g) and
         lcm(f, h) != lcm(f, g) != lcm(g, h).
 
+    Both divisibility tests first compare support bitmasks (``mono_mask``);
+    a mismatch only ever rules out a non-divisor, so the pairs kept are the
+    same as with exponents alone.
+
     Returns h's basis index.
     """
     if h.is_zero:
         raise ZeroInputError("cannot insert the zero polynomial")
     lm_h = h.lm()
     h_idx = basis.add(h)
+    mask_h = basis.masks[h_idx]
 
     cands = []
     for g_idx in range(h_idx):
         lm_g = basis.polys[g_idx].lm()
         cands.append(
-            (g_idx, mono_lcm(lm_g, lm_h), mono_coprime(lm_g, lm_h))
+            (g_idx, mono_lcm(lm_g, lm_h), basis.masks[g_idx] | mask_h,
+             mono_coprime(lm_g, lm_h))
         )
 
     survivors = []
-    for i, (g_idx, l, coprime) in enumerate(cands):
+    for i, (g_idx, l, mask, coprime) in enumerate(cands):
         if coprime:
             continue  # dominates others below, but never becomes a pair itself
+        outside = ~mask
         dominated = False
-        for j, (_, l2, _) in enumerate(cands):
-            if j == i:
+        for j, (_, l2, mask2, _) in enumerate(cands):
+            if j == i or mask2 & outside:
                 continue
             if l2 == l:
                 if j < i:  # one representative per equal-lcm class
@@ -154,7 +170,7 @@ def update(basis: TemporaryBasis, queue: PairQueue, h: Polynomial) -> int:
             survivors.append(CriticalPair(g_idx, h_idx, l, total_degree(l)))
 
     def keep_old(pr: CriticalPair) -> bool:
-        if not mono_divides(lm_h, pr.lcm):
+        if mask_h & ~pr.mask or not mono_divides(lm_h, pr.lcm):
             return True
         if mono_lcm(basis.polys[pr.left].lm(), lm_h) == pr.lcm:
             return True

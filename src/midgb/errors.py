@@ -45,6 +45,14 @@ class BoundViolationError(MidgbError, AssertionError):
         )
 
 
+class RenormalizationError(MidgbError, RuntimeError):
+    """Interreduce-and-fold after a renew failed to reach a fixed point.
+
+    Every folding pass that changes anything shrinks the exponent mass, so
+    this is an internal-error diagnostic like BoundViolationError.
+    """
+
+
 class ConflictingRootsError(MidgbError, ValueError):
     """Two polynomials force different unique values onto one variable."""
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine import EngineConfig, EngineReport, RoundTrace, degree_monitor
 from .errors import EmptyBatchError
-from .monomials import mono_div, mono_divides
+from .monomials import mono_div, mono_divides, mono_mask
 from .poly import Polynomial, PolyRing, field_reduce, is_field_polynomial
 from .runner import RunState, prepare_inputs, run_rounds
 from .trace import TraceWriter
@@ -32,6 +32,10 @@ def symbolic_preprocess(pairs, basis, ring: PolyRing, *, field_active: bool = Tr
     it), worked largest monomial first. Rows are exponent-folded on the spot
     (field polynomials excepted), so the matrix never grows columns past the
     per-variable degree cap.
+
+    The reducer scan tests support bitmasks (``mono_mask``) before exponents.
+    A mask mismatch only ever rules out a non-divisor and the scan order is
+    unchanged, so every monomial gets the same reducer as with exponents alone.
     """
     if not pairs:
         raise EmptyBatchError("symbolic preprocessing needs at least one pair")
@@ -81,10 +85,14 @@ def symbolic_preprocess(pairs, basis, ring: PolyRing, *, field_active: bool = Tr
         for m, _ in row.terms[1:]:
             enqueue(m)
 
+    reducers = [(mono_mask(g.lm()), g) for g in basis]
     while heap:
         _, m = heapq.heappop(heap)
         done.add(m)
-        for g in basis:
+        outside = ~mono_mask(m)
+        for mask, g in reducers:
+            if mask & outside:
+                continue
             quot = mono_div(m, g.lm())
             if quot is None:
                 continue
@@ -179,7 +187,9 @@ class MacaulayMatrix:
         q = self.ring.q
         field = self.ring.field
         nrows, ncols = len(self.rows), len(self.columns)
-        a = np.zeros((nrows, ncols), dtype=np.int64)
+        # a - b*c with entries in [0, q) must fit int64; beyond that, Python ints
+        dtype = np.int64 if (q - 1) ** 2 + q < 2**63 else object
+        a = np.zeros((nrows, ncols), dtype=dtype)
         for i, p in enumerate(self.rows):
             for m, c in p.terms:
                 a[i, self.col_index[m]] = c
@@ -212,7 +222,6 @@ def f4_round(state: RunState) -> None:
     rows = symbolic_preprocess(
         pairs, state.basis.polys, state.ring, field_active=state.field_active
     )
-    base_lms = [g.lm() for g in state.basis.polys]
     matrix = MacaulayMatrix(rows, state.ring)
     nrows, ncols = matrix.shape
     reduced, zero_rows = matrix.reduce()
@@ -221,19 +230,26 @@ def f4_round(state: RunState) -> None:
     # exponent folding can hand a pair row a head that no basis element
     # divides, and that head is new information even though a matrix row
     # already carried it.
-    fresh = [
-        p
-        for p in reduced  # already ordered by descending leading monomial
-        if not any(mono_divides(lm, p.lm()) for lm in base_lms)
-    ]
+    base = list(zip(state.basis.masks, [g.lm() for g in state.basis.polys]))
+    fresh = []
+    for p in reduced:  # already ordered by descending leading monomial
+        outside = ~mono_mask(p.lm())
+        if not any(
+            not mask & outside and mono_divides(lm, p.lm()) for mask, lm in base
+        ):
+            fresh.append(p)
 
+    # Every basis-divisible column got a reducer row, so it is a pivot column
+    # and no fresh RREF row has a basis-reducible monomial: the rows are
+    # already in normal form against the basis, until a renew changes it.
+    reduced_at = state.renewals
     batch = state.screen_batch(fresh)
     added = 0
     max_deg = 0
     for h in batch:
         if state.inconsistent:
             break
-        kept = state.insert_new(h)
+        kept = state.insert_new(h, reduced_at)
         if kept is not None:
             added += 1
             max_deg = max(max_deg, kept.degree())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .engine import PairQueue, TemporaryBasis, update
-from .errors import ConflictingRootsError, OrderNotLexError
+from .errors import ConflictingRootsError, OrderNotLexError, RenormalizationError
 from .poly import (
     Polynomial,
     PolyRing,
@@ -145,7 +145,7 @@ def _renormalize(polys: list, field_active: bool) -> list:
         polys = folded
         if not changed:
             return polys
-    raise AssertionError("renormalization did not stabilize")
+    raise RenormalizationError("renormalization did not stabilize")
 
 
 def inconsistency_check(polys: Iterable[Polynomial]) -> bool:

@@ -38,6 +38,21 @@ def mono_div(a, b):
     return tuple(out)
 
 
+def mono_mask(m) -> int:
+    """Support bitmask: bit i is set iff x_i occurs in m.
+
+    If a | b then mono_mask(a) & ~mono_mask(b) == 0, so a nonzero result
+    proves a does not divide b without comparing exponents.
+    """
+    mask = 0
+    bit = 1
+    for e in m:
+        if e:
+            mask |= bit
+        bit <<= 1
+    return mask
+
+
 def mono_coprime(a, b) -> bool:
     """True iff lcm(a, b) == a*b, i.e. no variable occurs in both."""
     return all(x == 0 or y == 0 for x, y in zip(a, b, strict=True))

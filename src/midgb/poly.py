@@ -18,6 +18,7 @@ from .monomials import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mask,
     mono_mul,
     total_degree,
 )
@@ -326,6 +327,10 @@ def normal_form(p: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
     the running remainder, and reduce it with the first reducer (list order)
     whose leading monomial divides it. Every monomial of the result is
     irreducible.
+
+    The reducer scan tests support bitmasks (``mono_mask``) before exponents.
+    A mask mismatch only ever rules out a non-divisor and the scan order is
+    unchanged, so the reducer chosen is the same as with exponents alone.
     """
     ring = p.ring
     if p.is_zero or not reducers:
@@ -333,7 +338,7 @@ def normal_form(p: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
     for g in reducers:
         if g.is_zero:
             raise ZeroInputError("zero polynomial in reducer list")
-    red = [(g.lm(), g.lc(), g.terms[1:]) for g in reducers]
+    red = [(mono_mask(g.lm()), g.lm(), g.lc(), g.terms[1:]) for g in reducers]
     q = ring.q
     field = ring.field
     negkey = ring.negkey
@@ -349,7 +354,10 @@ def normal_form(p: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
         c = coeffs.pop(m, 0)
         if not c:
             continue
-        for lm, lc, tail in red:
+        outside = ~mono_mask(m)
+        for mask, lm, lc, tail in red:
+            if mask & outside:
+                continue
             quot = mono_div(m, lm)
             if quot is None:
                 continue
@@ -408,19 +416,19 @@ def field_reduce(p: Polynomial) -> Polynomial:
     """
     ring = p.ring
     q = ring.q
-    if p.is_zero or p.degree() < q:
+    if not any(max(m) >= q for m, _ in p.terms):
         return p
     qm1 = q - 1
-    pairs = []
-    dirty = False
+    acc: dict = {}
     for m, c in p.terms:
-        if any(e >= q for e in m):
+        if max(m) >= q:
             m = tuple(e if e < q else ((e - 1) % qm1) + 1 for e in m)
-            dirty = True
-        pairs.append((m, c))
-    if not dirty:
-        return p
-    return ring.poly(pairs)
+        acc[m] = (acc.get(m, 0) + c) % q
+    key = ring.key
+    terms = tuple(
+        (m, c) for m, c in sorted(acc.items(), key=lambda t: key(t[0]), reverse=True) if c
+    )
+    return Polynomial(ring, terms) if terms else ring.zero
 
 
 def substitute(p: Polynomial, var: int, value: int) -> Polynomial:

@@ -44,6 +44,7 @@ class RunState:
         self.events: list = []
         self.rounds: list = []
         self.round_no = 0
+        self.renewals = 0  # renews applied to the basis so far
         self.inconsistent = False
         self._update = update if config.use_criteria else update_no_criteria
 
@@ -113,18 +114,26 @@ class RunState:
             self.emit(a)
             res = renew(self.basis, batch, self.queue, a, self.ring, self.field_active)
             self.basis, batch, self.queue = res.basis, res.pending, res.queue
+            self.renewals += 1
             if res.inconsistent:
                 self.mark_inconsistent()
         return batch
 
-    def insert_new(self, h):
-        """Fully reduce a candidate against the basis and insert if nonzero.
+    def insert_new(self, h, reduced_at: int):
+        """Insert a candidate if it does not reduce to zero.
+
+        ``reduced_at`` is the value of ``renewals`` when h was last fully
+        reduced against the basis. Members inserted since then came earlier
+        in the same batch, which runs in descending leading-monomial order;
+        a larger leading monomial divides none of h's monomials. So h is
+        reduced again only when a renew has rewritten the basis since.
 
         Returns the polynomial as stored, or None when it reduced away.
         """
-        h = normal_form(h, self.basis.polys)
-        if h.is_zero:
-            return None
+        if reduced_at != self.renewals:
+            h = normal_form(h, self.basis.polys)
+            if h.is_zero:
+                return None
         h = self.canon(h)
         if h.is_zero:
             return None
@@ -187,6 +196,7 @@ class RunState:
             self.emit(a)
             res = renew(self.basis, [], self.queue, a, self.ring, self.field_active)
             self.basis, self.queue = res.basis, res.queue
+            self.renewals += 1
             if res.inconsistent:
                 self.mark_inconsistent()
         return bool(self.inconsistent) or (not self.queue and self._settled())
@@ -210,9 +220,7 @@ class RunState:
     def finish(self, status: Status) -> EngineReport:
         if status is Status.INCONSISTENT:
             basis = [self.ring.one]
-        elif status is Status.GROEBNER_BASIS or status is Status.ALL_VARIABLES_SOLVED:
-            basis = list(self.basis.polys)  # interreduced by completion()
-        else:  # RoundLimit: honest snapshot
+        else:  # interreduced by completion(), or the RoundLimit snapshot
             basis = list(self.basis.polys)
         report = EngineReport(
             status=status,

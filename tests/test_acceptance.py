@@ -33,6 +33,7 @@ from midgb import (
     triangular_shape_check,
 )
 from midgb.cli import EXIT_ROUND_LIMIT, run_cli
+from midgb.runner import RunState
 
 
 # ---------------------------------------------------------------- corpus
@@ -262,3 +263,26 @@ def test_criterion_9_trace_determinism(tmp_path):
         assert a.read_bytes() == b.read_bytes(), argv
     print(f"criterion 9 PASS: byte-identical traces for {len(configs)} "
           "configurations")
+
+
+def test_candidates_inserted_unreduced_are_normal_forms(monkeypatch):
+    """F4 inserts its fresh RREF rows, and Buchberger its remainder, without
+    reducing them again unless a renew changed the basis; each such candidate
+    must already be its own normal form."""
+    insert_new = RunState.insert_new
+    skipped = []
+
+    def checked(state, h, reduced_at):
+        if reduced_at == state.renewals:
+            assert normal_form(h, state.basis.polys) == h
+            skipped.append(h)
+        return insert_new(state, h, reduced_at)
+
+    monkeypatch.setattr(RunState, "insert_new", checked)
+    configs = list(itertools.product(("f4", "buchberger"), ("grevlex", "lex"), (True, False)))
+    for _, text in CORPUS:
+        for engine, order, ms in configs:
+            ring, polys = parse_system(text, order=order)
+            config = EngineConfig(ring=ring, engine=engine, middle_solving=ms)
+            groebner_basis(polys, config)
+    assert skipped

@@ -206,3 +206,25 @@ def test_f4_output_passes_the_certificate():
             assert normal_form(s, basis).is_zero
     for f in F:
         assert normal_form(f, basis).is_zero
+
+
+@pytest.mark.parametrize("seed", [0, 6, 7, 16])
+def test_f4_is_exact_for_primes_past_int64(seed):
+    # (q-1)^2 overflows int64 here; the dense elimination used to wrap
+    # silently and return a wrong "GroebnerBasis"
+    q = 8589934609
+    ring = PolyRing(q, ["x", "y", "z"], "grevlex")
+    F = random_system(ring, 3, 2, random.Random(seed))
+    out = {}
+    for eng, runner in (("buchberger", buchberger_gb), ("f4", f4_gb)):
+        cfg = EngineConfig(ring, engine=eng, middle_solving=False,
+                           adjoin_field_eqs=False)
+        out[eng] = runner(F, cfg)
+    basis = out["f4"].basis
+    assert out["f4"].status is Status.GROEBNER_BASIS
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            assert normal_form(s_polynomial(basis[i], basis[j]), basis).is_zero
+    for f in F:
+        assert normal_form(f, basis).is_zero
+    assert interreduce(basis) == interreduce(out["buchberger"].basis)

@@ -8,12 +8,14 @@ from midgb import (
     OrderNotLexError,
     PairQueue,
     PolyRing,
+    RenormalizationError,
     TemporaryBasis,
     find_unique_root_polys,
     inconsistency_check,
     renew,
     triangular_shape_check,
 )
+from midgb import midsolve
 
 
 @pytest.fixture
@@ -136,3 +138,11 @@ def test_triangular_shape_requires_lex():
     g = PolyRing(2, ["x", "y"], "grevlex")
     with pytest.raises(OrderNotLexError):
         triangular_shape_check([g.one], g)
+
+
+def test_renormalize_without_a_fixed_point_raises_typed_error(r3, monkeypatch):
+    # a fold that always changes its input never lets the loop settle
+    monkeypatch.setattr(midsolve, "field_reduce", lambda p: p.scale(2))
+    xy = r3.poly({(1, 1): 1})
+    with pytest.raises(RenormalizationError):
+        midsolve._renormalize([xy + r3.one], field_active=True)

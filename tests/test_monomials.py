@@ -9,12 +9,15 @@ from midgb.monomials import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mask,
     mono_mul,
     order_cmp,
     total_degree,
 )
 
 monos = st.tuples(*([st.integers(min_value=0, max_value=5)] * 3))
+# small exponents over more variables, so divisors and mask hits are common
+small_monos = st.tuples(*([st.integers(min_value=0, max_value=2)] * 5))
 
 
 def test_mul_lcm_div_basics():
@@ -87,3 +90,31 @@ def test_lcm_is_an_upper_bound(a, b):
     assert mono_div(l, a) is not None
     # lcm is the least such bound: dividing out either side leaves the other
     assert mono_mul(a, mono_div(l, a)) == l
+
+
+def test_mask_marks_occurring_variables():
+    assert mono_mask((0, 0, 0)) == 0
+    assert mono_mask((2, 0, 1)) == 0b101
+    assert mono_mask((0, 3, 0)) == 0b010
+
+
+@given(a=small_monos, b=small_monos)
+def test_mask_never_rejects_a_divisor(a, b):
+    if mono_divides(a, b):
+        assert mono_mask(a) & ~mono_mask(b) == 0
+    assert mono_mask(mono_lcm(a, b)) == mono_mask(a) | mono_mask(b)
+
+
+@given(lms=st.lists(small_monos, min_size=1, max_size=12), m=small_monos)
+def test_mask_filtered_scan_finds_the_first_divisor(lms, m):
+    plain = next((i for i, lm in enumerate(lms) if mono_divides(lm, m)), None)
+    outside = ~mono_mask(m)
+    filtered = next(
+        (
+            i
+            for i, lm in enumerate(lms)
+            if not mono_mask(lm) & outside and mono_divides(lm, m)
+        ),
+        None,
+    )
+    assert filtered == plain
