@@ -39,6 +39,7 @@ from .errors import (
     EmptyQueueError,
     InvalidSizeError,
     MidgbError,
+    MonomialOverflowError,
     NonPrimeFieldError,
     OrderNotLexError,
     ParseError,
@@ -88,6 +89,7 @@ __all__ = [
     "InvalidSizeError",
     "MacaulayMatrix",
     "MidgbError",
+    "MonomialOverflowError",
     "NonPrimeFieldError",
     "OrderNotLexError",
     "PairQueue",

@@ -158,7 +158,8 @@ def _powmod(arr, e: int, q: int):
 def brute_force_solutions(polys, ring: PolyRing) -> set:
     """The exact zero set over GF(q)^n by exhaustive evaluation.
 
-    Kept independent of the reduction code: only the raw term lists are read.
+    Kept independent of the reduction code: only the term lists are read,
+    each monomial unpacked to its exponent tuple.
     """
     q, n = ring.q, ring.n
     total = q**n
@@ -173,7 +174,7 @@ def brute_force_solutions(polys, ring: PolyRing) -> set:
         acc = np.zeros(total, dtype=np.int64)
         for m, c in p.terms:
             term = np.full(total, c % q, dtype=np.int64)
-            for i, e in enumerate(m):
+            for i, e in enumerate(ring.exponents(m)):
                 if e:
                     term = term * _powmod(cols[i], e, q) % q
             acc = (acc + term) % q

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 from .errors import BoundViolationError, EmptyQueueError, ZeroInputError
-from .monomials import mono_coprime, mono_divides, mono_lcm, mono_mask, total_degree
 from .poly import Polynomial, PolyRing, is_field_polynomial
 
 
@@ -24,13 +22,8 @@ class CriticalPair:
 
     left: int
     right: int
-    lcm: tuple
+    lcm: int  # packed monomial
     degree: int
-
-    @cached_property
-    def mask(self) -> int:
-        """Support bitmask of the lcm (see ``mono_mask``)."""
-        return mono_mask(self.lcm)
 
 
 class PairQueue:
@@ -61,7 +54,7 @@ class PairQueue:
         """
         if not self.pairs:
             raise EmptyQueueError("pair selection from an empty queue")
-        key = lambda p: (p.degree, ring.key(p.lcm), p.left, p.right)
+        key = lambda p: (p.degree, p.lcm, p.left, p.right)
         if batch:
             dmin = min(p.degree for p in self.pairs)
             chosen = sorted((p for p in self.pairs if p.degree == dmin), key=key)
@@ -73,19 +66,16 @@ class PairQueue:
 
 
 class TemporaryBasis:
-    """Append-only polynomial list plus a leading-monomial lookup.
+    """Append-only polynomial list.
 
-    Two members may share a leading monomial only when raw inputs collide; the
-    lookup keeps the first (insertion order), matching the reducer-choice rule.
-    ``masks[i]`` is the support bitmask of member i's leading monomial.
+    Two members may share a leading monomial only when raw inputs collide;
+    every reducer scan then picks the earlier one (insertion order).
     """
 
-    __slots__ = ("polys", "lm_index", "masks")
+    __slots__ = ("polys",)
 
     def __init__(self):
         self.polys: list = []
-        self.lm_index: dict = {}
-        self.masks: list = []
 
     def __len__(self):
         return len(self.polys)
@@ -96,15 +86,13 @@ class TemporaryBasis:
     def add(self, p: Polynomial) -> int:
         idx = len(self.polys)
         self.polys.append(p)
-        self.lm_index.setdefault(p.lm(), idx)
-        self.masks.append(mono_mask(p.lm()))
         return idx
 
 
 def field_polynomial(ring: PolyRing, i: int) -> Polynomial:
     """x_i^q - x_i."""
     q = ring.q
-    return ring.poly([(ring.var_monomial(i, q), 1), (ring.var_monomial(i, 1), q - 1)])
+    return Polynomial(ring, ((ring.codec.var(i, q), 1), (ring.codec.var(i), q - 1)))
 
 
 def adjoin_field_equations(polys, ring: PolyRing, variables=None) -> list:
@@ -130,51 +118,46 @@ def update(basis: TemporaryBasis, queue: PairQueue, h: Polynomial) -> int:
       * an existing pair (f, g) is dropped when LM(h) divides lcm(f, g) and
         lcm(f, h) != lcm(f, g) != lcm(g, h).
 
-    Both divisibility tests first compare support bitmasks (``mono_mask``);
-    a mismatch only ever rules out a non-divisor, so the pairs kept are the
-    same as with exponents alone.
-
     Returns h's basis index.
     """
     if h.is_zero:
         raise ZeroInputError("cannot insert the zero polynomial")
+    codec = h.ring.codec
+    lcm, shift, guard = codec.lcm, codec.shift, codec.guard
     lm_h = h.lm()
     h_idx = basis.add(h)
-    mask_h = basis.masks[h_idx]
 
+    # (index, lcm, shift(lcm), coprime); l2 | l iff (l - shift(l2)) & guard == 0
     cands = []
     for g_idx in range(h_idx):
         lm_g = basis.polys[g_idx].lm()
-        cands.append(
-            (g_idx, mono_lcm(lm_g, lm_h), basis.masks[g_idx] | mask_h,
-             mono_coprime(lm_g, lm_h))
-        )
+        l = lcm(lm_g, lm_h)
+        cands.append((g_idx, l, shift(l), codec.coprime(lm_g, lm_h)))
 
     survivors = []
-    for i, (g_idx, l, mask, coprime) in enumerate(cands):
+    for i, (g_idx, l, _, coprime) in enumerate(cands):
         if coprime:
             continue  # dominates others below, but never becomes a pair itself
-        outside = ~mask
         dominated = False
-        for j, (_, l2, mask2, _) in enumerate(cands):
-            if j == i or mask2 & outside:
+        for j, (_, l2, s2, _) in enumerate(cands):
+            if j == i:
                 continue
             if l2 == l:
                 if j < i:  # one representative per equal-lcm class
                     dominated = True
                     break
-            elif mono_divides(l2, l):
+            elif not (l - s2) & guard:
                 dominated = True
                 break
         if not dominated:
-            survivors.append(CriticalPair(g_idx, h_idx, l, total_degree(l)))
+            survivors.append(CriticalPair(g_idx, h_idx, l, codec.degree(l)))
 
     def keep_old(pr: CriticalPair) -> bool:
-        if mask_h & ~pr.mask or not mono_divides(lm_h, pr.lcm):
+        if not codec.divides(lm_h, pr.lcm):
             return True
-        if mono_lcm(basis.polys[pr.left].lm(), lm_h) == pr.lcm:
+        if lcm(basis.polys[pr.left].lm(), lm_h) == pr.lcm:
             return True
-        if mono_lcm(basis.polys[pr.right].lm(), lm_h) == pr.lcm:
+        if lcm(basis.polys[pr.right].lm(), lm_h) == pr.lcm:
             return True
         return False
 
@@ -188,11 +171,12 @@ def update_no_criteria(basis: TemporaryBasis, queue: PairQueue, h: Polynomial) -
     """Insert h generating every pair, skipping all criteria (for cross-checks)."""
     if h.is_zero:
         raise ZeroInputError("cannot insert the zero polynomial")
+    codec = h.ring.codec
     lm_h = h.lm()
     h_idx = basis.add(h)
     for g_idx in range(h_idx):
-        l = mono_lcm(basis.polys[g_idx].lm(), lm_h)
-        queue.add(CriticalPair(g_idx, h_idx, l, total_degree(l)))
+        l = codec.lcm(basis.polys[g_idx].lm(), lm_h)
+        queue.add(CriticalPair(g_idx, h_idx, l, codec.degree(l)))
     return h_idx
 
 
@@ -212,7 +196,7 @@ def degree_monitor(p: Polynomial, ring: PolyRing, stage: str, active: bool = Tru
         if p.degree() > created_cap:
             raise BoundViolationError("created", p, created_cap)
     elif stage == "stored":
-        if any(e > q for e in p.lm()):
+        if ring.codec.exceeds(p.lm(), q):
             raise BoundViolationError("stored", p, q)
         if is_field_polynomial(p) is None and p.degree() > n * (q - 1):
             raise BoundViolationError("stored", p, n * (q - 1))

@@ -53,6 +53,15 @@ class RenormalizationError(MidgbError, RuntimeError):
     """
 
 
+class MonomialOverflowError(MidgbError, OverflowError):
+    """A monomial whose total degree is past its ring's limit.
+
+    Packed monomials have fixed-width exponent slots (see ``monomials``); an
+    input exponent or a product that does not fit raises this instead of
+    wrapping.
+    """
+
+
 class ConflictingRootsError(MidgbError, ValueError):
     """Two polynomials force different unique values onto one variable."""
 

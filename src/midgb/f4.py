@@ -16,8 +16,7 @@ import numpy as np
 
 from .engine import EngineConfig, EngineReport, RoundTrace, degree_monitor
 from .errors import EmptyBatchError
-from .monomials import mono_div, mono_divides, mono_mask
-from .poly import Polynomial, PolyRing, field_reduce, is_field_polynomial
+from .poly import Polynomial, PolyRing, field_term_mul
 from .runner import RunState, prepare_inputs, run_rounds
 from .trace import TraceWriter
 
@@ -32,20 +31,17 @@ def symbolic_preprocess(pairs, basis, ring: PolyRing, *, field_active: bool = Tr
     it), worked largest monomial first. Rows are exponent-folded on the spot
     (field polynomials excepted), so the matrix never grows columns past the
     per-variable degree cap.
-
-    The reducer scan tests support bitmasks (``mono_mask``) before exponents.
-    A mask mismatch only ever rules out a non-divisor and the scan order is
-    unchanged, so every monomial gets the same reducer as with exponents alone.
     """
     if not pairs:
         raise EmptyBatchError("symbolic preprocessing needs at least one pair")
     field = ring.field
-    negkey = ring.negkey
+    codec = ring.codec
 
-    def fold(row):
-        if field_active and not row.is_zero and is_field_polynomial(row) is None:
-            return field_reduce(row)
-        return row
+    def multiple(g, quot):
+        """(quot / LC(g)) * g, exponent-folded unless it is a field polynomial."""
+        if field_active:
+            return field_term_mul(g, quot, field.inv(g.lc()))
+        return g.term_mul(quot, field.inv(g.lc()))
 
     rows: list = []
     done: set = set()
@@ -54,12 +50,12 @@ def symbolic_preprocess(pairs, basis, ring: PolyRing, *, field_active: bool = Tr
     for pr in pairs:
         for idx in (pr.left, pr.right):
             g = basis[idx]
-            quot = mono_div(pr.lcm, g.lm())
+            quot = codec.div(pr.lcm, g.lm())
             key = (idx, quot)
             if key in seen_products:
                 continue
             seen_products.add(key)
-            row = fold(g.term_mul(quot, field.inv(g.lc())))
+            row = multiple(g, quot)
             if row.is_zero:
                 continue  # a field-polynomial multiple; nothing to cancel
             degree_monitor(row, ring, "created", field_active)
@@ -72,12 +68,12 @@ def symbolic_preprocess(pairs, basis, ring: PolyRing, *, field_active: bool = Tr
                 moved_heads.append(row.lm())
 
     queued: set = set()
-    heap: list = []
+    heap: list = []  # negated monomials: the heap pops the largest first
 
     def enqueue(m):
         if m not in done and m not in queued:
             queued.add(m)
-            heapq.heappush(heap, (negkey(m), m))
+            heapq.heappush(heap, -m)
 
     for m in moved_heads:
         enqueue(m)
@@ -85,18 +81,17 @@ def symbolic_preprocess(pairs, basis, ring: PolyRing, *, field_active: bool = Tr
         for m, _ in row.terms[1:]:
             enqueue(m)
 
-    reducers = [(mono_mask(g.lm()), g) for g in basis]
+    # m - shift(lm) is the quotient m / lm, valid iff no guard bit is set
+    guard = codec.guard
+    reducers = [(codec.shift(g.lm()), g) for g in basis]
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -heapq.heappop(heap)
         done.add(m)
-        outside = ~mono_mask(m)
-        for mask, g in reducers:
-            if mask & outside:
+        for s, g in reducers:
+            quot = m - s
+            if quot & guard:
                 continue
-            quot = mono_div(m, g.lm())
-            if quot is None:
-                continue
-            row = fold(g.term_mul(quot, field.inv(g.lc())))
+            row = multiple(g, quot)
             if not row.is_zero:
                 degree_monitor(row, ring, "created", field_active)
                 rows.append(row)
@@ -121,7 +116,7 @@ class MacaulayMatrix:
         for p in self.rows:
             for m, _ in p.terms:
                 cols.add(m)
-        self.columns = sorted(cols, key=ring.key, reverse=True)
+        self.columns = sorted(cols, reverse=True)
         self.col_index = {m: j for j, m in enumerate(self.columns)}
 
     @property
@@ -230,13 +225,13 @@ def f4_round(state: RunState) -> None:
     # exponent folding can hand a pair row a head that no basis element
     # divides, and that head is new information even though a matrix row
     # already carried it.
-    base = list(zip(state.basis.masks, [g.lm() for g in state.basis.polys]))
+    codec = state.ring.codec
+    guard = codec.guard
+    shifts = [codec.shift(g.lm()) for g in state.basis.polys]
     fresh = []
     for p in reduced:  # already ordered by descending leading monomial
-        outside = ~mono_mask(p.lm())
-        if not any(
-            not mask & outside and mono_divides(lm, p.lm()) for mask, lm in base
-        ):
+        m = p.lm()
+        if all((m - s) & guard for s in shifts):
             fresh.append(p)
 
     # Every basis-divisible column got a reducer row, so it is a pivot column

@@ -62,14 +62,6 @@ class PrimeField:
     def pow(self, a: int, e: int) -> int:
         return pow(a % self.q, e, self.q)
 
-    def arith(self, op: str, a: int, b: int) -> int:
-        """Dispatch form of the binary operations (op in {add, sub, mul})."""
-        try:
-            fn = {"add": self.add, "sub": self.sub, "mul": self.mul}[op]
-        except KeyError:
-            raise ValueError(f"unknown field operation {op!r}") from None
-        return fn(a, b)
-
     def elements(self) -> range:
         return range(self.q)
 

@@ -21,7 +21,6 @@ from .poly import (
     is_field_polynomial,
     is_univariate,
     substitute,
-    univariate_roots,
 )
 
 
@@ -30,6 +29,83 @@ class Assignment:
     variable: int
     value: int
     round: int
+
+
+def _poly_rem(a: list, f: list, q: int) -> list:
+    """a mod f for dense coefficient lists (index = exponent), f monic."""
+    a = a[:]
+    df = len(f) - 1
+    for k in range(len(a) - 1, df - 1, -1):
+        c = a[k]
+        if c:
+            for j in range(df + 1):
+                a[k - df + j] = (a[k - df + j] - c * f[j]) % q
+    del a[df:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_mulmod(a: list, b: list, f: list, q: int) -> list:
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % q
+    return _poly_rem(prod, f, q)
+
+
+def _poly_gcd(a: list, b: list, q: int) -> list:
+    """Monic gcd of two dense coefficient lists."""
+    while b:
+        inv = pow(b[-1], -1, q)
+        b = [c * inv % q for c in b]
+        a, b = b, _poly_rem(a, b, q)
+    return a
+
+
+def _unique_root(p: Polynomial, var: int):
+    """The root of p, univariate in x_var, when GF(q) holds exactly one; else None.
+
+    On GF(q) points x^q = x, so exponents fold to at most q - 1 first. The
+    roots in GF(q) of the folded f are those of g = gcd(f, x^q - x), one per
+    degree, with x^q mod f from square-and-multiply: O(deg^2 log q) work
+    where trying every field element is O(q deg).
+    """
+    q = p.ring.q
+    exponent = p.ring.codec.exponent
+    coeffs: dict = {}
+    for m, c in p.terms:
+        e = exponent(m, var)
+        if e >= q:
+            e = (e - 1) % (q - 1) + 1
+        coeffs[e] = (coeffs.get(e, 0) + c) % q
+    f = [0] * (max(coeffs) + 1)
+    for e, c in coeffs.items():
+        f[e] = c
+    while f and not f[-1]:
+        f.pop()
+    if len(f) < 2:
+        return None  # a nonzero constant has no root; zero has q of them
+    inv = pow(f[-1], -1, q)
+    f = [c * inv % q for c in f]
+    # x^q mod f
+    power, base, k = [1], _poly_rem([0, 1], f, q), q
+    while k:
+        if k & 1:
+            power = _poly_mulmod(power, base, f, q)
+        base = _poly_mulmod(base, base, f, q)
+        k >>= 1
+    h = power + [0] * (2 - len(power))
+    h[1] = (h[1] - 1) % q  # x^q - x mod f
+    while h and not h[-1]:
+        h.pop()
+    g = _poly_gcd(f, h, q)
+    if len(g) != 2:
+        return None
+    return -g[0] % q
 
 
 def find_unique_root_polys(batch: Iterable[Polynomial], ring: PolyRing, round_no: int = 0):
@@ -47,10 +123,9 @@ def find_unique_root_polys(batch: Iterable[Polynomial], ring: PolyRing, round_no
         var = is_univariate(p)
         if var is None:
             continue
-        roots = univariate_roots(p, var)
-        if len(roots) != 1:
+        val = _unique_root(p, var)
+        if val is None:
             continue
-        (val,) = roots
         prev = found.get(var)
         if prev is None:
             found[var] = Assignment(var, val, round_no)
@@ -126,7 +201,7 @@ def _renormalize(polys: list, field_active: bool) -> list:
     """
     # every folding pass that changes anything strictly shrinks exponent mass,
     # so this terminates; the guard is just a tripwire
-    budget = 2 + sum(sum(sum(m) for m, _ in p.terms) for p in polys)
+    budget = 2 + sum(p.ring.codec.degree(m) for p in polys for m, _ in p.terms)
     for _ in range(budget):
         polys = interreduce(polys)
         if not field_active:

@@ -1,94 +1,229 @@
-"""Exponent-vector monomials and the two admissible orders (lex, grevlex).
+"""Packed monomials: one Python int per monomial, whose integer order is the
+ring's monomial order.
 
-A monomial is a plain tuple of non-negative ints, one exponent per variable,
-index 0 being the variable of greatest precedence. Order comparisons go through
-sort keys so that plain tuple comparison and heapq do the work.
+Layout. A ring with n variables stores a monomial as n + 1 slots of w bits:
+one slot per exponent and one for the total degree d. With C = 2**(w-1) - 1,
+
+    lex:      [ e_1 | e_2 | ... | e_n | d ]            e_1 in the top slot
+    grevlex:  [ d | C-e_n | ... | C-e_2 | C-e_1 ]      d in the top slot
+
+so plain integer comparison is the ring order. Under lex the exponents are
+compared from x_1 down, and the degree slot at the bottom is reached only
+when all exponents are equal. Under grevlex the degree is compared first, then
+the smaller e_n wins, then the smaller e_(n-1), and so on: the sort key
+``(sum(e), (-e_n, ..., -e_1))`` written as one int. ``sorted``, ``heapq`` and
+``min`` compare monomials with no key function.
+
+Linearity. Both layouts are affine in the exponent vector:
+``m = one + sum(e_i * unit_i)``, where ``one`` is the packed unit monomial (C
+in every grevlex exponent slot, 0 under lex) and ``unit_i`` is x_i's step.
+Hence, with ``shift(u) = u - one``:
+
+    product   m * u = m + shift(u)
+    quotient  m / u = m - shift(u)
+
+Guard bits. The top bit of every slot is a guard bit, and the ring's limit
+C bounds the total degree (so every exponent) of a monomial, so a valid
+monomial has every guard bit clear. A product or quotient of valid monomials
+has a guard bit set exactly when the product is past the limit or u does not
+divide m: a slot sum never carries out of its w bits, and the lowest slot
+that goes negative borrows and so sets its own guard bit. One ``& guard``
+catches overflow, and one decides divisibility.
+
+Width rule. w = q.bit_length() + n.bit_length() + 8, so the limit C exceeds
+128*n*q. With field equations adjoined no stored exponent exceeds q and no
+created degree exceeds n(q-1) + 1, far below the limit; without them the
+limit still leaves room for large exponents. A monomial past the limit is
+never wrapped: packing it, or forming it as a product, raises
+``MonomialOverflowError``.
 """
 
 from __future__ import annotations
 
-Monomial = tuple  # tuple[int, ...]
+import operator
+
+from .errors import MonomialOverflowError
+
+ORDERS = ("lex", "grevlex")
 
 
-def total_degree(m) -> int:
-    return sum(m)
+class MonomialCodec:
+    """Packing and arithmetic of monomials for one ring (n variables, GF(q), order).
 
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def mono_lcm(a, b):
-    return tuple(x if x >= y else y for x, y in zip(a, b, strict=True))
-
-
-def mono_divides(a, b) -> bool:
-    """True iff a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b, strict=True))
-
-
-def mono_div(a, b):
-    """a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b, strict=True):
-        d = x - y
-        if d < 0:
-            return None
-        out.append(d)
-    return tuple(out)
-
-
-def mono_mask(m) -> int:
-    """Support bitmask: bit i is set iff x_i occurs in m.
-
-    If a | b then mono_mask(a) & ~mono_mask(b) == 0, so a nonzero result
-    proves a does not divide b without comparing exponents.
+    Callers treat packed monomials as opaque ints. They may compare them
+    (integer order is the ring order), hash them, and use the algebraic
+    contract above: ``m + shift(u)`` and ``m - shift(u)`` are the product and
+    quotient, valid iff ``result & guard == 0``.
     """
-    mask = 0
-    bit = 1
-    for e in m:
-        if e:
-            mask |= bit
-        bit <<= 1
-    return mask
 
+    __slots__ = (
+        "n", "q", "order", "graded", "width", "limit", "one", "guard",
+        "_sign", "_slot", "_dshift", "_units", "_pos", "_emask", "_eguard",
+        "_eones", "_sumshift", "_flip", "_at_one", "_at_q", "_vars",
+    )
 
-def mono_coprime(a, b) -> bool:
-    """True iff lcm(a, b) == a*b, i.e. no variable occurs in both."""
-    return all(x == 0 or y == 0 for x, y in zip(a, b, strict=True))
+    def __init__(self, n: int, q: int, order: str):
+        if order not in ORDERS:
+            raise ValueError(f"unknown monomial order {order!r} (expected lex or grevlex)")
+        w = q.bit_length() + n.bit_length() + 8
+        half = 1 << (w - 1)
+        self.n, self.q, self.order, self.width = n, q, order, w
+        self.limit = half - 1
+        self._slot = (1 << w) - 1
+        lex = order == "lex"
+        self.graded = not lex  # the total degree decides the order first
+        # exponent slot of variable i, and the degree slot
+        if lex:
+            self._pos = tuple((n - i) * w for i in range(n))
+            self._dshift = 0
+        else:
+            self._pos = tuple(i * w for i in range(n))
+            self._dshift = n * w
+        self._sign = 1 if lex else -1
+        self._eones = sum(1 << p for p in self._pos)
+        self._eguard = self._eones << (w - 1)
+        self._emask = self._eones * self._slot
+        self.guard = self._eguard | (half << self._dshift)
+        self.one = 0 if lex else self.limit * self._eones
+        dunit = 1 << self._dshift
+        self._units = tuple(self._sign * (1 << p) + dunit for p in self._pos)
+        # for x holding plain exponents in the exponent slots, the slot of
+        # x * _eones at this shift holds their sum
+        self._sumshift = self._pos[0] + self._pos[-1]
+        self._flip = 0 if lex else self._eguard
+        self._at_one = self._at_least(1)
+        self._at_q = self._at_least(q)
+        self._vars = {self.one + u: i for i, u in enumerate(self._units)}
 
+    # ------------------------------------------------------------ boundary
 
-# ---------------------------------------------------------------- sort keys
+    def pack(self, exps) -> int:
+        """The packed form of an exponent sequence (index 0 = x_1)."""
+        exps = tuple(exps)
+        if len(exps) != self.n:
+            raise ValueError(f"monomial {exps} has {len(exps)} exponents, ring has {self.n}")
+        if min(exps) < 0:
+            raise ValueError(f"negative exponent in {exps}")
+        d = sum(exps)
+        if d > self.limit:
+            raise MonomialOverflowError(
+                f"monomial {exps} has total degree {d}, past this ring's limit {self.limit}"
+            )
+        return self.one + sum(map(operator.mul, exps, self._units))
 
-def lex_key(m):
-    # tuple comparison compares exponents in precedence order already
-    return m
+    def exponents(self, m: int) -> tuple:
+        """The exponent tuple of a packed monomial (index 0 = x_1)."""
+        slots = map(self._slot.__and__, map(m.__rshift__, self._pos))
+        if self._sign > 0:
+            return tuple(slots)
+        return tuple(map(self.limit.__sub__, slots))
 
+    def var(self, i: int, e: int = 1) -> int:
+        """x_i ** e."""
+        if e > self.limit:
+            raise MonomialOverflowError(f"exponent {e} is past this ring's limit {self.limit}")
+        return self.one + e * self._units[i]
 
-def lex_negkey(m):
-    return tuple(-e for e in m)
+    def variable_index(self, m: int):
+        """i if m is the variable x_i itself, else None."""
+        return self._vars.get(m)
 
+    # ------------------------------------------------------------ arithmetic
 
-def grevlex_key(m):
-    # total degree first; ties by reverse lexicographic comparison on the
-    # reversed exponent vector with the sign flipped
-    return (sum(m), tuple(-e for e in reversed(m)))
+    def shift(self, u: int) -> int:
+        """The int s with m * u == m + s and m / u == m - s for every m."""
+        return u - self.one
 
+    def mul(self, a: int, b: int) -> int:
+        r = a + b - self.one
+        if r & self.guard:
+            raise MonomialOverflowError(
+                f"product of {self.exponents(a)} and {self.exponents(b)} is past "
+                f"this ring's limit {self.limit}"
+            )
+        return r
 
-def grevlex_negkey(m):
-    return (-sum(m), tuple(reversed(m)))
+    def div(self, a: int, b: int):
+        """a / b, or None when b does not divide a."""
+        r = a - b + self.one
+        return None if r & self.guard else r
 
+    def divides(self, a: int, b: int) -> bool:
+        """True iff a | b."""
+        return not (b - a + self.one) & self.guard
 
-ORDER_KEYS = {"lex": lex_key, "grevlex": grevlex_key}
-ORDER_NEGKEYS = {"lex": lex_negkey, "grevlex": grevlex_negkey}
+    def degree(self, m: int) -> int:
+        return (m >> self._dshift) & self._slot
 
+    def exponent(self, m: int, i: int) -> int:
+        """The exponent of x_i in m."""
+        e = (m >> self._pos[i]) & self._slot
+        return e if self._sign > 0 else self.limit - e
 
-def order_cmp(a, b, order: str) -> int:
-    """-1, 0, or 1 as a <, ==, > b under the named order."""
-    key = ORDER_KEYS[order]
-    ka, kb = key(a), key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
+    def split(self, m: int, i: int):
+        """(e, m / x_i**e) with e the exponent of x_i in m."""
+        e = self.exponent(m, i)
+        return e, m - e * self._units[i]
+
+    # The slot-parallel operations below test all exponent slots at once.
+    # ``_at_least(t)`` is the constant a with ((m + a) & _eguard) ^ _flip
+    # holding the guard bit of every slot whose exponent is at least t.
+
+    def _at_least(self, t: int) -> int:
+        if self._sign > 0:  # slot holds e: e >= t iff e + (half - t) >= half
+            return self._eguard - t * self._eones
+        return t * self._eones  # slot holds C - e: e >= t iff C - e + t <= C
+
+    def lcm(self, a: int, b: int) -> int:
+        em, g, h = self._emask, self._eguard, self.width - 1
+        sa, sb = a & em, b & em
+        ge = ((sa | g) - sb) & g  # guard bit where a's slot >= b's
+        take_a = ge - (ge >> h)
+        if self._sign < 0:  # slots hold C - e: the larger exponent is the smaller slot
+            take_a = ~take_a
+        x = (sa & take_a) | (sb & ~take_a)
+        # every partial sum of exponents is at most deg a + deg b < 2**w,
+        # so no slot of this product carries into the sum slot
+        plain = self._sign * (x - self.one)
+        d = ((plain * self._eones) >> self._sumshift) & self._slot
+        if d > self.limit:
+            raise MonomialOverflowError(
+                f"lcm of {self.exponents(a)} and {self.exponents(b)} is past "
+                f"this ring's limit {self.limit}"
+            )
+        return x + (d << self._dshift)
+
+    def coprime(self, a: int, b: int) -> bool:
+        """True iff no variable occurs in both (lcm(a, b) == a*b)."""
+        g, f, t = self._eguard, self._flip, self._at_one
+        return not (((a + t) & g) ^ f) & (((b + t) & g) ^ f)
+
+    def support(self, m: int) -> int:
+        """Bitmask of the variables occurring in m: bit i is x_i."""
+        return sum(1 << i for i, p in enumerate(self._pos)
+                   if (m >> p) & self._slot != (self.one >> p) & self._slot)
+
+    def exceeds(self, m: int, bound: int) -> bool:
+        """True iff some exponent of m is greater than bound."""
+        if bound >= self.limit:
+            return False
+        return (m + self._at_least(bound + 1)) & self._eguard != self._flip
+
+    def foldable(self, m: int) -> bool:
+        """True iff some exponent of m is at least q."""
+        return (m + self._at_q) & self._eguard != self._flip
+
+    def fold(self, m: int) -> int:
+        """m with every exponent e >= q replaced by ((e - 1) mod (q - 1)) + 1.
+
+        On GF(q) points x**q == x, so this is the same function there.
+        """
+        g, f, a = self._eguard, self._flip, self._at_q
+        hit = ((m + a) & g) ^ f
+        if not hit:
+            return m
+        h, step, sign, ds = self.width - 1, self.q - 1, self._sign, self._dshift
+        while hit:  # subtract q - 1 from every exponent still >= q
+            m -= sign * (hit >> h) * step + (hit.bit_count() * step << ds)
+            hit = ((m + a) & g) ^ f
+        return m

@@ -2,26 +2,21 @@
 
 A Polynomial is an immutable sorted term list (descending under the ring's
 monomial order) with coefficients in canonical range. Every polynomial knows
-its ring; operations never mix rings.
+its ring; operations never mix rings. Monomials are packed ints (see
+``monomials``): the ring's ``codec`` does their arithmetic, and integer order
+is the monomial order. Exponent tuples appear only at the boundary:
+``PolyRing.poly`` takes them and ``PolyRing.exponents`` gives them back.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import ZeroInputError, ZeroPolynomialError
 from .gf import PrimeField
-from .monomials import (
-    ORDER_KEYS,
-    ORDER_NEGKEYS,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mask,
-    mono_mul,
-    total_degree,
-)
+from .monomials import ORDERS, MonomialCodec
 
 
 class PolyRing:
@@ -30,7 +25,7 @@ class PolyRing:
     The first listed variable has the greatest precedence.
     """
 
-    __slots__ = ("field", "names", "n", "order", "key", "negkey", "_zero", "_one")
+    __slots__ = ("field", "names", "n", "order", "codec", "_zero", "_one")
 
     def __init__(self, q: int, names: Sequence[str], order: str = "grevlex"):
         self.field = PrimeField(q)
@@ -42,15 +37,14 @@ class PolyRing:
         for nm in names:
             if not nm or not isinstance(nm, str):
                 raise ValueError(f"bad variable name {nm!r}")
-        if order not in ORDER_KEYS:
+        if order not in ORDERS:
             raise ValueError(f"unknown monomial order {order!r} (expected lex or grevlex)")
         self.names = tuple(names)
         self.n = len(names)
         self.order = order
-        self.key = ORDER_KEYS[order]
-        self.negkey = ORDER_NEGKEYS[order]
+        self.codec = MonomialCodec(self.n, q, order)
         self._zero = Polynomial(self, ())
-        self._one = None
+        self._one = Polynomial(self, ((self.codec.one, 1),))
 
     @property
     def q(self) -> int:
@@ -64,56 +58,50 @@ class PolyRing:
         m[i] = e
         return tuple(m)
 
+    def exponents(self, mono) -> tuple:
+        """The exponent tuple of a packed monomial, e.g. of ``p.lm()``."""
+        return self.codec.exponents(mono)
+
     @property
     def zero(self) -> "Polynomial":
         return self._zero
 
     @property
     def one(self) -> "Polynomial":
-        if self._one is None:
-            self._one = Polynomial(self, (((0,) * self.n, 1),))
         return self._one
 
     def constant(self, c: int) -> "Polynomial":
         c %= self.q
         if c == 0:
             return self._zero
-        return Polynomial(self, (((0,) * self.n, c),))
+        return Polynomial(self, ((self.codec.one, c),))
 
     def variable(self, i: int) -> "Polynomial":
-        return Polynomial(self, ((self.var_monomial(i), 1),))
+        return Polynomial(self, ((self.codec.var(i), 1),))
 
     def poly(self, pairs: Iterable) -> "Polynomial":
-        """Canonicalize raw (monomial, coefficient) pairs into a Polynomial.
+        """Canonicalize raw (exponent tuple, coefficient) pairs into a Polynomial.
 
         Merges duplicate monomials, reduces coefficients mod q, drops zeros and
-        sorts terms strictly descending under the ring order.
+        sorts terms strictly descending under the ring order. A monomial past
+        the ring's degree limit raises MonomialOverflowError.
         """
         q = self.q
+        pack = self.codec.pack
         if isinstance(pairs, dict):
             pairs = pairs.items()
         acc: dict = {}
         for mono, coeff in pairs:
-            mono = tuple(mono)
-            if len(mono) != self.n:
-                raise ValueError(f"monomial {mono} has {len(mono)} exponents, ring has {self.n}")
-            if any(e < 0 for e in mono):
-                raise ValueError(f"negative exponent in {mono}")
-            acc[mono] = (acc.get(mono, 0) + coeff) % q
-        key = self.key
-        terms = tuple(
-            (m, c) for m, c in sorted(acc.items(), key=lambda t: key(t[0]), reverse=True) if c
-        )
-        if not terms:
-            return self._zero
-        return Polynomial(self, terms)
+            m = pack(mono)
+            acc[m] = (acc.get(m, 0) + coeff) % q
+        return _canonical(self, acc)
 
     def term(self, coeff: int, mono) -> "Polynomial":
         return self.poly([(mono, coeff)])
 
     def monomial_str(self, mono) -> str:
         parts = []
-        for name, e in zip(self.names, mono):
+        for name, e in zip(self.names, self.codec.exponents(mono)):
             if e == 1:
                 parts.append(name)
             elif e > 1:
@@ -135,6 +123,12 @@ class PolyRing:
         return f"PolyRing(GF({self.q}), [{', '.join(self.names)}], {self.order})"
 
 
+def _canonical(ring: PolyRing, acc: dict) -> "Polynomial":
+    """The polynomial of a {packed monomial: coefficient mod q} dict."""
+    terms = tuple((m, c) for m, c in sorted(acc.items(), reverse=True) if c)
+    return Polynomial(ring, terms) if terms else ring.zero
+
+
 class Polynomial:
     """Canonical sorted term list over GF(q). Treat as immutable."""
 
@@ -153,7 +147,7 @@ class Polynomial:
 
     @property
     def is_constant(self) -> bool:
-        return not self.terms or sum(self.terms[0][0]) == 0
+        return not self.terms or self.terms[0][0] == self.ring.codec.one
 
     def lm(self):
         """Leading monomial."""
@@ -175,16 +169,18 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(total_degree(m) for m, _ in self.terms)
+        codec = self.ring.codec
+        if codec.graded:  # the leading monomial has the largest degree
+            return codec.degree(self.terms[0][0])
+        return max(map(codec.degree, (m for m, _ in self.terms)))
 
     def support(self) -> set:
         """Indices of variables that occur."""
-        out = set()
+        mask = 0
+        support = self.ring.codec.support
         for m, _ in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    out.add(i)
-        return out
+            mask |= support(m)
+        return {i for i in range(self.ring.n) if mask >> i & 1}
 
     # ------------------------------------------------------------ arithmetic
 
@@ -203,11 +199,7 @@ class Polynomial:
                 acc[m] = v
             else:
                 acc.pop(m, None)
-        key = self.ring.key
-        return Polynomial(
-            self.ring,
-            tuple(sorted(acc.items(), key=lambda t: key(t[0]), reverse=True)),
-        )
+        return Polynomial(self.ring, tuple(sorted(acc.items(), reverse=True)))
 
     def __neg__(self) -> "Polynomial":
         q = self.ring.q
@@ -227,29 +219,22 @@ class Polynomial:
 
     def term_mul(self, mono, coeff: int = 1) -> "Polynomial":
         """Multiply by a single term. Term order is preserved, so no re-sort."""
-        q = self.ring.q
-        coeff %= q
+        coeff %= self.ring.q
         if coeff == 0:
             return self.ring.zero
-        return Polynomial(
-            self.ring,
-            tuple((mono_mul(m, mono), (c * coeff) % q) for m, c in self.terms),
-        )
+        return Polynomial(self.ring, tuple(_products(self, mono, coeff)))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         q = self.ring.q
+        mul = self.ring.codec.mul
         acc: dict = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
+                m = mul(m1, m2)
                 acc[m] = (acc.get(m, 0) + c1 * c2) % q
-        key = self.ring.key
-        return Polynomial(
-            self.ring,
-            tuple((m, c) for m, c in sorted(acc.items(), key=lambda t: key(t[0]), reverse=True) if c),
-        )
+        return _canonical(self.ring, acc)
 
     def monic(self) -> "Polynomial":
         if not self.terms:
@@ -265,9 +250,10 @@ class Polynomial:
         if len(point) != self.ring.n:
             raise ValueError("point length does not match variable count")
         total = 0
+        exponents = self.ring.codec.exponents
         for m, c in self.terms:
             v = c
-            for x, e in zip(point, m):
+            for x, e in zip(point, exponents(m)):
                 if e:
                     v = v * pow(x, e, q) % q
             total = (total + v) % q
@@ -309,15 +295,33 @@ class Polynomial:
 # ---------------------------------------------------------------- operations
 
 
+def _products(p: Polynomial, mono, coeff: int) -> list:
+    """The terms of coeff * mono * p in order, for 0 < coeff < q."""
+    ring = p.ring
+    q = ring.q
+    codec = ring.codec
+    s = codec.shift(mono)
+    terms = [(m + s, (c * coeff) % q) for m, c in p.terms]
+    guard = codec.guard
+    for m, _ in terms:
+        if m & guard:
+            codec.mul(m - s, mono)  # raises MonomialOverflowError
+    return terms
+
+
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """(lcm/LT(f))*f - (lcm/LT(g))*g, the classic cancellation of leading terms."""
     if f.is_zero or g.is_zero:
         raise ZeroInputError("s_polynomial of a zero polynomial")
-    field = f.ring.field
-    l = mono_lcm(f.lm(), g.lm())
-    uf = mono_div(l, f.lm())
-    ug = mono_div(l, g.lm())
-    return f.term_mul(uf, field.inv(f.lc())) - g.term_mul(ug, field.inv(g.lc()))
+    ring = f.ring
+    q = ring.q
+    field = ring.field
+    codec = ring.codec
+    l = codec.lcm(f.lm(), g.lm())
+    acc = dict(_products(f, codec.div(l, f.lm()), field.inv(f.lc())))
+    for m, c in _products(g, codec.div(l, g.lm()), -field.inv(g.lc()) % q):
+        acc[m] = (acc.get(m, 0) + c) % q
+    return _canonical(ring, acc)
 
 
 def normal_form(p: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
@@ -327,10 +331,6 @@ def normal_form(p: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
     the running remainder, and reduce it with the first reducer (list order)
     whose leading monomial divides it. Every monomial of the result is
     irreducible.
-
-    The reducer scan tests support bitmasks (``mono_mask``) before exponents.
-    A mask mismatch only ever rules out a non-divisor and the scan order is
-    unchanged, so the reducer chosen is the same as with exponents alone.
     """
     ring = p.ring
     if p.is_zero or not reducers:
@@ -338,38 +338,40 @@ def normal_form(p: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
     for g in reducers:
         if g.is_zero:
             raise ZeroInputError("zero polynomial in reducer list")
-    red = [(mono_mask(g.lm()), g.lm(), g.lc(), g.terms[1:]) for g in reducers]
+    codec = ring.codec
+    shift, guard = codec.shift, codec.guard
+    # m - shift(lm) is the quotient m / lm, valid iff no guard bit is set;
+    # the tail term t of g then maps to t + m - lm
+    red = [(shift(g.lm()), g.lm(), g.lc(), g.terms) for g in reducers]
     q = ring.q
     field = ring.field
-    negkey = ring.negkey
     coeffs = {}
-    heap = []
+    heap = []  # negated monomials: the heap pops the largest first
     for m, c in p.terms:
         coeffs[m] = c
-        heap.append((negkey(m), m))
+        heap.append(-m)
     heapq.heapify(heap)
     out = []
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -heapq.heappop(heap)
         c = coeffs.pop(m, 0)
         if not c:
             continue
-        outside = ~mono_mask(m)
-        for mask, lm, lc, tail in red:
-            if mask & outside:
-                continue
-            quot = mono_div(m, lm)
-            if quot is None:
+        for s, lm, lc, tail in red:
+            if (m - s) & guard:
                 continue
             # cancel c*m using (c/lc)*(m/lm)*g; tail lands strictly below m
+            d = m - lm
             fac = c * field.inv(lc) % q
-            for t, ct in tail:
-                m2 = mono_mul(quot, t)
+            for t, ct in islice(tail, 1, None):
+                m2 = t + d
                 old = coeffs.get(m2)
                 v = ((old or 0) - fac * ct) % q
                 if v:
                     if old is None:
-                        heapq.heappush(heap, (negkey(m2), m2))
+                        if m2 & guard:
+                            codec.mul(t, m - s)  # raises MonomialOverflowError
+                        heapq.heappush(heap, -m2)
                     coeffs[m2] = v
                 else:
                     coeffs.pop(m2, None)
@@ -390,7 +392,6 @@ def interreduce(polys: Iterable[Polynomial]) -> list:
     work = [p.monic() for p in polys if not p.is_zero]
     if not work:
         return []
-    ring = work[0].ring
     changed = True
     while changed:
         changed = False
@@ -403,7 +404,7 @@ def interreduce(polys: Iterable[Polynomial]) -> list:
             if not h.is_zero:
                 out.append(h.monic())
         work = out
-    work.sort(key=lambda p: ring.key(p.lm()))
+    work.sort(key=Polynomial.lm)
     return work
 
 
@@ -414,38 +415,60 @@ def field_reduce(p: Polynomial) -> Polynomial:
     in [1, q-1]. Note that this maps the field polynomial x^q - x itself to 0;
     callers that must keep field polynomials intact test for them first.
     """
+    folded = _folded(p.ring, p.terms)
+    return p if folded is None else folded
+
+
+def field_term_mul(p: Polynomial, mono, coeff: int) -> Polynomial:
+    """``field_reduce(p.term_mul(mono, coeff))``, except that a product that
+    is a field polynomial x^q - x stays as it is.
+
+    Each term is folded as it is formed, so the unfolded product is never
+    built as a polynomial.
+    """
     ring = p.ring
+    coeff %= ring.q
+    if coeff == 0:
+        return ring.zero
+    terms = _products(p, mono, coeff)
+    folded = _folded(ring, terms)
+    if folded is not None:
+        if len(terms) != 2 or is_field_polynomial(Polynomial(ring, tuple(terms))) is None:
+            return folded
+    return Polynomial(ring, tuple(terms))
+
+
+def _folded(ring: PolyRing, terms):
+    """The polynomial of terms with exponents folded by x^q = x, or None
+    when no exponent reaches q."""
+    codec = ring.codec
+    foldable = codec.foldable
+    if not any(foldable(m) for m, _ in terms):
+        return None
     q = ring.q
-    if not any(max(m) >= q for m, _ in p.terms):
-        return p
-    qm1 = q - 1
+    fold = codec.fold
     acc: dict = {}
-    for m, c in p.terms:
-        if max(m) >= q:
-            m = tuple(e if e < q else ((e - 1) % qm1) + 1 for e in m)
+    for m, c in terms:
+        m = fold(m)
         acc[m] = (acc.get(m, 0) + c) % q
-    key = ring.key
-    terms = tuple(
-        (m, c) for m, c in sorted(acc.items(), key=lambda t: key(t[0]), reverse=True) if c
-    )
-    return Polynomial(ring, terms) if terms else ring.zero
+    return _canonical(ring, acc)
 
 
 def substitute(p: Polynomial, var: int, value: int) -> Polynomial:
     """p with x_var := value."""
     ring = p.ring
     q = ring.q
+    split = ring.codec.split
     value %= q
-    pairs = []
+    acc: dict = {}
     for m, c in p.terms:
-        e = m[var]
+        e, m = split(m, var)
         if e:
             c = c * pow(value, e, q) % q
             if not c:
                 continue
-            m = m[:var] + (0,) + m[var + 1 :]
-        pairs.append((m, c))
-    return ring.poly(pairs)
+        acc[m] = (acc.get(m, 0) + c) % q
+    return _canonical(ring, acc)
 
 
 def is_univariate(p: Polynomial):
@@ -454,23 +477,22 @@ def is_univariate(p: Polynomial):
     None for the zero polynomial, constants, and anything with >= 2 variables.
     Constant terms alongside the single variable are fine.
     """
-    seen = None
+    support = p.ring.codec.support
+    seen = 0
     for m, _ in p.terms:
-        for i, e in enumerate(m):
-            if e:
-                if seen is None:
-                    seen = i
-                elif seen != i:
-                    return None
-    return seen
+        seen |= support(m)
+        if seen & (seen - 1):
+            return None
+    return seen.bit_length() - 1 if seen else None
 
 
 def univariate_coeffs(p: Polynomial, var: int) -> list:
     """Dense coefficient list c[0..d] with p = sum c[e] * x_var^e."""
-    d = max((m[var] for m, _ in p.terms), default=0)
+    exponent = p.ring.codec.exponent
+    d = max((exponent(m, var) for m, _ in p.terms), default=0)
     out = [0] * (d + 1)
     for m, c in p.terms:
-        out[m[var]] = c
+        out[exponent(m, var)] = c
     return out
 
 
@@ -498,10 +520,8 @@ def is_field_polynomial(p: Polynomial):
     (m1, c1), (m2, c2) = p.terms
     if c1 != 1 or c2 != q - 1:
         return None
-    nz = [i for i, e in enumerate(m1) if e]
-    if len(nz) != 1:
-        return None
-    i = nz[0]
-    if m1[i] != q or m2 != p.ring.var_monomial(i, 1):
+    codec = p.ring.codec
+    i = codec.variable_index(m2)
+    if i is None or m1 != codec.var(i, q):
         return None
     return i

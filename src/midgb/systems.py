@@ -16,7 +16,6 @@ precedence: the first name is greatest.
 from __future__ import annotations
 
 from .errors import NonPrimeFieldError, ParseError
-from .monomials import total_degree
 from .poly import Polynomial, PolyRing
 
 
@@ -188,7 +187,6 @@ def homogenize(polys, ring: PolyRing):
             out.append(ring2.zero)
             continue
         d = p.degree()
-        out.append(
-            ring2.poly([(m + (d - total_degree(m),), c) for m, c in p.terms])
-        )
+        exps = [(ring.exponents(m), c) for m, c in p.terms]
+        out.append(ring2.poly([(e + (d - sum(e),), c) for e, c in exps]))
     return ring2, out

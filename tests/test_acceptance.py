@@ -154,7 +154,7 @@ def test_criterion_3_degree_bounds():
                 if g.is_zero or is_field_polynomial(g):
                     continue
                 assert g.degree() <= stored_cap, label
-                assert all(e <= ring.q for e in g.lm()), label
+                assert all(e <= ring.q for e in g.ring.exponents(g.lm())), label
     assert _BOUND_VIOLATIONS == []
     print("criterion 3 PASS: 0 bound violations across the corpus")
 

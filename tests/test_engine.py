@@ -15,6 +15,8 @@ from midgb import (
     adjoin_field_equations,
     degree_monitor,
     field_polynomial,
+    normal_form,
+    symbolic_preprocess,
     update,
     update_no_criteria,
 )
@@ -104,15 +106,22 @@ def test_update_no_criteria_queues_everything(ring):
     assert len(queue) == 1  # even the coprime pair stays
 
 
-def test_temporary_basis_lm_index_first_wins(ring):
+def test_shared_leading_monomial_reduces_with_earlier_member(ring):
     basis = TemporaryBasis()
-    p1 = ring.poly({(1, 1, 0): 1, (0, 0, 1): 1})
-    p2 = ring.poly({(1, 1, 0): 1, (0, 1, 0): 1})
+    p1 = ring.poly({(1, 1, 0): 1, (0, 0, 1): 1})  # x*y + z
+    p2 = ring.poly({(1, 1, 0): 1, (0, 1, 0): 1})  # x*y + y
     basis.add(p1)
     basis.add(p2)
-    assert basis.lm_index[(1, 1, 0)] == 0
     assert len(basis) == 2
     assert list(basis) == [p1, p2]
+    xy = ring.poly({(1, 1, 0): 1})
+    assert str(normal_form(xy, basis.polys)) == "z"  # p1's tail, not p2's y
+    # the reducer row symbolic preprocessing adds for the tail x*y is p1
+    g1 = ring.poly({(2, 0, 0): 1, (1, 1, 0): 1})  # x^2 + x*y
+    g2 = ring.poly({(2, 0, 0): 1, (0, 0, 1): 1})  # x^2 + z
+    pair = CriticalPair(0, 1, ring.codec.pack((2, 0, 0)), 2)
+    rows = symbolic_preprocess([pair], [g1, g2, p1, p2], ring, field_active=False)
+    assert rows == [g1, g2, p1]
 
 
 def test_degree_monitor_created_bound(ring):

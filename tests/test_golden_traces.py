@@ -180,7 +180,7 @@ def trace_digest(label, engine, order, middle_solving, path):
     ring, polys = SYSTEMS[label]()
     if order != ring.order:
         ring2 = PolyRing(ring.q, ring.names, order)
-        polys = [ring2.poly(p.terms) for p in polys]
+        polys = [ring2.poly((ring.exponents(m), c) for m, c in p.terms) for p in polys]
         ring = ring2
     config = EngineConfig(
         ring=ring, engine=engine, middle_solving=middle_solving, trace_path=path

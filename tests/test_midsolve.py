@@ -1,21 +1,28 @@
 """Unique-root screening, substitution renewal, and the shape checks."""
 
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from midgb import (
     Assignment,
     ConflictingRootsError,
+    EngineConfig,
+    Status,
     OrderNotLexError,
     PairQueue,
     PolyRing,
     RenormalizationError,
     TemporaryBasis,
+    f4_gb,
     find_unique_root_polys,
     inconsistency_check,
     renew,
     triangular_shape_check,
 )
 from midgb import midsolve
+from midgb.poly import univariate_roots
 
 
 @pytest.fixture
@@ -146,3 +153,34 @@ def test_renormalize_without_a_fixed_point_raises_typed_error(r3, monkeypatch):
     xy = r3.poly({(1, 1): 1})
     with pytest.raises(RenormalizationError):
         midsolve._renormalize([xy + r3.one], field_active=True)
+
+
+def test_middle_solving_with_a_prime_past_int64_returns_at_once():
+    # screening used to evaluate all q field elements per univariate
+    q = 8589934609
+    ring = PolyRing(q, ["x", "y"], "grevlex")
+    x, y = ring.variable(0), ring.variable(1)
+    start = time.perf_counter()
+    rep = f4_gb([x * y + ring.one, x + ring.constant(2)],
+                EngineConfig(ring, adjoin_field_eqs=False))
+    assert time.perf_counter() - start < 1.0
+    assert rep.status is Status.ALL_VARIABLES_SOLVED
+    assert rep.assignments == {0: q - 2, 1: (q + 1) // 2}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5, 7]),
+    var=st.integers(0, 1),
+    coeffs=st.dictionaries(st.integers(0, 12), st.integers(0, 6), min_size=1, max_size=5),
+)
+def test_unique_root_agrees_with_exhaustive_search(q, var, coeffs):
+    ring = PolyRing(q, ["x", "y"], "lex")
+    p = ring.poly(
+        ((e, 0) if var == 0 else (0, e), c) for e, c in coeffs.items()
+    )
+    if p.is_zero or p.is_constant:
+        return
+    roots = univariate_roots(p, var)
+    want = [Assignment(var, min(roots), 0)] if len(roots) == 1 else []
+    assert find_unique_root_polys([p], ring) == want

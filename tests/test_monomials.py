@@ -1,120 +1,234 @@
-import pytest
-from hypothesis import given, strategies as st
+"""Packed monomials: the codec against exponent-tuple arithmetic done here."""
 
-from midgb.monomials import (
-    ORDER_KEYS,
-    grevlex_key,
-    lex_key,
-    mono_coprime,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mask,
-    mono_mul,
-    order_cmp,
-    total_degree,
-)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from midgb import MonomialOverflowError
+from midgb.monomials import MonomialCodec
+
+
+# The sort keys the solver used on exponent tuples: the packed int order
+# must be exactly theirs.
+def lex_key(m):
+    return tuple(m)
+
+
+def grevlex_key(m):
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+KEYS = {"lex": lex_key, "grevlex": grevlex_key}
+ORDERS = ("lex", "grevlex")
 
 monos = st.tuples(*([st.integers(min_value=0, max_value=5)] * 3))
-# small exponents over more variables, so divisors and mask hits are common
+# small exponents over more variables, so divisors are common
 small_monos = st.tuples(*([st.integers(min_value=0, max_value=2)] * 5))
 
 
+def codec(order="grevlex", n=3, q=2):
+    return MonomialCodec(n, q, order)
+
+
+def cmp(a, b, order):
+    """-1, 0 or 1 as packed a <, ==, > packed b."""
+    c = codec(order, len(a))
+    pa, pb = c.pack(a), c.pack(b)
+    return (pa > pb) - (pa < pb)
+
+
 def test_mul_lcm_div_basics():
-    a, b = (2, 0, 1), (1, 1, 0)
-    assert mono_mul(a, b) == (3, 1, 1)
-    assert mono_lcm(a, b) == (2, 1, 1)
-    assert mono_div((3, 1, 1), a) == b
-    assert mono_div(a, b) is None
-    assert mono_divides(b, (1, 2, 0))
-    assert not mono_divides((1, 2, 0), b)
-    assert total_degree((2, 0, 1)) == 3
+    c = codec()
+    a, b = c.pack((2, 0, 1)), c.pack((1, 1, 0))
+    assert c.exponents(c.mul(a, b)) == (3, 1, 1)
+    assert c.exponents(c.lcm(a, b)) == (2, 1, 1)
+    assert c.div(c.pack((3, 1, 1)), a) == b
+    assert c.div(a, b) is None
+    assert c.divides(b, c.pack((1, 2, 0)))
+    assert not c.divides(c.pack((1, 2, 0)), b)
+    assert c.degree(a) == 3
+    assert c.pack((0, 0, 0)) == c.one
 
 
 def test_coprime():
-    assert mono_coprime((2, 0, 0), (0, 3, 1))
-    assert not mono_coprime((2, 1, 0), (0, 3, 0))
+    c = codec()
+    assert c.coprime(c.pack((2, 0, 0)), c.pack((0, 3, 1)))
+    assert not c.coprime(c.pack((2, 1, 0)), c.pack((0, 3, 0)))
 
 
 def test_length_mismatch_raises():
     with pytest.raises(ValueError):
-        mono_mul((1, 0), (1, 0, 0))
+        codec().pack((1, 0))
 
 
 def test_lex_order_prefers_earlier_variables():
     # x > y^2 under lex with x before y
     assert lex_key((1, 0)) > lex_key((0, 2))
-    assert order_cmp((1, 0), (0, 2), "lex") > 0
+    assert cmp((1, 0), (0, 2), "lex") > 0
 
 
 def test_grevlex_order_examples():
-    # total degree decides first
-    assert grevlex_key((1, 1, 1)) > grevlex_key((2, 0, 0))
-    # within a degree, x^2 > x*y (fewer trailing variables wins)
-    assert grevlex_key((2, 0, 0)) > grevlex_key((1, 1, 0))
-    # degree ties break by *smaller* exponent on the last variable:
-    # x*y^3 > x^2*y*z and x^2*z > x*y*z  (classic grevlex facts)
-    assert grevlex_key((1, 3, 0)) > grevlex_key((2, 1, 1))
-    assert grevlex_key((2, 0, 1)) > grevlex_key((1, 1, 1))
+    examples = [
+        ((1, 1, 1), (2, 0, 0)),  # total degree decides first
+        ((2, 0, 0), (1, 1, 0)),  # within a degree, x^2 > x*y
+        # degree ties break by *smaller* exponent on the last variable:
+        # x*y^3 > x^2*y*z and x^2*z > x*y*z  (classic grevlex facts)
+        ((1, 3, 0), (2, 1, 1)),
+        ((2, 0, 1), (1, 1, 1)),
+    ]
+    for big, small in examples:
+        assert grevlex_key(big) > grevlex_key(small)
+        assert cmp(big, small, "grevlex") > 0
 
 
 @given(a=monos, b=monos)
 def test_orders_are_total_and_consistent(a, b):
-    for order in ("lex", "grevlex"):
-        c = order_cmp(a, b, order)
+    for order in ORDERS:
+        c = cmp(a, b, order)
         assert (c == 0) == (a == b)
-        assert order_cmp(b, a, order) == -c
+        assert cmp(b, a, order) == -c
 
 
 @given(a=monos, b=monos, c=monos)
 def test_orders_respect_multiplication(a, b, c):
     """An admissible order: a < b implies a*c < b*c."""
-    for order in ("lex", "grevlex"):
-        key = ORDER_KEYS[order]
-        if key(a) < key(b):
-            assert key(mono_mul(a, c)) < key(mono_mul(b, c))
+    for order in ORDERS:
+        k = codec(order)
+        pa, pb, pc = k.pack(a), k.pack(b), k.pack(c)
+        if pa < pb:
+            assert k.mul(pa, pc) < k.mul(pb, pc)
 
 
 @given(a=monos, b=monos)
 def test_divisibility_implies_order(a, b):
-    if mono_divides(a, b):
-        for order in ("lex", "grevlex"):
-            key = ORDER_KEYS[order]
-            assert key(a) <= key(b)
+    for order in ORDERS:
+        k = codec(order)
+        pa, pb = k.pack(a), k.pack(b)
+        if k.divides(pa, pb):
+            assert pa <= pb
 
 
 @given(a=monos, b=monos)
 def test_lcm_is_an_upper_bound(a, b):
-    l = mono_lcm(a, b)
-    assert mono_divides(a, l) and mono_divides(b, l)
-    assert mono_div(l, a) is not None
-    # lcm is the least such bound: dividing out either side leaves the other
-    assert mono_mul(a, mono_div(l, a)) == l
+    for order in ORDERS:
+        k = codec(order)
+        pa, pb = k.pack(a), k.pack(b)
+        l = k.lcm(pa, pb)
+        assert k.divides(pa, l) and k.divides(pb, l)
+        assert k.div(l, pa) is not None
+        # lcm is the least such bound: dividing out either side leaves the other
+        assert k.mul(pa, k.div(l, pa)) == l
 
 
 def test_mask_marks_occurring_variables():
-    assert mono_mask((0, 0, 0)) == 0
-    assert mono_mask((2, 0, 1)) == 0b101
-    assert mono_mask((0, 3, 0)) == 0b010
+    c = codec()
+    assert c.support(c.pack((0, 0, 0))) == 0
+    assert c.support(c.pack((2, 0, 1))) == 0b101
+    assert c.support(c.pack((0, 3, 0))) == 0b010
 
 
 @given(a=small_monos, b=small_monos)
 def test_mask_never_rejects_a_divisor(a, b):
-    if mono_divides(a, b):
-        assert mono_mask(a) & ~mono_mask(b) == 0
-    assert mono_mask(mono_lcm(a, b)) == mono_mask(a) | mono_mask(b)
+    for order in ORDERS:
+        k = codec(order, 5)
+        pa, pb = k.pack(a), k.pack(b)
+        if k.divides(pa, pb):
+            assert k.support(pa) & ~k.support(pb) == 0
+        assert k.support(k.lcm(pa, pb)) == k.support(pa) | k.support(pb)
 
 
 @given(lms=st.lists(small_monos, min_size=1, max_size=12), m=small_monos)
-def test_mask_filtered_scan_finds_the_first_divisor(lms, m):
-    plain = next((i for i, lm in enumerate(lms) if mono_divides(lm, m)), None)
-    outside = ~mono_mask(m)
-    filtered = next(
-        (
-            i
-            for i, lm in enumerate(lms)
-            if not mono_mask(lm) & outside and mono_divides(lm, m)
-        ),
-        None,
-    )
-    assert filtered == plain
+def test_guard_bit_scan_finds_the_first_divisor(lms, m):
+    """The reducer scans' test: lm | m iff (m - shift(lm)) & guard == 0."""
+    plain = next((i for i, lm in enumerate(lms) if all(map(int.__le__, lm, m))), None)
+    for order in ORDERS:
+        k = codec(order, 5)
+        pm = k.pack(m)
+        shifts = [k.shift(k.pack(lm)) for lm in lms]
+        packed = next((i for i, s in enumerate(shifts) if not (pm - s) & k.guard), None)
+        assert packed == plain
+        if packed is not None:
+            assert k.exponents(pm - shifts[packed]) == tuple(
+                x - y for x, y in zip(m, lms[packed])
+            )
+
+
+def test_field_fold_examples():
+    k = MonomialCodec(2, 3, "lex")
+    # x^3 -> x, x^4 -> x^2, x^5 -> x under x^3 = x; y^2 stays
+    for e, folded in ((3, 1), (4, 2), (5, 1), (2, 2)):
+        assert k.exponents(k.fold(k.pack((e, 2)))) == (folded, 2)
+    assert not k.foldable(k.pack((2, 2)))
+    assert k.foldable(k.pack((0, 3)))
+
+
+def test_limit_follows_the_width_rule():
+    for n, q in ((1, 2), (10, 2), (5, 3), (3, 8589934609)):
+        k = MonomialCodec(n, q, "grevlex")
+        assert k.limit > 128 * n * q  # room far past the field-equation bound q
+        k.pack((k.limit,) + (0,) * (n - 1))
+        with pytest.raises(MonomialOverflowError):
+            k.pack((k.limit + 1,) + (0,) * (n - 1))
+
+
+@st.composite
+def packed_cases(draw):
+    n = draw(st.integers(1, 12))
+    q = draw(st.sampled_from([2, 3, 5, 8589934609]))
+    order = draw(st.sampled_from(ORDERS))
+    k = MonomialCodec(n, q, order)
+    # mostly small exponents, sometimes ones near the limit
+    top = draw(st.sampled_from([3, 2 * q + 1, k.limit // n]))
+    exps = st.tuples(*[st.integers(0, top)] * n)
+    return k, draw(exps), draw(exps), draw(st.integers(0, 2 * q + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=packed_cases())
+def test_packed_ops_match_tuple_arithmetic(case):
+    k, a, b, bound = case
+    q, key = k.q, KEYS[k.order]
+    pa, pb = k.pack(a), k.pack(b)
+    assert k.exponents(pa) == a and k.exponents(pb) == b
+    assert (pa < pb) == (key(a) < key(b)) and (pa == pb) == (a == b)
+    assert k.degree(pa) == sum(a)
+
+    prod = tuple(x + y for x, y in zip(a, b))
+    if sum(prod) <= k.limit:
+        assert k.exponents(k.mul(pa, pb)) == prod
+        assert pa + k.shift(pb) == k.mul(pa, pb)
+    else:
+        with pytest.raises(MonomialOverflowError):
+            k.mul(pa, pb)
+
+    divisible = all(x <= y for x, y in zip(b, a))
+    assert k.divides(pb, pa) == divisible
+    quot = k.div(pa, pb)
+    if divisible:
+        assert k.exponents(quot) == tuple(x - y for x, y in zip(a, b))
+        assert quot == pa - k.shift(pb)
+    else:
+        assert quot is None
+
+    lcm = tuple(map(max, a, b))
+    if sum(lcm) <= k.limit:
+        assert k.exponents(k.lcm(pa, pb)) == lcm
+    assert k.coprime(pa, pb) == all(x == 0 or y == 0 for x, y in zip(a, b))
+
+    folded = tuple(e if e < q else (e - 1) % (q - 1) + 1 for e in a)
+    assert k.fold(pa) == k.pack(folded)
+    assert k.foldable(pa) == (folded != a)
+    assert k.exceeds(pa, bound) == any(e > bound for e in a)
+    assert k.support(pa) == sum(1 << i for i, e in enumerate(a) if e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=packed_cases())
+def test_out_of_range_exponent_raises_typed_error(case):
+    k, a, _, _ = case
+    bad = (k.limit + 1 - sum(a[1:]),) + a[1:]
+    with pytest.raises(MonomialOverflowError):
+        k.pack(bad)
+    with pytest.raises(MonomialOverflowError):
+        k.var(0, k.limit + 1)
+    with pytest.raises(ValueError):
+        k.pack((-1,) + a[1:])

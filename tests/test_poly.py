@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from midgb import (
+    MonomialOverflowError,
     PolyRing,
     Polynomial,
     ZeroInputError,
+    field_polynomial,
     field_reduce,
     interreduce,
     is_field_polynomial,
@@ -16,7 +18,7 @@ from midgb import (
     s_polynomial,
     substitute,
 )
-from midgb.poly import is_univariate, univariate_coeffs, univariate_roots
+from midgb.poly import field_term_mul, is_univariate, univariate_coeffs, univariate_roots
 
 
 @pytest.fixture
@@ -144,7 +146,7 @@ def test_normal_form_properties(ft, gt, ht):
     # no term of the remainder is divisible by any reducer's leading monomial
     for m, _ in r.terms:
         for g in reducers:
-            assert not all(a <= b for a, b in zip(g.lm(), m))
+            assert not all(a <= b for a, b in zip(ring.exponents(g.lm()), ring.exponents(m)))
     # reducing again changes nothing
     assert normal_form(r, reducers) == r
 
@@ -170,7 +172,7 @@ def test_interreduce_is_idempotent_and_sorted(r7):
     ]
     once = interreduce(polys)
     assert interreduce(once) == once
-    keys = [r7.key(p.lm()) for p in once]
+    keys = [r7.exponents(p.lm()) for p in once]  # lex: the key is the tuple
     assert keys == sorted(keys)
     assert all(p.lc() == 1 for p in once)
 
@@ -203,7 +205,7 @@ def test_field_reduce_preserves_values_on_field_points(q, terms):
     p = ring.poly(terms)
     r = field_reduce(p)
     for m, _ in r.terms:
-        assert all(e <= q - 1 for e in m)
+        assert all(e <= q - 1 for e in ring.exponents(m))
     for pt in itertools.product(range(q), repeat=2):
         assert p.evaluate(pt) == r.evaluate(pt)
     assert field_reduce(r) == r
@@ -234,3 +236,30 @@ def test_is_field_polynomial(r3):
     assert is_field_polynomial(r3.one) is None
     ring2 = PolyRing(2, ["x"], "lex")
     assert is_field_polynomial(ring2.poly({(2,): 1, (1,): 1})) == 0
+
+
+def test_monomials_past_the_degree_limit_raise_typed_error():
+    ring = PolyRing(2, ["x", "y"], "lex")
+    lim = ring.codec.limit
+    with pytest.raises(MonomialOverflowError):
+        ring.poly({(lim, 1): 1})
+    big = ring.poly({(lim, 0): 1})
+    y = ring.variable(1)
+    with pytest.raises(MonomialOverflowError):
+        big * y
+    with pytest.raises(MonomialOverflowError):
+        big.term_mul(ring.codec.var(1))
+    # reducing x*y by x + y^lim would need the tail y^(lim+1)
+    g = ring.poly({(1, 0): 1, (0, lim): 1})
+    with pytest.raises(MonomialOverflowError):
+        normal_form(ring.variable(0) * y, [g])
+
+
+def test_field_term_mul_is_the_folded_product(r3):
+    f = r3.poly({(2, 1): 1, (1, 0): 2, (0, 0): 1})
+    for exps in ((0, 0), (1, 0), (2, 2)):
+        m = r3.codec.pack(exps)
+        assert field_term_mul(f, m, 2) == field_reduce(f.term_mul(m, 2))
+    # a product that is a field polynomial is kept, not folded to zero
+    g = r3.poly({(2, 0): 1, (0, 0): 2})  # x^2 - 1
+    assert field_term_mul(g, r3.codec.var(0), 1) == field_polynomial(r3, 0)
