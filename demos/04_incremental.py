@@ -1,9 +1,12 @@
 """Feeding the engine one polynomial at a time.
 
-The incremental engine keeps a growing basis and absorbs each input's
-normal form in its own round, running a full inner engine per step. Solved
-variables propagate into everything already stored, and a contradiction
-aborts the run before later inputs are even looked at.
+The incremental engine keeps one growing basis and absorbs each input's
+normal form in its own round, completing the basis with F4 rounds before it
+reads the next input. This is the paper's incremental way of middle solving:
+each completed intermediate basis is screened for forced variables, where
+the batch engines screen every reduced batch. Solved variables propagate
+into everything already stored, and a contradiction aborts the run before
+later inputs are even looked at.
 """
 
 from midgb import (

@@ -14,7 +14,7 @@ from .runner import RunState, prepare_inputs, run_rounds
 from .trace import TraceWriter
 
 
-def buchberger_round(state: RunState) -> None:
+def buchberger_round(state: RunState) -> RoundTrace:
     """One pair: S-polynomial, full reduction, screen, insert."""
     (pr,) = state.queue.select(state.ring, batch=False)
     f = state.basis.polys[pr.left]
@@ -37,26 +37,17 @@ def buchberger_round(state: RunState) -> None:
                     max_deg = max(max_deg, kept.degree())
 
     state.post_round_checks()
-    state.record_round(
-        RoundTrace(
-            round=state.round_no,
-            pairs_selected=1,
-            new_polys=added,
-            max_poly_degree=max_deg,
-        )
+    return RoundTrace(
+        round=state.round_no,
+        pairs_selected=1,
+        new_polys=added,
+        max_poly_degree=max_deg,
     )
 
 
-def buchberger_core(polys, config: EngineConfig, *, field_active, screening, tracer,
-                    engine_name: str = "buchberger") -> EngineReport:
+def buchberger_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:
     """Run the pair engine on already-prepared inputs (no adjoining here)."""
-    state = RunState(
-        config,
-        engine_name=engine_name,
-        field_active=field_active,
-        screening=screening,
-        tracer=tracer,
-    )
+    state = RunState(config, tracer)
     state.ingest_inputs(polys)
     return run_rounds(state, buchberger_round)
 
@@ -65,12 +56,6 @@ def buchberger_gb(polys, config: EngineConfig) -> EngineReport:
     """Compute a Groebner basis with the pair-at-a-time engine."""
     if config.engine != "buchberger":
         raise ValueError(f"config names engine {config.engine!r}, not 'buchberger'")
-    prepared, field_active = prepare_inputs(polys, config)
+    prepared = prepare_inputs(polys, config)
     with TraceWriter(config.trace_path) as tracer:
-        return buchberger_core(
-            prepared,
-            config,
-            field_active=field_active,
-            screening=config.middle_solving,
-            tracer=tracer,
-        )
+        return buchberger_core(prepared, config, tracer)

@@ -51,12 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--engine", choices=("buchberger", "f4", "incremental"), default="f4"
     )
-    ap.add_argument(
-        "--inner-engine",
-        choices=("buchberger", "f4"),
-        default="f4",
-        help="engine run inside each step of --engine incremental",
-    )
     ap.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
     ap.add_argument(
         "--middle-solving",
@@ -204,7 +198,6 @@ def run_cli(argv=None) -> int:
             adjoin_field_eqs=args.adjoin_field_eqs,
             max_rounds=args.max_rounds,
             trace_path=args.trace,
-            inner_engine=args.inner_engine,
             reverse_inputs=args.reverse_input_order,
         )
         report = groebner_basis(polys, config)

@@ -245,15 +245,12 @@ class EngineConfig:
     adjoin_field_eqs: bool = True
     max_rounds: Optional[int] = None
     trace_path: Optional[object] = None  # str | Path | None
-    inner_engine: str = "f4"
     reverse_inputs: bool = False
     use_criteria: bool = True
 
     def __post_init__(self):
         if self.engine not in ("buchberger", "f4", "incremental"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.inner_engine not in ("buchberger", "f4"):
-            raise ValueError(f"unknown inner engine {self.inner_engine!r}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
         if self.trace_path is not None:

@@ -211,7 +211,7 @@ class MacaulayMatrix:
         return polys, nrows - len(pivots)
 
 
-def f4_round(state: RunState) -> None:
+def f4_round(state: RunState) -> RoundTrace:
     """One batch: select, preprocess, row reduce, screen, insert."""
     pairs = state.queue.select(state.ring, batch=True)
     rows = symbolic_preprocess(
@@ -250,29 +250,20 @@ def f4_round(state: RunState) -> None:
             max_deg = max(max_deg, kept.degree())
 
     state.post_round_checks()
-    state.record_round(
-        RoundTrace(
-            round=state.round_no,
-            pairs_selected=len(pairs),
-            new_polys=added,
-            max_poly_degree=max_deg,
-            matrix_rows=nrows,
-            matrix_cols=ncols,
-            zero_rows=zero_rows,
-        )
+    return RoundTrace(
+        round=state.round_no,
+        pairs_selected=len(pairs),
+        new_polys=added,
+        max_poly_degree=max_deg,
+        matrix_rows=nrows,
+        matrix_cols=ncols,
+        zero_rows=zero_rows,
     )
 
 
-def f4_core(polys, config: EngineConfig, *, field_active, screening, tracer,
-            engine_name: str = "f4") -> EngineReport:
+def f4_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:
     """Run the matrix engine on already-prepared inputs (no adjoining here)."""
-    state = RunState(
-        config,
-        engine_name=engine_name,
-        field_active=field_active,
-        screening=screening,
-        tracer=tracer,
-    )
+    state = RunState(config, tracer)
     state.ingest_inputs(polys)
     return run_rounds(state, f4_round)
 
@@ -281,12 +272,6 @@ def f4_gb(polys, config: EngineConfig) -> EngineReport:
     """Compute a Groebner basis with the matrix-batch engine."""
     if config.engine != "f4":
         raise ValueError(f"config names engine {config.engine!r}, not 'f4'")
-    prepared, field_active = prepare_inputs(polys, config)
+    prepared = prepare_inputs(polys, config)
     with TraceWriter(config.trace_path) as tracer:
-        return f4_core(
-            prepared,
-            config,
-            field_active=field_active,
-            screening=config.middle_solving,
-            tracer=tracer,
-        )
+        return f4_core(prepared, config, tracer)

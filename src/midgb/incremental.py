@@ -1,153 +1,71 @@
 """Incremental frame: one input polynomial per round.
 
-Start from the field equations alone, then feed inputs in one at a time.
-Each round fully reduces the next input against the current basis; if the
-remainder is zero the basis is already right, otherwise an inner engine
-recomputes the basis for the enlarged set from scratch. Every completed
-intermediate basis is screened for forced variables, so easy equations
-yield solved variables long before the whole system has been read.
+Start from the field equations alone, then feed inputs in one at a time into
+one persistent run state. Each round substitutes the solved values into the
+next input, reduces it against the current basis and inserts the remainder;
+the matrix engine's rounds then drain the pair queue, so the pairs of the
+basis completed so far are never rebuilt.
+
+This is the paper's incremental way of middle solving: only each completed
+intermediate basis is screened for forced variables (``RunState.completion``),
+where the non-incremental engines also screen every reduced batch. Easy
+equations still yield solved variables long before the whole system has been
+read.
 """
 
 from __future__ import annotations
 
-from .buchberger import buchberger_core
-from .engine import (
-    EngineConfig,
-    EngineReport,
-    PairQueue,
-    RoundTrace,
-    Status,
-    TemporaryBasis,
-    adjoin_field_equations,
-)
-from .errors import ConflictingRootsError
-from .f4 import f4_core
-from .midsolve import find_unique_root_polys, inconsistency_check, renew
-from .poly import interreduce, normal_form, substitute
+# perfbench/spans.py wraps f4_core and buchberger_core by name in this module
+from .buchberger import buchberger_core  # noqa: F401
+from .engine import EngineConfig, EngineReport, RoundTrace, Status, adjoin_field_equations
+from .f4 import f4_core, f4_round  # noqa: F401
+from .poly import normal_form, substitute
 from .runner import RunState
 from .trace import TraceWriter
 
 
-def _screen_completed(state: RunState, polys: list) -> list:
-    """Screen an intermediate basis, substituting and re-screening until stable."""
-    while not state.inconsistent and not state.all_solved():
-        if inconsistency_check(polys):
-            state.mark_inconsistent()
-            break
-        try:
-            found = find_unique_root_polys(polys, state.ring, state.round_no)
-        except ConflictingRootsError:
-            state.mark_inconsistent()
-            break
-        if not found:
-            break
-        for a in found:
-            if state.inconsistent:
-                break
-            state.emit(a)
-            tb = TemporaryBasis()
-            for g in polys:
-                tb.add(g)
-            res = renew(tb, [], PairQueue(), a, state.ring, state.field_active)
-            polys = res.basis.polys
-            if res.inconsistent:
-                state.mark_inconsistent()
-    return polys
+def _complete(state: RunState) -> None:
+    """Drain the pair queue and screen, until the completed basis settles."""
+    while True:
+        while state.queue:
+            f4_round(state)
+        if state.completion():
+            return
 
 
 def incremental_gb(polys, config: EngineConfig) -> EngineReport:
     """Compute a Groebner basis one input polynomial at a time."""
     if config.engine != "incremental":
         raise ValueError(f"config names engine {config.engine!r}, not 'incremental'")
-    ring = config.ring
     inputs = list(polys)
     if config.reverse_inputs:
         inputs = inputs[::-1]
 
-    inner_core = f4_core if config.inner_engine == "f4" else buchberger_core
-    inner_config = EngineConfig(
-        ring=ring,
-        engine=config.inner_engine,
-        middle_solving=False,
-        adjoin_field_eqs=False,
-        use_criteria=config.use_criteria,
-    )
-
     with TraceWriter(config.trace_path) as tracer:
-        state = RunState(
-            config,
-            engine_name="incremental",
-            field_active=config.adjoin_field_eqs,
-            screening=config.middle_solving,
-            tracer=tracer,
-        )
-        # the field equations are a reduced basis all by themselves
-        basis = adjoin_field_equations([], ring) if config.adjoin_field_eqs else []
-        status = None
+        state = RunState(config, tracer)
+        if config.adjoin_field_eqs:
+            # a reduced basis all by themselves; completion only sorts them
+            state.ingest_inputs(adjoin_field_equations([], config.ring))
+            _complete(state)
 
         for i, f in enumerate(inputs, start=1):
             if state.inconsistent:
                 break
             if config.max_rounds is not None and i > config.max_rounds:
-                status = Status.ROUND_LIMIT
-                break
+                return state.finish(Status.ROUND_LIMIT)
             state.round_no = i
-            before = list(basis)
-
-            g = f
+            before = list(state.basis.polys)
             for var, val in state.assignments.items():
-                g = substitute(g, var, val)
-            g = state.canon(g)
-            if not g.is_zero:
-                if g.is_constant:
-                    if state.screening:
-                        state.mark_inconsistent()
-                    else:
-                        basis = [ring.one]  # trivial ideal; later inputs reduce to 0
-                else:
-                    h = state.canon(normal_form(g, basis))
-                    if not h.is_zero:
-                        if h.is_constant:
-                            if state.screening:
-                                state.mark_inconsistent()
-                            else:
-                                basis = [ring.one]
-                        else:
-                            report = inner_core(
-                                basis + [h],
-                                inner_config,
-                                field_active=state.field_active,
-                                screening=False,
-                                tracer=None,
-                                engine_name=config.inner_engine,
-                            )
-                            basis = list(report.basis)
-                            if state.screening and inconsistency_check(basis):
-                                state.mark_inconsistent()
-            if state.screening and not state.inconsistent:
-                basis = _screen_completed(state, basis)
+                f = substitute(f, var, val)
+            if state.ingest_inputs([normal_form(f, state.basis.polys)]):
+                _complete(state)
 
-            fresh = [p for p in basis if p not in before]
+            fresh = [p for p in state.basis.polys if p not in before]
             state.record_round(
                 RoundTrace(
                     round=i,
-                    pairs_selected=0,
                     new_polys=len(fresh),
                     max_poly_degree=max((p.degree() for p in fresh), default=0),
                 )
             )
-
-        basis = interreduce(basis)
-        state.basis = TemporaryBasis()
-        for p in basis:
-            state.basis.add(p)
-        if status is None:
-            if state.inconsistent:
-                status = Status.INCONSISTENT
-            elif state.screening and state.all_solved():
-                status = Status.ALL_VARIABLES_SOLVED
-            else:
-                status = Status.GROEBNER_BASIS
-        elif state.inconsistent:
-            status = Status.INCONSISTENT
-        return state.finish(status)
+        return state.finish(state.outcome() or Status.GROEBNER_BASIS)

@@ -344,7 +344,7 @@ def normal_form(p: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
     # the tail term t of g then maps to t + m - lm
     red = [(shift(g.lm()), g.lm(), g.lc(), g.terms) for g in reducers]
     q = ring.q
-    field = ring.field
+    inv = ring.field.inv
     coeffs = {}
     heap = []  # negated monomials: the heap pops the largest first
     for m, c in p.terms:
@@ -360,9 +360,11 @@ def normal_form(p: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
         for s, lm, lc, tail in red:
             if (m - s) & guard:
                 continue
-            # cancel c*m using (c/lc)*(m/lm)*g; tail lands strictly below m
+            # cancel c*m using (c/lc)*(m/lm)*g; tail lands strictly below m.
+            # Reducers outnumber reduction steps, so the inverse is taken
+            # per step, and only for a reducer that is not monic.
             d = m - lm
-            fac = c * field.inv(lc) % q
+            fac = c if lc == 1 else c * inv(lc) % q
             for t, ct in islice(tail, 1, None):
                 m2 = t + d
                 old = coeffs.get(m2)

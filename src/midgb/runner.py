@@ -1,8 +1,12 @@
-"""The run loop shared by the pair-at-a-time and matrix-batch engines.
+"""The run state shared by all three engines, and the batch engines' run loop.
 
 A RunState owns the temporary basis, the pair queue, the solved-variable map
-and the trace; the engines supply a per-round step function. Everything here
-is deterministic: fixed iteration orders, no set iteration.
+and the trace; the engines supply a per-round step function. Middle solving
+runs through one method, ``RunState.screen``, in one of the paper's two
+modes: the batch engines screen every freshly reduced batch and, once the
+queue drains, the completed basis; the incremental engine screens only each
+completed intermediate basis. Everything here is deterministic: fixed
+iteration orders, no set iteration.
 """
 
 from __future__ import annotations
@@ -31,13 +35,14 @@ from .trace import TraceWriter
 
 
 class RunState:
-    def __init__(self, config: EngineConfig, *, engine_name, field_active, screening, tracer):
+    def __init__(self, config: EngineConfig, tracer: TraceWriter):
         self.ring = config.ring
         self.config = config
-        self.engine_name = engine_name
-        self.field_active = field_active
-        self.screening = screening
-        self.tracer = tracer if tracer is not None else TraceWriter(None)
+        self.field_active = config.adjoin_field_eqs
+        self.screening = config.middle_solving
+        # the incremental mode screens completed bases only, never a batch
+        self.batch_screening = self.screening and config.engine != "incremental"
+        self.tracer = tracer
         self.basis = TemporaryBasis()
         self.queue = PairQueue()
         self.assignments: dict = {}
@@ -95,29 +100,42 @@ class RunState:
         self.tracer.event("solved", ev.round, self.ring.names[ev.variable], ev.value)
         return ev
 
-    def screen_batch(self, batch: list) -> list:
-        """Mid-run solving over a freshly reduced batch.
+    def outcome(self):
+        """The status a run has reached early or at completion, if any."""
+        if self.inconsistent:
+            return Status.INCONSISTENT
+        if self.screening and self.all_solved():
+            return Status.ALL_VARIABLES_SOLVED
+        return None
 
-        Emits every unique-root assignment found, substitutes it through the
-        basis, the batch and the queue, and hands back the renewed batch.
+    def screen(self, source, pending: list):
+        """Emit every unique-root assignment found in ``source``.
+
+        Each one is substituted through the basis, the queue and ``pending``
+        (a batch not yet inserted). Returns whether anything was found, and
+        the renewed ``pending``.
         """
-        if not self.screening or not batch:
-            return batch
         try:
-            found = find_unique_root_polys(batch, self.ring, self.round_no)
+            found = find_unique_root_polys(source, self.ring, self.round_no)
         except ConflictingRootsError:
             self.mark_inconsistent()
-            return []
+            return True, []
         for a in found:
             if self.inconsistent:
                 break
             self.emit(a)
-            res = renew(self.basis, batch, self.queue, a, self.ring, self.field_active)
-            self.basis, batch, self.queue = res.basis, res.pending, res.queue
+            res = renew(self.basis, pending, self.queue, a, self.ring, self.field_active)
+            self.basis, pending, self.queue = res.basis, res.pending, res.queue
             self.renewals += 1
             if res.inconsistent:
                 self.mark_inconsistent()
-        return batch
+        return bool(found), pending
+
+    def screen_batch(self, batch: list) -> list:
+        """Mid-run solving over a freshly reduced batch; returns it renewed."""
+        if not self.batch_screening or not batch:
+            return batch
+        return self.screen(batch, batch)[1]
 
     def insert_new(self, h, reduced_at: int):
         """Insert a candidate if it does not reduce to zero.
@@ -142,7 +160,7 @@ class RunState:
         return h
 
     def post_round_checks(self):
-        if self.screening and not self.inconsistent and inconsistency_check(self.basis.polys):
+        if self.batch_screening and not self.inconsistent and inconsistency_check(self.basis.polys):
             self.mark_inconsistent()
 
     def record_round(self, tr: RoundTrace):
@@ -172,50 +190,28 @@ class RunState:
         self.tracer.round(payload)
 
     def completion(self) -> bool:
-        """Queue is empty: interreduce, final safety screen. True = really done."""
-        reduced = interreduce(self.basis.polys)
-        self.basis = TemporaryBasis()
-        self.queue = PairQueue()
-        for g in reduced:
-            self.basis.add(g)
-        if not self.screening:
-            return True
-        if inconsistency_check(reduced):
-            self.mark_inconsistent()
-            return True
-        try:
-            found = find_unique_root_polys(reduced, self.ring, self.round_no)
-        except ConflictingRootsError:
-            self.mark_inconsistent()
-            return True
-        if not found:
-            return True
-        for a in found:
-            if self.inconsistent:
-                break
-            self.emit(a)
-            res = renew(self.basis, [], self.queue, a, self.ring, self.field_active)
-            self.basis, self.queue = res.basis, res.queue
-            self.renewals += 1
-            if res.inconsistent:
-                self.mark_inconsistent()
-        return bool(self.inconsistent) or (not self.queue and self._settled())
+        """Queue is empty: interreduce and screen the completed basis.
 
-    def _settled(self) -> bool:
-        """After a completion screen with events: anything left to do?"""
-        if inconsistency_check(self.basis.polys):
-            self.mark_inconsistent()
-            return True
-        if self.all_solved():
-            return True
-        # no pairs and no further unique roots -> loop would re-screen forever
-        # unless we check now
-        try:
-            more = find_unique_root_polys(self.basis.polys, self.ring, self.round_no)
-        except ConflictingRootsError:
-            self.mark_inconsistent()
-            return True
-        return not more
+        Repeats while screening finds something. True once the run is done:
+        nothing more is found, or it is inconsistent. False when a renew
+        left pairs to process.
+        """
+        while True:
+            reduced = interreduce(self.basis.polys)
+            self.basis = TemporaryBasis()
+            self.queue = PairQueue()
+            for g in reduced:
+                self.basis.add(g)
+            if not self.screening:
+                return True
+            if inconsistency_check(reduced):
+                self.mark_inconsistent()
+                return True
+            found, _ = self.screen(reduced, [])
+            if not found or self.inconsistent:
+                return True
+            if self.queue:
+                return False
 
     def finish(self, status: Status) -> EngineReport:
         if status is Status.INCONSISTENT:
@@ -228,7 +224,7 @@ class RunState:
             assignments=dict(self.assignments),
             rounds=self.rounds,
             events=list(self.events),
-            engine=self.engine_name,
+            engine=self.config.engine,
         )
         self.tracer.terminal(
             {
@@ -238,7 +234,7 @@ class RunState:
                 },
                 "basis": [str(p) for p in basis],
                 "total_rounds": report.total_rounds,
-                "engine": self.engine_name,
+                "engine": self.config.engine,
             }
         )
         return report
@@ -247,30 +243,23 @@ class RunState:
 def run_rounds(state: RunState, round_fn) -> EngineReport:
     """Drive a RunState to termination with the engine-specific round step."""
     max_rounds = state.config.max_rounds
-    while True:
-        if state.inconsistent:
-            return state.finish(Status.INCONSISTENT)
-        if state.screening and state.all_solved():
-            return state.finish(Status.ALL_VARIABLES_SOLVED)
+    while state.outcome() is None:
         if not state.queue:
             if state.completion():
-                if state.inconsistent:
-                    return state.finish(Status.INCONSISTENT)
-                if state.screening and state.all_solved():
-                    return state.finish(Status.ALL_VARIABLES_SOLVED)
-                return state.finish(Status.GROEBNER_BASIS)
-            continue  # the final screen solved something; new pairs may exist
+                break
+            continue  # the final screen solved something and left pairs
         if max_rounds is not None and state.round_no >= max_rounds:
             return state.finish(Status.ROUND_LIMIT)
         state.round_no += 1
-        round_fn(state)
+        state.record_round(round_fn(state))
+    return state.finish(state.outcome() or Status.GROEBNER_BASIS)
 
 
 def prepare_inputs(polys, config: EngineConfig):
-    """Apply input-order and field-equation configuration. Returns (list, field_active)."""
+    """Apply the input-order and field-equation configuration."""
     polys = list(polys)
     if config.reverse_inputs:
         polys = polys[::-1]
     if config.adjoin_field_eqs:
         polys = adjoin_field_equations(polys, config.ring)
-    return polys, config.adjoin_field_eqs
+    return polys

@@ -127,12 +127,6 @@ def test_unsatisfiable_benchmark_detected(capsys):
     assert "status: Inconsistent" in capsys.readouterr().out
 
 
-def test_incremental_inner_engine(capsys):
-    assert run_cli(["--gen", "eco", "--n", "5", "--engine", "incremental",
-                    "--inner-engine", "buchberger"]) == EXIT_OK
-    capsys.readouterr()
-
-
 def test_homogenize_flag(capsys):
     assert run_cli(["--gen", "cyclic", "--n", "3", "--homogenize",
                     "--no-middle-solving", "--no-adjoin-field-eqs"]) == EXIT_OK

@@ -164,8 +164,6 @@ def test_engine_config_validation(ring):
     with pytest.raises(ValueError):
         EngineConfig(ring, engine="f5")
     with pytest.raises(ValueError):
-        EngineConfig(ring, inner_engine="f5")
-    with pytest.raises(ValueError):
         EngineConfig(ring, max_rounds=0)
     cfg = EngineConfig(ring)
     assert cfg.engine == "f4" and cfg.middle_solving and cfg.adjoin_field_eqs

@@ -14,7 +14,14 @@ import random
 
 import pytest
 
-from midgb import BenchSpec, EngineConfig, PolyRing, gen_system, groebner_basis
+from midgb import (
+    BenchSpec,
+    EngineConfig,
+    PolyRing,
+    gen_system,
+    groebner_basis,
+    random_system,
+)
 
 
 def planted_mq(n, seed):
@@ -39,12 +46,32 @@ def planted_mq(n, seed):
     return ring, polys
 
 
+def random3(q, seed):
+    """Three random cubics in three variables over GF(q)."""
+    ring = PolyRing(q, ["x1", "x2", "x3"], "grevlex")
+    return ring, random_system(ring, 3, 3, random.Random(seed))
+
+
 SYSTEMS = {
     "mq6-0": lambda: planted_mq(6, 0),
     "mq6-1": lambda: planted_mq(6, 1),
     "mq6-2": lambda: planted_mq(6, 2),
     "eco5-gf3": lambda: gen_system(BenchSpec("eco", 5, 3)),
     "cyclic5-gf3": lambda: gen_system(BenchSpec("cyclic", 5, 3)),
+}
+
+# Systems run again under the input-preparation options, which the
+# incremental engine applies itself. MQ is left out: with field equations
+# off, mq6-0 alone takes over 20 s on f4/lex.
+PREPARED_SYSTEMS = {
+    "eco5-gf3": SYSTEMS["eco5-gf3"],
+    "rand3-gf5": lambda: random3(5, 6),
+    "rand3-gf7": lambda: random3(7, 7),
+}
+
+PREPARATIONS = {
+    "no-field-eqs": {"adjoin_field_eqs": False},
+    "reversed": {"reverse_inputs": True},
 }
 
 CONFIGS = list(
@@ -176,14 +203,166 @@ GOLDEN = {
 }
 
 
-def trace_digest(label, engine, order, middle_solving, path):
-    ring, polys = SYSTEMS[label]()
+# (system, preparation, engine, order, middle_solving) -> SHA-256
+GOLDEN_PREPARED = {
+    ("eco5-gf3", "no-field-eqs", "f4", "grevlex", True):
+        "95942de4c0c50fef2dfc89a57642d5dad4cb4a8eee6ab26559576a4e43ad803a",
+    ("eco5-gf3", "no-field-eqs", "f4", "grevlex", False):
+        "8493c4896a89d8ac98b14c40247359f9a3f8da3b19ff203a5d312d659647475f",
+    ("eco5-gf3", "no-field-eqs", "f4", "lex", True):
+        "2119f5c46ac5bbe9e7b952367495af5812025c48a3dbba65da1e5d739efc5eb7",
+    ("eco5-gf3", "no-field-eqs", "f4", "lex", False):
+        "d8370210165e14d83c984947867e715a49664637ea92c6b9b5ce61cf5ef916d0",
+    ("eco5-gf3", "no-field-eqs", "buchberger", "grevlex", True):
+        "324d7afd3e20896daf04163ed75e95720831adac78429f7340b8fec5ef0a4a12",
+    ("eco5-gf3", "no-field-eqs", "buchberger", "grevlex", False):
+        "9115ee1f913c3b5b779277d1c9874cf0464eb00a615fabc1c8fe9c2db49fe5af",
+    ("eco5-gf3", "no-field-eqs", "buchberger", "lex", True):
+        "53f8ac74770c14594126c34b5c7b23daa41c27092ba0a48cfcb548e9011882a3",
+    ("eco5-gf3", "no-field-eqs", "buchberger", "lex", False):
+        "92f5cf94cd773b1ed9a1342242a248340052b20e6006aa67253a542fb1f41160",
+    ("eco5-gf3", "no-field-eqs", "incremental", "grevlex", True):
+        "7701a5ce5c8f185a461c957987106d2fba5d86e983dbc68e4850f650f8bfb694",
+    ("eco5-gf3", "no-field-eqs", "incremental", "grevlex", False):
+        "2e8fb9d21e92ac4af95d472f78b73fe7d46f59cf3658c73beb5d499ad2e53717",
+    ("eco5-gf3", "no-field-eqs", "incremental", "lex", True):
+        "55becbb57d35dded8ac1d9c2371b8262f7815353eaf2b2c7fb72d5c4a0b5b2fc",
+    ("eco5-gf3", "no-field-eqs", "incremental", "lex", False):
+        "755a5ade4f941cc772151f9096e2f77f3ccd78ba4df1cf13d828d2712df295cc",
+    ("eco5-gf3", "reversed", "f4", "grevlex", True):
+        "11d0e983be4ea5ce8bb25a76f10cb16d4967d966d8e1d0727728de710d9eb919",
+    ("eco5-gf3", "reversed", "f4", "grevlex", False):
+        "d42f4db46310ccfde9f869ba9aa9fa1fef4803b19b35f51e16705e1ab281a754",
+    ("eco5-gf3", "reversed", "f4", "lex", True):
+        "d85c8e2f83db7f9450215c7c7b49bc0e441a652f07ab8357e7e05e1d66d8733f",
+    ("eco5-gf3", "reversed", "f4", "lex", False):
+        "7c042e96619a174baee4a60fc9dca5aab754de9164ff634018cfd6752662e9d8",
+    ("eco5-gf3", "reversed", "buchberger", "grevlex", True):
+        "e1524817b2e0e777cbdf3c94c51d69b2dad4d5edc3b51b246b519fc355c75391",
+    ("eco5-gf3", "reversed", "buchberger", "grevlex", False):
+        "8cfd0c3688143723d406e2d0cb01113c50ba579803608e05b96a0de1549dfe53",
+    ("eco5-gf3", "reversed", "buchberger", "lex", True):
+        "3ff96b2429b2ee37325c37a2218bb3f61d3ae67ac1ce2e86ff6cfd90b718601e",
+    ("eco5-gf3", "reversed", "buchberger", "lex", False):
+        "dceb10926336e13becfe25a69d5ea5007fd9b640aa93da555fa548fac3ac5472",
+    ("eco5-gf3", "reversed", "incremental", "grevlex", True):
+        "18e6fc3cf7e11c44a97006ca87e4f405dd63978a2255172977c79797975279cb",
+    ("eco5-gf3", "reversed", "incremental", "grevlex", False):
+        "75dc5919263f7d8a4b91a15cdac9823574f722f92ec43f09de018907c8228d78",
+    ("eco5-gf3", "reversed", "incremental", "lex", True):
+        "43328b9b25b00349eddb7d83956c2720e5dcd7124b5a3fe60828cbf01b3e9b2c",
+    ("eco5-gf3", "reversed", "incremental", "lex", False):
+        "089e0faf702427ca3f6489d74a9d50c9067230b353f5376eb3340978b661039b",
+    ("rand3-gf5", "no-field-eqs", "f4", "grevlex", True):
+        "757b30664f1542a269cf5d08255b25f01b23a67881a968391720d838a3cea817",
+    ("rand3-gf5", "no-field-eqs", "f4", "grevlex", False):
+        "0cdde082be69f381b26cd7781df1a65efbfa1f4f269918949b608d7dbc375664",
+    ("rand3-gf5", "no-field-eqs", "f4", "lex", True):
+        "e37984522258387b19ce92c0bb71f273d3963755234ccdaac79759e170c5fe97",
+    ("rand3-gf5", "no-field-eqs", "f4", "lex", False):
+        "823c9c2165a198859a865855acacbe3abe052fe716a0eb3893e5365de2ba985d",
+    ("rand3-gf5", "no-field-eqs", "buchberger", "grevlex", True):
+        "806a0020d866268f293b6c8aa1bb6fc9c91228ab7a993c9c612247f42e7dd037",
+    ("rand3-gf5", "no-field-eqs", "buchberger", "grevlex", False):
+        "51b954c38f8488d50556a0c99b9bc25ead9c63f048d47e5199a052a567fe041c",
+    ("rand3-gf5", "no-field-eqs", "buchberger", "lex", True):
+        "611c4d2b19f7cfe04152900c47083e37351861627db27b212b7046584963a1b4",
+    ("rand3-gf5", "no-field-eqs", "buchberger", "lex", False):
+        "0f2fd030c6c097d0f2b57719b6b1f11ecda42be08b3408b51b9ae015e034c036",
+    ("rand3-gf5", "no-field-eqs", "incremental", "grevlex", True):
+        "8c60e5e03fb5e7baedfe16b86c283f664368e1eb128b85fd5d196af1a4f3c76c",
+    ("rand3-gf5", "no-field-eqs", "incremental", "grevlex", False):
+        "2dce4ac4b1aaba6f987f739e211998a10cd6aa1cebb74e70ab16b9b6e84f3a33",
+    ("rand3-gf5", "no-field-eqs", "incremental", "lex", True):
+        "ba7b270e7022afcb4a1e6009c5d10f31100dd061fdc22808c1460597494bd585",
+    ("rand3-gf5", "no-field-eqs", "incremental", "lex", False):
+        "2d05bd74437c3b2bed9618ad35e14b766807cd50d45359bd5eb632aac44583b6",
+    ("rand3-gf5", "reversed", "f4", "grevlex", True):
+        "16b3984aee22c830afe771383cbc73abb85c2b78ccbe0a8942c23a3cc9552ed2",
+    ("rand3-gf5", "reversed", "f4", "grevlex", False):
+        "190cfdfbdd94d782cbf5ff853411016a2f6d6be39ab3553602a6a12349ec90da",
+    ("rand3-gf5", "reversed", "f4", "lex", True):
+        "d22be50963ea75141364a5fab8fe3ba304b588fd7e4f629e5ab311204f2cf2af",
+    ("rand3-gf5", "reversed", "f4", "lex", False):
+        "d2999ffac8653083582d6a8fa8c0dd68d3539aa1d7f6704921d1df13e9ae0876",
+    ("rand3-gf5", "reversed", "buchberger", "grevlex", True):
+        "5df47b546770b6fa8088d3b58ad5d69fbb3435f3d59693f6903776e66ea1b0a5",
+    ("rand3-gf5", "reversed", "buchberger", "grevlex", False):
+        "df4ee6dffa99abf5c3f11ddbe1d11471aa9466698ee706fb066ffb9a81f713cd",
+    ("rand3-gf5", "reversed", "buchberger", "lex", True):
+        "8b17a95d679fc297c0e69d9a71e39fe1d9b51f3b585539fa744c0932415e5577",
+    ("rand3-gf5", "reversed", "buchberger", "lex", False):
+        "86d5e43086a1c433dad294bba91796a8a84cd2e9c110dce03ff3fc2c1ef1606f",
+    ("rand3-gf5", "reversed", "incremental", "grevlex", True):
+        "b602221da3cdd16079388284a78caffded41c6056b6d6b6dbdc0d90a180d436f",
+    ("rand3-gf5", "reversed", "incremental", "grevlex", False):
+        "a2e1fcd0c0eef2cfd105ca008ec1fea54b60754dc18b21e39d695b638945ed90",
+    ("rand3-gf5", "reversed", "incremental", "lex", True):
+        "aeb0afb710bbe15055c69e0b7a2146b77070f9bafab888df916832edd203523e",
+    ("rand3-gf5", "reversed", "incremental", "lex", False):
+        "25e10b28045df59e148bb3d746e3a6410b51adc9901d9a5e24f8e83d6320e4e4",
+    ("rand3-gf7", "no-field-eqs", "f4", "grevlex", True):
+        "ab5cf8303edc183c84be124785312e1ae7085e417862e1bd001e50051c028231",
+    ("rand3-gf7", "no-field-eqs", "f4", "grevlex", False):
+        "0134f0ba67c056b80f7f77ae026cbe78a54897a86d63e9c364dc0a42602f48dd",
+    ("rand3-gf7", "no-field-eqs", "f4", "lex", True):
+        "d34f5252c0c219181bc7c2e51cb9f54ae30ddaf7f74d8634dc74b5a832a718f1",
+    ("rand3-gf7", "no-field-eqs", "f4", "lex", False):
+        "9c565b207be8e3cf79ba56213c51c2b72ad53bfad99b96524538f8d9212aad85",
+    ("rand3-gf7", "no-field-eqs", "buchberger", "grevlex", True):
+        "84fe36f9e5d6eb86ede3ce0a41bf2bd93a8f7c0207b374b0dc41d070dfd23462",
+    ("rand3-gf7", "no-field-eqs", "buchberger", "grevlex", False):
+        "f6281bda430e6517c2f06ef4f96d168b5949f7b7cd99ebb8c20d59a84ea10a4a",
+    ("rand3-gf7", "no-field-eqs", "buchberger", "lex", True):
+        "648d2eea57a3950bd95b4105e7ba8634ad7d38ed9d7f3811dbd53ddc183a372f",
+    ("rand3-gf7", "no-field-eqs", "buchberger", "lex", False):
+        "926a7cbe0a8d80ecc097e606378e52df467873305205703ed5fda20ad13e668e",
+    ("rand3-gf7", "no-field-eqs", "incremental", "grevlex", True):
+        "89d7bf1db5bd49a5208feec300effb569ec4280f736ce57f5737b504a6d592be",
+    ("rand3-gf7", "no-field-eqs", "incremental", "grevlex", False):
+        "9033e88f576f3cdc67f3da48374c7280e5f1a18414e7bfd42c63715f4d6b82bf",
+    ("rand3-gf7", "no-field-eqs", "incremental", "lex", True):
+        "857be5fe8eed055f45169599de5e317d4e2ed611423d26b7d3beacc004771fa4",
+    ("rand3-gf7", "no-field-eqs", "incremental", "lex", False):
+        "dfde1a0a3b00d5b68e9b7466c28a86b8bc68d2510f99ea571e540a7a9f61dd97",
+    ("rand3-gf7", "reversed", "f4", "grevlex", True):
+        "3416d94279a34b9a84a3de088d2cc5482ca63cd2a198ef5d64fdc06db199e9a9",
+    ("rand3-gf7", "reversed", "f4", "grevlex", False):
+        "7fbdfbc17f06e0fb59f2903c2bac1fb80d3ca7706539069ff4c5fc132750a52a",
+    ("rand3-gf7", "reversed", "f4", "lex", True):
+        "e7d338ead6bd11dd2bdf22043ff9ad34ad66213a090d1877d01371a6d22bb6d4",
+    ("rand3-gf7", "reversed", "f4", "lex", False):
+        "75299b299018c7ce040621c860dcba907bcd55df6b9fe172f3bffbcc882bb242",
+    ("rand3-gf7", "reversed", "buchberger", "grevlex", True):
+        "b52c391e5104ca2eefffbfd95262fb267dfb96721e614b51d1cc7691e1995eaa",
+    ("rand3-gf7", "reversed", "buchberger", "grevlex", False):
+        "a2e8a9aac92804fa52af9ba88a8610990a4f598e30a51a58b4163026af8bc5f0",
+    ("rand3-gf7", "reversed", "buchberger", "lex", True):
+        "137e3c66590838f3393f27546e5f1625d80ab9db22003f228901e022e7cf4dd5",
+    ("rand3-gf7", "reversed", "buchberger", "lex", False):
+        "5783cca96be68c634aa04b7fddff3d333ae86828abdaeb5aeef0c4d375336ee5",
+    ("rand3-gf7", "reversed", "incremental", "grevlex", True):
+        "97fc873fcf00416ad83125859433abda0ceb8543c77c200e6242bf7a8f8ef969",
+    ("rand3-gf7", "reversed", "incremental", "grevlex", False):
+        "bb78ba35d1dfe0a40a46e73e498e64375546c1992977cc0269569a5a502e439f",
+    ("rand3-gf7", "reversed", "incremental", "lex", True):
+        "499c36468519d73cf5d21d122a2dd7f70704de977fe2ba798925b708dc9c61c1",
+    ("rand3-gf7", "reversed", "incremental", "lex", False):
+        "ae7153237f69ddc6dc860b1a5260f637f67f11dd6a4ecb418de99494c579dec4",
+}
+
+def trace_digest(system, engine, order, middle_solving, path, **options):
+    ring, polys = system()
     if order != ring.order:
         ring2 = PolyRing(ring.q, ring.names, order)
         polys = [ring2.poly((ring.exponents(m), c) for m, c in p.terms) for p in polys]
         ring = ring2
     config = EngineConfig(
-        ring=ring, engine=engine, middle_solving=middle_solving, trace_path=path
+        ring=ring,
+        engine=engine,
+        middle_solving=middle_solving,
+        trace_path=path,
+        **options,
     )
     groebner_basis(polys, config)
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -193,7 +372,21 @@ def trace_digest(label, engine, order, middle_solving, path):
 def test_trace_digests_match_golden(label, tmp_path):
     wrong = []
     for engine, order, ms in CONFIGS:
-        got = trace_digest(label, engine, order, ms, tmp_path / "run.trace")
+        got = trace_digest(SYSTEMS[label], engine, order, ms, tmp_path / "run.trace")
         if got != GOLDEN[(label, engine, order, ms)]:
             wrong.append((engine, order, ms))
     assert not wrong, f"{label}: trace digest changed for {wrong}"
+
+
+@pytest.mark.parametrize("label", sorted(PREPARED_SYSTEMS))
+@pytest.mark.parametrize("preparation", sorted(PREPARATIONS))
+def test_prepared_input_digests_match_golden(label, preparation, tmp_path):
+    wrong = []
+    for engine, order, ms in CONFIGS:
+        got = trace_digest(
+            PREPARED_SYSTEMS[label], engine, order, ms, tmp_path / "run.trace",
+            **PREPARATIONS[preparation],
+        )
+        if got != GOLDEN_PREPARED[(label, preparation, engine, order, ms)]:
+            wrong.append((engine, order, ms))
+    assert not wrong, f"{label}, {preparation}: trace digest changed for {wrong}"

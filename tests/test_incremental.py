@@ -8,12 +8,13 @@ from midgb import (
     EngineConfig,
     PolyRing,
     Status,
-    f4_gb,
     groebner_basis,
     incremental_gb,
     interreduce,
     random_system,
+    runner,
 )
+from midgb.engine import update
 
 
 def test_solves_early_inputs_before_reading_later_ones():
@@ -68,26 +69,44 @@ def test_round_limit_counts_inputs():
     assert rep.total_rounds == 2
 
 
+def test_inputs_extend_one_persistent_basis(monkeypatch):
+    # a restart per input would insert the basis so far again each round
+    ring = PolyRing(2, ["x", "y", "z"], "grevlex")
+    x, y, z = (ring.variable(i) for i in range(3))
+    inserted = []
+
+    def spy(basis, queue, h):
+        inserted.append(str(h))
+        return update(basis, queue, h)
+
+    monkeypatch.setattr(runner, "update", spy)
+    rep = incremental_gb([x * y + z, y * z + x, x * z + y],
+                         EngineConfig(ring, engine="incremental",
+                                      middle_solving=False))
+    assert rep.total_rounds == 3
+    assert all(tr.new_polys for tr in rep.rounds)
+    assert len(inserted) == len(set(inserted))
+
+
 def test_engine_mismatch_rejected():
     ring = PolyRing(2, ["x"], "lex")
     with pytest.raises(ValueError):
         incremental_gb([], EngineConfig(ring, engine="f4"))
 
 
-@pytest.mark.parametrize("inner", ["f4", "buchberger"])
+@pytest.mark.parametrize("batch", ["f4", "buchberger"])
 @pytest.mark.parametrize("seed", [2, 9, 21])
-def test_matches_batch_engine(inner, seed):
+def test_matches_batch_engine(batch, seed):
     q = 3 if seed == 9 else 2
     ring = PolyRing(q, ["x1", "x2", "x3", "x4"], "grevlex")
     F = random_system(ring, 5, 3, random.Random(seed))
-    rep_inc = incremental_gb(
-        F, EngineConfig(ring, engine="incremental", inner_engine=inner))
-    rep_f4 = f4_gb(F, EngineConfig(ring))
-    assert rep_inc.status is rep_f4.status
+    rep_inc = incremental_gb(F, EngineConfig(ring, engine="incremental"))
+    rep_batch = groebner_basis(F, EngineConfig(ring, engine=batch))
+    assert rep_inc.status is rep_batch.status
     assert sorted(str(p) for p in interreduce(rep_inc.basis)) == sorted(
-        str(p) for p in interreduce(rep_f4.basis))
-    if rep_f4.status is not Status.INCONSISTENT:
-        assert rep_inc.assignments == rep_f4.assignments
+        str(p) for p in interreduce(rep_batch.basis))
+    if rep_batch.status is not Status.INCONSISTENT:
+        assert rep_inc.assignments == rep_batch.assignments
 
 
 def test_dispatch_via_groebner_basis():
