@@ -244,10 +244,9 @@ def run_rounds(state: RunState, round_fn) -> EngineReport:
     """Drive a RunState to termination with the engine-specific round step."""
     max_rounds = state.config.max_rounds
     while state.outcome() is None:
-        if not state.queue:
-            if state.completion():
-                break
-            continue  # the final screen solved something and left pairs
+        # completion() is False only when its screen left pairs to process
+        if not state.queue and state.completion():
+            break
         if max_rounds is not None and state.round_no >= max_rounds:
             return state.finish(Status.ROUND_LIMIT)
         state.round_no += 1
