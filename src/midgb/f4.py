@@ -2,8 +2,9 @@
 
 Each round takes every critical pair of minimal degree, gathers all the
 monomial multiples needed to reduce the whole batch at once (symbolic
-preprocessing), row reduces one sparse-ish matrix to reduced row echelon
-form, and feeds the rows with new leading monomials back into the basis.
+preprocessing), reduces one matrix, and feeds the rows with new leading
+monomials back into the basis. Rows the basis already heads are used as
+known pivots; only the others are brought to reduced row echelon form.
 Batches, not single pairs, are what make mid-run solving pay off: a fresh
 batch is screened for forced variables before anything is inserted.
 """
@@ -102,14 +103,18 @@ def symbolic_preprocess(pairs, basis, ring: PolyRing, *, field_active: bool = Tr
 
 
 class MacaulayMatrix:
-    """The round's rows laid over their sorted monomial columns.
+    """The round's rows laid over their sorted monomial columns, split in two.
 
-    Column 0 is the largest monomial. Over GF(2) a row is an int bitmask
-    (bit j = column j), so elimination is one XOR; other fields use a dense
-    numpy array with vectorized row elimination.
+    Column 0 is the largest monomial. A row is a *known pivot* when a basis
+    leading monomial divides its head and no earlier row has that head; the
+    other rows form the *block*. Known pivots are used as they are and never
+    reduced themselves: ``reduce`` clears the block on their columns and
+    brings only the block to reduced row echelon form (Faugère–Lachartre).
+    Over GF(2) a row is an int bitmask (bit j = column j), so a row
+    operation is one XOR; other fields hold the block in a dense numpy array.
     """
 
-    def __init__(self, rows, ring: PolyRing):
+    def __init__(self, rows, ring: PolyRing, basis_lms=()):
         self.ring = ring
         self.rows = list(rows)
         cols = set()
@@ -118,55 +123,92 @@ class MacaulayMatrix:
                 cols.add(m)
         self.columns = sorted(cols, reverse=True)
         self.col_index = {m: j for j, m in enumerate(self.columns)}
+        # any divisor will do, and small leading monomials divide more heads
+        self.shifts = [ring.codec.shift(m) for m in sorted(basis_lms)]
 
     @property
     def shape(self):
         return (len(self.rows), len(self.columns))
 
-    def reduce(self):
-        """Deterministic full Gauss-Jordan.
+    def basis_divides(self, m) -> bool:
+        """Whether some basis leading monomial divides the monomial m."""
+        # m - shift(lm) is the quotient m / lm, valid iff no guard bit is set
+        guard = self.ring.codec.guard
+        return not all((m - s) & guard for s in self.shifts)
 
-        Columns are processed left to right; the pivot is the first
-        not-yet-pivot row with a nonzero entry, normalized to 1 and
-        eliminated from every other row. Returns (polynomials, zero_rows)
-        with the polynomials monic, fully inter-eliminated, and ordered by
-        descending leading monomial.
+    def split(self):
+        """(known, block): head column -> index of that column's known-pivot
+        row, and the indices of the other rows, in row order."""
+        known: dict = {}
+        block: list = []
+        for i, p in enumerate(self.rows):
+            if p.terms:
+                j = self.col_index[p.lm()]
+                if j not in known and self.basis_divides(p.lm()):
+                    known[j] = i
+                    continue
+            block.append(i)  # a zero row stays here and counts as a zero row
+        return known, block
+
+    def reduce(self):
+        """Reduce the block by the known pivots, then bring it to RREF.
+
+        Returns (polynomials, zero_rows): the block's RREF rows, monic and
+        ordered by descending leading monomial, and the matrix's rows minus
+        its rank. The polynomials are exactly the rows of the full matrix's
+        RREF whose leading monomial is not a known pivot's head. With no
+        basis leading monomials every row is in the block, and this is the
+        full RREF.
         """
-        if not self.rows:
+        known, block = self.split()
+        if not block:
             return [], 0
         if self.ring.q == 2:
-            return self._reduce_gf2()
-        return self._reduce_general()
+            polys = self._reduce_gf2(known, block)
+        else:
+            polys = self._reduce_general(known, block)
+        return polys, len(block) - len(polys)
 
     # ------------------------------------------------------------ GF(2)
 
-    def _reduce_gf2(self):
-        packed = []
-        for p in self.rows:
-            bits = 0
-            for m, _ in p.terms:
-                bits |= 1 << self.col_index[m]
-            packed.append(bits)
-        nrows = len(packed)
-        is_pivot = [False] * nrows
-        pivots = []  # (column, row) in ascending column order
-        for j in range(len(self.columns)):
-            probe = 1 << j
-            piv = -1
-            for i in range(nrows):
-                if not is_pivot[i] and packed[i] & probe:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            is_pivot[piv] = True
-            pivots.append((j, piv))
-            prow = packed[piv]
-            for i in range(nrows):
-                if i != piv and packed[i] & probe:
-                    packed[i] ^= prow
-        polys = [self._bits_to_poly(packed[i]) for _, i in pivots]
-        return polys, nrows - len(pivots)
+    def _reduce_gf2(self, known, block):
+        col = self.col_index
+        # the block by columns: bit r of cells[j] is block row r's entry at j
+        cells = [0] * len(self.columns)
+        for r, i in enumerate(block):
+            bit = 1 << r
+            for m, _ in self.rows[i].terms:
+                cells[col[m]] |= bit
+        # adding a known pivot to the rows that hold its head clears its
+        # column and touches only later ones, so ascending order clears all
+        for j in sorted(known):
+            hit = cells[j]
+            if hit:
+                for m, _ in self.rows[known[j]].terms:
+                    cells[col[m]] ^= hit
+        # the block by rows again, for its own elimination
+        packed = [0] * len(block)
+        for j, c in enumerate(cells):
+            bit = 1 << j
+            while c:
+                low = c & -c
+                packed[low.bit_length() - 1] |= bit
+                c ^= low
+        pivots = {}  # lowest bit -> the block row that has it
+        mask = 0  # the union of the pivots' lowest bits
+        for row in packed:
+            row = _clear(row, pivots, mask)
+            if row:
+                low = row & -row
+                pivots[low] = row
+                mask |= low
+        # back substitution, last column first
+        found = sorted(pivots)
+        done = 0
+        for low in reversed(found):
+            pivots[low] = _clear(pivots[low], pivots, done)
+            done |= low
+        return [self._bits_to_poly(pivots[low]) for low in found]
 
     def _bits_to_poly(self, bits: int) -> Polynomial:
         terms = []
@@ -178,37 +220,61 @@ class MacaulayMatrix:
 
     # ------------------------------------------------------------ GF(q>2)
 
-    def _reduce_general(self):
+    def _reduce_general(self, known, block):
         q = self.ring.q
-        field = self.ring.field
-        nrows, ncols = len(self.rows), len(self.columns)
+        inv = self.ring.field.inv
+        col = self.col_index
         # a - b*c with entries in [0, q) must fit int64; beyond that, Python ints
         dtype = np.int64 if (q - 1) ** 2 + q < 2**63 else object
-        a = np.zeros((nrows, ncols), dtype=dtype)
-        for i, p in enumerate(self.rows):
-            for m, c in p.terms:
-                a[i, self.col_index[m]] = c
-        free = np.ones(nrows, dtype=bool)  # not yet used as a pivot
-        pivots = []
-        for j in range(ncols):
-            cand = np.nonzero(free & (a[:, j] != 0))[0]
+        a = np.zeros((len(block), len(self.columns)), dtype=dtype)
+        for r, i in enumerate(block):
+            for m, c in self.rows[i].terms:
+                a[r, col[m]] = c
+        free = np.ones(len(block), dtype=bool)  # not yet a block pivot
+        pivots = []  # block rows, by ascending pivot column
+        for j in range(len(self.columns)):
+            hit = np.flatnonzero(a[:, j])
+            if hit.size == 0:
+                continue
+            i = known.get(j)
+            if i is not None:
+                # subtract a[hit, j] times the known pivot, made monic here
+                terms = self.rows[i].terms
+                head_inv = inv(terms[0][1])
+                vals = np.array([c * head_inv % q for _, c in terms], dtype=dtype)
+                cells = np.ix_(hit, [col[m] for m, _ in terms])
+                a[cells] = (a[cells] - np.outer(a[hit, j], vals)) % q
+                continue
+            # otherwise the first free block row with an entry here pivots,
+            # and is eliminated from every other block row
+            cand = hit[free[hit]]
             if cand.size == 0:
                 continue
             piv = int(cand[0])
             free[piv] = False
-            pivots.append((j, piv))
-            a[piv] = a[piv] * field.inv(int(a[piv, j])) % q
-            hit = a[:, j] != 0
-            hit[piv] = False
-            if hit.any():
+            pivots.append(piv)
+            a[piv] = a[piv] * inv(int(a[piv, j])) % q
+            hit = hit[hit != piv]
+            if hit.size:
                 a[hit] = (a[hit] - np.outer(a[hit, j], a[piv])) % q
         polys = []
-        for j, i in pivots:
-            row = a[i]
-            nz = np.nonzero(row)[0]
+        for r in pivots:
+            row = a[r]
+            nz = np.flatnonzero(row)
             terms = tuple((self.columns[int(k)], int(row[k])) for k in nz)
             polys.append(Polynomial(self.ring, terms))
-        return polys, nrows - len(pivots)
+        return polys
+
+
+def _clear(row: int, pivots: dict, mask: int) -> int:
+    """Over GF(2), clear every bit of ``row`` in ``mask`` with the pivot row
+    whose lowest bit it is, lowest first; a pivot row's other bits are all
+    higher, so one sweep suffices."""
+    hit = row & mask
+    while hit:
+        row ^= pivots[hit & -hit]
+        hit = row & mask
+    return row
 
 
 def f4_round(state: RunState) -> RoundTrace:
@@ -217,22 +283,15 @@ def f4_round(state: RunState) -> RoundTrace:
     rows = symbolic_preprocess(
         pairs, state.basis.polys, state.ring, field_active=state.field_active
     )
-    matrix = MacaulayMatrix(rows, state.ring)
+    matrix = MacaulayMatrix(rows, state.ring, [g.lm() for g in state.basis.polys])
     nrows, ncols = matrix.shape
     reduced, zero_rows = matrix.reduce()
     # Keep rows whose leading monomial the basis cannot yet reach. Checking
     # divisibility (not just equality with a pre-reduction row head) matters:
     # exponent folding can hand a pair row a head that no basis element
     # divides, and that head is new information even though a matrix row
-    # already carried it.
-    codec = state.ring.codec
-    guard = codec.guard
-    shifts = [codec.shift(g.lm()) for g in state.basis.polys]
-    fresh = []
-    for p in reduced:  # already ordered by descending leading monomial
-        m = p.lm()
-        if all((m - s) & guard for s in shifts):
-            fresh.append(p)
+    # already carried it. Rows stay in descending leading-monomial order.
+    fresh = [p for p in reduced if not matrix.basis_divides(p.lm())]
 
     # Every basis-divisible column got a reducer row, so it is a pivot column
     # and no fresh RREF row has a basis-reducible monomial: the rows are

@@ -332,17 +332,27 @@ def normal_form(p: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
     whose leading monomial divides it. Every monomial of the result is
     irreducible.
     """
-    ring = p.ring
     if p.is_zero or not reducers:
         return p
     for g in reducers:
         if g.is_zero:
             raise ZeroInputError("zero polynomial in reducer list")
+    return _reduce_by(p, [_reducer(g) for g in reducers])
+
+
+def _reducer(g: Polynomial) -> tuple:
+    """A nonzero reducer as ``_reduce_by`` reads it: (shift(lm), lm, lc, terms)."""
+    lm = g.terms[0][0]
+    return g.ring.codec.shift(lm), lm, g.terms[0][1], g.terms
+
+
+def _reduce_by(p: Polynomial, red: list) -> Polynomial:
+    """``normal_form`` of a nonzero p against reducers made by ``_reducer``."""
+    ring = p.ring
     codec = ring.codec
-    shift, guard = codec.shift, codec.guard
+    guard = codec.guard
     # m - shift(lm) is the quotient m / lm, valid iff no guard bit is set;
     # the tail term t of g then maps to t + m - lm
-    red = [(shift(g.lm()), g.lm(), g.lc(), g.terms) for g in reducers]
     q = ring.q
     inv = ring.field.inv
     coeffs = {}
@@ -397,14 +407,18 @@ def interreduce(polys: Iterable[Polynomial]) -> list:
     changed = True
     while changed:
         changed = False
-        out = []
+        # each member's reducer entry is built once per pass
+        red = [_reducer(p) for p in work]
+        out, out_red = [], []
         for i, p in enumerate(work):
-            others = out + work[i + 1 :]
-            h = normal_form(p, others) if others else p
+            others = out_red + red[i + 1 :]
+            h = _reduce_by(p, others) if others else p
             if h != p:
                 changed = True
             if not h.is_zero:
-                out.append(h.monic())
+                h = h.monic()
+                out.append(h)
+                out_red.append(_reducer(h))
         work = out
     work.sort(key=Polynomial.lm)
     return work

@@ -286,3 +286,15 @@ def test_candidates_inserted_unreduced_are_normal_forms(monkeypatch):
             config = EngineConfig(ring=ring, engine=engine, middle_solving=ms)
             groebner_basis(polys, config)
     assert skipped
+
+
+def test_split_elimination_equals_full_rref(split_checked):
+    """Every F4 matrix, in f4 and incremental runs, reduces to the full RREF's
+    rows that the basis cannot reach (see the ``split_checked`` fixture)."""
+    configs = list(itertools.product(("f4", "incremental"), ("grevlex", "lex"), (True, False)))
+    for _, text in CORPUS:
+        for engine, order, ms in configs:
+            ring, polys = parse_system(text, order=order)
+            config = EngineConfig(ring=ring, engine=engine, middle_solving=ms)
+            groebner_basis(polys, config)
+    assert 2 in split_checked and max(split_checked) > 2

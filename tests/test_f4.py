@@ -144,6 +144,55 @@ def test_matrix_reduce_matches_reference(q, trial):
     assert zero_rows == ref_zero
 
 
+@pytest.mark.parametrize("q", [2, 3, 7, 8589934609])
+@pytest.mark.parametrize("trial", range(8))
+def test_split_reduce_matches_reference(q, trial):
+    # rows with basis-divisible heads are known pivots; reduce() must return
+    # exactly the full RREF's rows whose pivot column is not such a head
+    rng = random.Random(1000 * trial + q % 1000)
+    ring = PolyRing(q, ["x", "y", "z"], "grevlex")
+    rows = random_system(ring, 8, 3, rng)
+    # rows sharing a head with an earlier row: only the first can be a pivot
+    rows += [p + r for p, r in zip(rows, rows[1:]) if r.lm() < p.lm()]
+    heads = sorted({p.lm() for p in rows})
+    lms = rng.sample(heads, max(1, len(heads) // 2))
+    if trial % 2:
+        lms.append(ring.codec.var(rng.randrange(3)))
+    exps = [ring.exponents(m) for m in lms]
+
+    def divisible(mono):
+        e = ring.exponents(mono)
+        return any(all(a <= b for a, b in zip(d, e)) for d in exps)
+
+    m = MacaulayMatrix(rows, ring, lms)
+    red, zero_rows = m.reduce()
+    known = {m.col_index[p.lm()] for p in rows if divisible(p.lm())}
+    assert known and m.split()[1]  # both halves of the split are used
+
+    def dense(p):
+        vec = [0] * len(m.columns)
+        for mono, c in p.terms:
+            vec[m.col_index[mono]] = c
+        return vec
+
+    ref_rows, ref_zero = _reference_rref([dense(p) for p in rows], len(m.columns), q)
+    want = [r for r in ref_rows
+            if next(j for j, v in enumerate(r) if v) not in known]
+    assert [dense(p) for p in red] == want
+    assert zero_rows == ref_zero
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_matrix_reduce_counts_a_zero_input_row(q):
+    ring = PolyRing(q, ["x", "y"], "grevlex")
+    x, y = ring.variable(0), ring.variable(1)
+    rows = [x + ring.one, ring.zero, y + ring.one]
+    for lms, kept in (((), ["x + 1", "y + 1"]), ([x.lm()], ["y + 1"])):
+        red, zero_rows = MacaulayMatrix(rows, ring, lms).reduce()
+        assert [str(p) for p in red] == kept
+        assert zero_rows == 1
+
+
 def test_f4_engine_middle_solving_example():
     ring = PolyRing(2, ["x", "y"], "grevlex")
     x, y = ring.variable(0), ring.variable(1)

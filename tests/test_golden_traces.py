@@ -390,3 +390,19 @@ def test_prepared_input_digests_match_golden(label, preparation, tmp_path):
         if got != GOLDEN_PREPARED[(label, preparation, engine, order, ms)]:
             wrong.append((engine, order, ms))
     assert not wrong, f"{label}, {preparation}: trace digest changed for {wrong}"
+
+
+def test_split_elimination_equals_full_rref(split_checked, tmp_path):
+    """The golden systems' F4 matrices, in f4 and incremental runs, reduce to
+    the full RREF's rows that the basis cannot reach."""
+    cases = [(system, {}) for system in SYSTEMS.values()]
+    cases += [
+        (system, options)
+        for system in PREPARED_SYSTEMS.values()
+        for options in PREPARATIONS.values()
+    ]
+    for system, options in cases:
+        for engine, order, ms in CONFIGS:
+            if engine != "buchberger":
+                trace_digest(system, engine, order, ms, tmp_path / "run.trace", **options)
+    assert 2 in split_checked and max(split_checked) > 2

@@ -43,3 +43,22 @@ def test_every_traced_layer_resolves():
     spans = _load("spans")
     patches = spans.layer_patches(spans.Tracer())  # AttributeError on a lost name
     assert len(patches) >= len(spans.LAYERS)
+
+
+@pytest.mark.parametrize("name", ["mq-gf2-f4", "eco-gf3-f4"])
+def test_traced_matrix_counts_are_the_round_records(name):
+    # the benchmark reads the matrix size from the shape before reduce() and
+    # the zero rows from its result; both must stay the traced round figures
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    workload = workloads.WORKLOADS[name]
+    inst = workloads.setup(workload, 1)[0]
+    with spans.patched(spans.layer_patches(tracer)):
+        report = groebner_basis(inst.polys, EngineConfig(inst.ring, engine=workload.engine))
+    rounds = report.rounds
+    assert rounds and all(tr.matrix_rows is not None for tr in rounds)
+    assert tracer.counts["f4.MacaulayMatrix.reduce"] == {
+        "rows": sum(tr.matrix_rows for tr in rounds),
+        "cells": sum(tr.matrix_rows * tr.matrix_cols for tr in rounds),
+        "zero_rows": sum(tr.zero_rows for tr in rounds),
+    }
