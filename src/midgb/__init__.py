@@ -25,12 +25,10 @@ from .engine import (
     RoundTrace,
     SolveEvent,
     Status,
-    TemporaryBasis,
     adjoin_field_equations,
     degree_monitor,
     field_polynomial,
     update,
-    update_no_criteria,
 )
 from .errors import (
     BoundViolationError,
@@ -43,7 +41,6 @@ from .errors import (
     NonPrimeFieldError,
     OrderNotLexError,
     ParseError,
-    RenormalizationError,
     TooLargeError,
     ZeroInputError,
     ZeroInverseError,
@@ -94,14 +91,12 @@ __all__ = [
     "OrderNotLexError",
     "PairQueue",
     "ParseError",
-    "RenormalizationError",
     "Polynomial",
     "PolyRing",
     "PrimeField",
     "RoundTrace",
     "SolveEvent",
     "Status",
-    "TemporaryBasis",
     "TooLargeError",
     "ZeroInputError",
     "ZeroInverseError",
@@ -139,5 +134,4 @@ __all__ = [
     "triangular_shape_check",
     "univariate_roots",
     "update",
-    "update_no_criteria",
 ]

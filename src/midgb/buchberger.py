@@ -16,9 +16,9 @@ from .trace import TraceWriter
 
 def buchberger_round(state: RunState) -> RoundTrace:
     """One pair: S-polynomial, full reduction, screen, insert."""
-    (pr,) = state.queue.select(state.ring, batch=False)
-    f = state.basis.polys[pr.left]
-    g = state.basis.polys[pr.right]
+    (pr,) = state.queue.select(batch=False)
+    f = state.basis[pr.left]
+    g = state.basis[pr.right]
     s = state.canon(s_polynomial(f, g))
     added = 0
     max_deg = 0
@@ -26,7 +26,7 @@ def buchberger_round(state: RunState) -> RoundTrace:
         degree_monitor(s, state.ring, "created", state.field_active)
         # folding and scaling an irreducible remainder keep it irreducible
         reduced_at = state.renewals
-        h = state.canon(normal_form(s, state.basis.polys))
+        h = state.canon(normal_form(s, state.basis))
         if not h.is_zero:
             for p in state.screen_batch([h]):
                 if state.inconsistent:

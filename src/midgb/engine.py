@@ -1,5 +1,5 @@
-"""Shared engine core: critical pairs, pair queue, temporary basis, field
-equations, update criteria and the degree monitor.
+"""Shared engine core: critical pairs, pair queue, field equations, update
+criteria and the degree monitor.
 
 Both basis engines (pair-at-a-time and matrix-batch) and the incremental frame
 are built on these pieces.
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import BoundViolationError, EmptyQueueError, ZeroInputError
+from .errors import BoundViolationError, EmptyQueueError, TooLargeError, ZeroInputError
 from .poly import Polynomial, PolyRing, is_field_polynomial
 
 
@@ -46,7 +46,7 @@ class PairQueue:
     def filter_inplace(self, keep):
         self.pairs = [p for p in self.pairs if keep(p)]
 
-    def select(self, ring: PolyRing, batch: bool) -> list:
+    def select(self, batch: bool) -> list:
         """Remove and return the next pair(s) to process.
 
         batch=True takes every pair of minimal degree; batch=False takes the
@@ -63,30 +63,6 @@ class PairQueue:
         best = min(self.pairs, key=key)
         self.pairs.remove(best)
         return [best]
-
-
-class TemporaryBasis:
-    """Append-only polynomial list.
-
-    Two members may share a leading monomial only when raw inputs collide;
-    every reducer scan then picks the earlier one (insertion order).
-    """
-
-    __slots__ = ("polys",)
-
-    def __init__(self):
-        self.polys: list = []
-
-    def __len__(self):
-        return len(self.polys)
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    def add(self, p: Polynomial) -> int:
-        idx = len(self.polys)
-        self.polys.append(p)
-        return idx
 
 
 def field_polynomial(ring: PolyRing, i: int) -> Polynomial:
@@ -107,8 +83,11 @@ def adjoin_field_equations(polys, ring: PolyRing, variables=None) -> list:
     return out
 
 
-def update(basis: TemporaryBasis, queue: PairQueue, h: Polynomial) -> int:
-    """Insert h into the basis and maintain the pair queue.
+def update(basis: list, queue: PairQueue, h: Polynomial) -> int:
+    """Append h to the basis and maintain the pair queue.
+
+    Two members may share a leading monomial only when raw inputs collide;
+    every reducer scan then picks the earlier one (list order).
 
     Pair bookkeeping is the conservative Gebauer-Moller style:
       * a new pair with coprime leading monomials is dropped (its S-polynomial
@@ -125,12 +104,13 @@ def update(basis: TemporaryBasis, queue: PairQueue, h: Polynomial) -> int:
     codec = h.ring.codec
     lcm, shift, guard = codec.lcm, codec.shift, codec.guard
     lm_h = h.lm()
-    h_idx = basis.add(h)
+    h_idx = len(basis)
+    basis.append(h)
 
     # (index, lcm, shift(lcm), coprime); l2 | l iff (l - shift(l2)) & guard == 0
     cands = []
     for g_idx in range(h_idx):
-        lm_g = basis.polys[g_idx].lm()
+        lm_g = basis[g_idx].lm()
         l = lcm(lm_g, lm_h)
         cands.append((g_idx, l, shift(l), codec.coprime(lm_g, lm_h)))
 
@@ -155,28 +135,15 @@ def update(basis: TemporaryBasis, queue: PairQueue, h: Polynomial) -> int:
     def keep_old(pr: CriticalPair) -> bool:
         if not codec.divides(lm_h, pr.lcm):
             return True
-        if lcm(basis.polys[pr.left].lm(), lm_h) == pr.lcm:
+        if lcm(basis[pr.left].lm(), lm_h) == pr.lcm:
             return True
-        if lcm(basis.polys[pr.right].lm(), lm_h) == pr.lcm:
+        if lcm(basis[pr.right].lm(), lm_h) == pr.lcm:
             return True
         return False
 
     queue.filter_inplace(keep_old)
     for pr in survivors:
         queue.add(pr)
-    return h_idx
-
-
-def update_no_criteria(basis: TemporaryBasis, queue: PairQueue, h: Polynomial) -> int:
-    """Insert h generating every pair, skipping all criteria (for cross-checks)."""
-    if h.is_zero:
-        raise ZeroInputError("cannot insert the zero polynomial")
-    codec = h.ring.codec
-    lm_h = h.lm()
-    h_idx = basis.add(h)
-    for g_idx in range(h_idx):
-        l = codec.lcm(basis.polys[g_idx].lm(), lm_h)
-        queue.add(CriticalPair(g_idx, h_idx, l, codec.degree(l)))
     return h_idx
 
 
@@ -237,6 +204,11 @@ class RoundTrace:
     solved_total: Optional[int] = None
 
 
+# Reducing against x^q - x takes O(q) steps per pair that involves it, so
+# field equations are only adjoined up to this field size.
+MAX_FIELD_EQ_Q = 2**16
+
+
 @dataclass
 class EngineConfig:
     ring: PolyRing
@@ -246,13 +218,16 @@ class EngineConfig:
     max_rounds: Optional[int] = None
     trace_path: Optional[object] = None  # str | Path | None
     reverse_inputs: bool = False
-    use_criteria: bool = True
 
     def __post_init__(self):
         if self.engine not in ("buchberger", "f4", "incremental"):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
+        if self.adjoin_field_eqs and self.ring.q > MAX_FIELD_EQ_Q:
+            raise TooLargeError(
+                f"field equations need q <= {MAX_FIELD_EQ_Q}, got q = {self.ring.q}"
+            )
         if self.trace_path is not None:
             self.trace_path = Path(self.trace_path)
 

@@ -45,14 +45,6 @@ class BoundViolationError(MidgbError, AssertionError):
         )
 
 
-class RenormalizationError(MidgbError, RuntimeError):
-    """Interreduce-and-fold after a renew failed to reach a fixed point.
-
-    Every folding pass that changes anything shrinks the exponent mass, so
-    this is an internal-error diagnostic like BoundViolationError.
-    """
-
-
 class MonomialOverflowError(MidgbError, OverflowError):
     """A monomial whose total degree is past its ring's limit.
 
@@ -84,7 +76,8 @@ class ParseError(MidgbError, ValueError):
 
 
 class TooLargeError(MidgbError, ValueError):
-    """Search space too large for exhaustive enumeration."""
+    """An input too large to handle: a search space too large for exhaustive
+    enumeration, or a field too large to adjoin its field equations."""
 
 
 class InvalidSizeError(MidgbError, ValueError):

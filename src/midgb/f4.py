@@ -93,11 +93,10 @@ def symbolic_preprocess(pairs, basis, ring: PolyRing, *, field_active: bool = Tr
             if quot & guard:
                 continue
             row = multiple(g, quot)
-            if not row.is_zero:
-                degree_monitor(row, ring, "created", field_active)
-                rows.append(row)
-                for m2, _ in row.terms[1:]:
-                    enqueue(m2)
+            degree_monitor(row, ring, "created", field_active)
+            rows.append(row)
+            for m2, _ in row.terms[1:]:
+                enqueue(m2)
             break
     return rows
 
@@ -279,25 +278,17 @@ def _clear(row: int, pivots: dict, mask: int) -> int:
 
 def f4_round(state: RunState) -> RoundTrace:
     """One batch: select, preprocess, row reduce, screen, insert."""
-    pairs = state.queue.select(state.ring, batch=True)
-    rows = symbolic_preprocess(
-        pairs, state.basis.polys, state.ring, field_active=state.field_active
-    )
-    matrix = MacaulayMatrix(rows, state.ring, [g.lm() for g in state.basis.polys])
+    pairs = state.queue.select(batch=True)
+    rows = symbolic_preprocess(pairs, state.basis, state.ring, field_active=state.field_active)
+    matrix = MacaulayMatrix(rows, state.ring, [g.lm() for g in state.basis])
     nrows, ncols = matrix.shape
     reduced, zero_rows = matrix.reduce()
-    # Keep rows whose leading monomial the basis cannot yet reach. Checking
-    # divisibility (not just equality with a pre-reduction row head) matters:
-    # exponent folding can hand a pair row a head that no basis element
-    # divides, and that head is new information even though a matrix row
-    # already carried it. Rows stay in descending leading-monomial order.
-    fresh = [p for p in reduced if not matrix.basis_divides(p.lm())]
 
     # Every basis-divisible column got a reducer row, so it is a pivot column
-    # and no fresh RREF row has a basis-reducible monomial: the rows are
+    # and no reduced row has a basis-reducible monomial: the rows are
     # already in normal form against the basis, until a renew changes it.
     reduced_at = state.renewals
-    batch = state.screen_batch(fresh)
+    batch = state.screen_batch(reduced)
     added = 0
     max_deg = 0
     for h in batch:

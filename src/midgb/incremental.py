@@ -54,13 +54,13 @@ def incremental_gb(polys, config: EngineConfig) -> EngineReport:
             if config.max_rounds is not None and i > config.max_rounds:
                 return state.finish(Status.ROUND_LIMIT)
             state.round_no = i
-            before = list(state.basis.polys)
+            before = list(state.basis)
             for var, val in state.assignments.items():
                 f = substitute(f, var, val)
-            if state.ingest_inputs([normal_form(f, state.basis.polys)]):
+            if state.ingest_inputs([normal_form(f, state.basis)]):
                 _complete(state)
 
-            fresh = [p for p in state.basis.polys if p not in before]
+            fresh = [p for p in state.basis if p not in before]
             state.record_round(
                 RoundTrace(
                     round=i,

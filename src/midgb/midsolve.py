@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .engine import PairQueue, TemporaryBasis, update
-from .errors import ConflictingRootsError, OrderNotLexError, RenormalizationError
+from .engine import PairQueue, update
+from .errors import ConflictingRootsError, OrderNotLexError
 from .poly import (
     Polynomial,
     PolyRing,
-    field_reduce,
     interreduce,
     is_field_polynomial,
     is_univariate,
@@ -136,33 +135,35 @@ def find_unique_root_polys(batch: Iterable[Polynomial], ring: PolyRing, round_no
 
 @dataclass
 class RenewResult:
-    basis: TemporaryBasis
+    basis: list
     pending: list
     queue: PairQueue
     inconsistent: bool
 
 
 def renew(
-    basis: TemporaryBasis,
-    pending: Sequence[Polynomial],
-    queue: PairQueue,
-    a: Assignment,
-    ring: PolyRing,
-    field_active: bool = True,
+    basis: Sequence[Polynomial], pending: Sequence[Polynomial], a: Assignment
 ) -> RenewResult:
     """Substitute a solved variable everywhere and rebuild the bookkeeping.
 
     The solved variable's field polynomial drops out (it substitutes to zero
-    anyway, by Fermat), zero survivors are dropped, a survivor that becomes a
-    nonzero constant flags inconsistency, and the surviving basis is
-    re-interreduced with the pair queue rebuilt from scratch by re-running
-    update insertion in the original order. The pending batch (or remaining
+    anyway, by Fermat), zero survivors are dropped, and a survivor that
+    becomes a nonzero constant flags inconsistency. Otherwise the survivors
+    are interreduced once and the pair queue is rebuilt from scratch by
+    re-running update insertion in order. The pending batch (or remaining
     inputs) is substituted but not interreduced.
+
+    No exponent folding is needed after the interreduce. With field
+    equations adjoined, members are stored folded, and every unsolved
+    variable x keeps a member whose leading monomial is a power x^k with
+    k <= q (its field polynomial, or a univariate member that reduced it
+    away), which substitution leaves alone. Interreduction removes every
+    other multiple of x^k, so only that member can hold an exponent >= q,
+    and then it is the field polynomial x^q - x itself.
     """
-    del queue  # rebuilt wholesale; old pairs reference the old basis
     inconsistent = False
     survivors = []
-    for g in basis.polys:
+    for g in basis:
         if is_field_polynomial(g) == a.variable:
             continue
         g2 = substitute(g, a.variable, a.value)
@@ -183,44 +184,12 @@ def renew(
             continue
         new_pending.append(p2)
 
-    new_basis = TemporaryBasis()
+    new_basis: list = []
     new_queue = PairQueue()
     if not inconsistent:
-        survivors = _renormalize(survivors, field_active)
-        for g in survivors:
+        for g in interreduce(survivors):
             update(new_basis, new_queue, g)
     return RenewResult(new_basis, new_pending, new_queue, inconsistent)
-
-
-def _renormalize(polys: list, field_active: bool) -> list:
-    """Interreduce, re-applying exponent folding until stable.
-
-    Reduction tails can transiently push per-variable exponents past q-1; the
-    field polynomials still in the set normally fold those right back, but if
-    one was itself reduced away we finish the job explicitly.
-    """
-    # every folding pass that changes anything strictly shrinks exponent mass,
-    # so this terminates; the guard is just a tripwire
-    budget = 2 + sum(p.ring.codec.degree(m) for p in polys for m, _ in p.terms)
-    for _ in range(budget):
-        polys = interreduce(polys)
-        if not field_active:
-            return polys
-        folded = []
-        changed = False
-        for p in polys:
-            if is_field_polynomial(p) is not None:
-                folded.append(p)
-                continue
-            p2 = field_reduce(p)
-            if p2 != p:
-                changed = True
-            if not p2.is_zero:
-                folded.append(p2.monic())
-        polys = folded
-        if not changed:
-            return polys
-    raise RenormalizationError("renormalization did not stabilize")
 
 
 def inconsistency_check(polys: Iterable[Polynomial]) -> bool:

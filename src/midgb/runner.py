@@ -1,12 +1,13 @@
 """The run state shared by all three engines, and the batch engines' run loop.
 
-A RunState owns the temporary basis, the pair queue, the solved-variable map
-and the trace; the engines supply a per-round step function. Middle solving
-runs through one method, ``RunState.screen``, in one of the paper's two
-modes: the batch engines screen every freshly reduced batch and, once the
-queue drains, the completed basis; the incremental engine screens only each
-completed intermediate basis. Everything here is deterministic: fixed
-iteration orders, no set iteration.
+A RunState owns the basis (a plain list in insertion order), the pair
+queue, the solved-variable map and the trace; the engines supply a
+per-round step function. Middle solving runs through one method,
+``RunState.screen``, in one of the paper's two modes: the batch engines
+screen every freshly reduced batch and, once the queue drains, the
+completed basis; the incremental engine screens only each completed
+intermediate basis. Everything here is deterministic: fixed iteration
+orders, no set iteration.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from .engine import (
     RoundTrace,
     SolveEvent,
     Status,
-    TemporaryBasis,
     PairQueue,
     adjoin_field_equations,
     degree_monitor,
     update,
-    update_no_criteria,
 )
 from .errors import ConflictingRootsError
 from .midsolve import (
@@ -43,7 +42,7 @@ class RunState:
         # the incremental mode screens completed bases only, never a batch
         self.batch_screening = self.screening and config.engine != "incremental"
         self.tracer = tracer
-        self.basis = TemporaryBasis()
+        self.basis: list = []
         self.queue = PairQueue()
         self.assignments: dict = {}
         self.events: list = []
@@ -51,7 +50,6 @@ class RunState:
         self.round_no = 0
         self.renewals = 0  # renews applied to the basis so far
         self.inconsistent = False
-        self._update = update if config.use_criteria else update_no_criteria
 
     # ------------------------------------------------------------ helpers
 
@@ -82,7 +80,7 @@ class RunState:
                 self.mark_inconsistent()
                 return False
             degree_monitor(f, self.ring, "stored", self.field_active)
-            self._update(self.basis, self.queue, f)
+            update(self.basis, self.queue, f)
         return True
 
     def mark_inconsistent(self):
@@ -124,7 +122,7 @@ class RunState:
             if self.inconsistent:
                 break
             self.emit(a)
-            res = renew(self.basis, pending, self.queue, a, self.ring, self.field_active)
+            res = renew(self.basis, pending, a)
             self.basis, pending, self.queue = res.basis, res.pending, res.queue
             self.renewals += 1
             if res.inconsistent:
@@ -149,18 +147,18 @@ class RunState:
         Returns the polynomial as stored, or None when it reduced away.
         """
         if reduced_at != self.renewals:
-            h = normal_form(h, self.basis.polys)
+            h = normal_form(h, self.basis)
             if h.is_zero:
                 return None
         h = self.canon(h)
         if h.is_zero:
             return None
         degree_monitor(h, self.ring, "stored", self.field_active)
-        self._update(self.basis, self.queue, h)
+        update(self.basis, self.queue, h)
         return h
 
     def post_round_checks(self):
-        if self.batch_screening and not self.inconsistent and inconsistency_check(self.basis.polys):
+        if self.batch_screening and not self.inconsistent and inconsistency_check(self.basis):
             self.mark_inconsistent()
 
     def record_round(self, tr: RoundTrace):
@@ -197,17 +195,13 @@ class RunState:
         left pairs to process.
         """
         while True:
-            reduced = interreduce(self.basis.polys)
-            self.basis = TemporaryBasis()
-            self.queue = PairQueue()
-            for g in reduced:
-                self.basis.add(g)
+            self.basis = interreduce(self.basis)
             if not self.screening:
                 return True
-            if inconsistency_check(reduced):
+            if inconsistency_check(self.basis):
                 self.mark_inconsistent()
                 return True
-            found, _ = self.screen(reduced, [])
+            found, _ = self.screen(self.basis, [])
             if not found or self.inconsistent:
                 return True
             if self.queue:
@@ -217,7 +211,7 @@ class RunState:
         if status is Status.INCONSISTENT:
             basis = [self.ring.one]
         else:  # interreduced by completion(), or the RoundLimit snapshot
-            basis = list(self.basis.polys)
+            basis = list(self.basis)
         report = EngineReport(
             status=status,
             basis=basis,

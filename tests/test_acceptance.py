@@ -32,6 +32,7 @@ from midgb import (
     solutions_from_report,
     triangular_shape_check,
 )
+from midgb import runner
 from midgb.cli import EXIT_ROUND_LIMIT, run_cli
 from midgb.runner import RunState
 
@@ -274,7 +275,7 @@ def test_candidates_inserted_unreduced_are_normal_forms(monkeypatch):
 
     def checked(state, h, reduced_at):
         if reduced_at == state.renewals:
-            assert normal_form(h, state.basis.polys) == h
+            assert normal_form(h, state.basis) == h
             skipped.append(h)
         return insert_new(state, h, reduced_at)
 
@@ -298,3 +299,27 @@ def test_split_elimination_equals_full_rref(split_checked):
             config = EngineConfig(ring=ring, engine=engine, middle_solving=ms)
             groebner_basis(polys, config)
     assert 2 in split_checked and max(split_checked) > 2
+
+
+def test_renew_leaves_nothing_to_fold(monkeypatch):
+    """With field equations adjoined, one interreduce after substitution
+    leaves no exponent >= q outside the field polynomials, so renew needs no
+    folding pass (see its docstring)."""
+    renew = runner.renew
+    checked = []
+
+    def spied(basis, pending, a):
+        res = renew(basis, pending, a)
+        for g in res.basis:
+            if is_field_polynomial(g) is None:
+                foldable = g.ring.codec.foldable
+                assert not any(foldable(m) for m, _ in g.terms), g
+        checked.append(len(res.basis))
+        return res
+
+    monkeypatch.setattr(runner, "renew", spied)
+    for _, text in CORPUS:
+        for engine, order in itertools.product(("f4", "incremental"), ("grevlex", "lex")):
+            ring, polys = parse_system(text, order=order)
+            groebner_basis(polys, EngineConfig(ring=ring, engine=engine))
+    assert any(checked)

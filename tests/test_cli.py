@@ -85,6 +85,14 @@ def test_missing_file_exit(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_field_equations_past_the_q_limit_exit(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("field 8589934609\nvars x y\nx*y + 1\nx + 2\n")
+    assert run_cli(["--input", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: field equations need q <= 65536")
+    assert run_cli(["--input", str(path), "--no-adjoin-field-eqs"]) == EXIT_OK
+
+
 def test_gen_without_n(capsys):
     assert run_cli(["--gen", "cyclic"]) == EXIT_ERROR
     assert "--gen requires --n" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from midgb import (
     PairQueue,
     PolyRing,
     Status,
-    TemporaryBasis,
+    TooLargeError,
     ZeroInputError,
     adjoin_field_equations,
     degree_monitor,
@@ -18,7 +18,6 @@ from midgb import (
     normal_form,
     symbolic_preprocess,
     update,
-    update_no_criteria,
 )
 
 
@@ -47,14 +46,14 @@ def test_pair_queue_selects_minimal_degree_first(ring):
     q.add(CriticalPair(0, 1, (2, 1, 0), 3))
     q.add(CriticalPair(0, 2, (1, 1, 0), 2))
     q.add(CriticalPair(1, 2, (0, 1, 1), 2))
-    one = q.select(ring, batch=False)
+    one = q.select(batch=False)
     assert len(one) == 1 and one[0].degree == 2
     # batch selection drains every remaining minimal-degree pair
-    rest = q.select(ring, batch=True)
+    rest = q.select(batch=True)
     assert [p.degree for p in rest] == [2]
-    assert q.select(ring, batch=True)[0].degree == 3
+    assert q.select(batch=True)[0].degree == 3
     with pytest.raises(EmptyQueueError):
-        q.select(ring, batch=False)
+        q.select(batch=False)
 
 
 def test_pair_queue_orders_ties_deterministically(ring):
@@ -63,30 +62,30 @@ def test_pair_queue_orders_ties_deterministically(ring):
     b = CriticalPair(0, 2, (1, 1, 0), 2)
     q.add(a)
     q.add(b)
-    got = q.select(ring, batch=True)
+    got = q.select(batch=True)
     assert got == [b, a]  # same degree and lcm: lower indices first
 
 
 def test_update_coprime_pair_is_dropped(ring):
-    basis, queue = TemporaryBasis(), PairQueue()
+    basis, queue = [], PairQueue()
     update(basis, queue, ring.poly({(2, 0, 0): 1, (0, 1, 0): 1}))  # x^2 + y
     update(basis, queue, ring.poly({(0, 0, 2): 1, (0, 1, 0): 1}))  # z^2 + y
     assert len(queue) == 0  # lcm x^2 z^2 with coprime leading monomials
 
 
 def test_update_generates_pair_for_sharing_monomials(ring):
-    basis, queue = TemporaryBasis(), PairQueue()
+    basis, queue = [], PairQueue()
     update(basis, queue, ring.poly({(2, 1, 0): 1}))  # x^2 y
     update(basis, queue, ring.poly({(1, 2, 0): 1}))  # x y^2
     assert len(queue) == 1
 
 
 def test_update_equal_lcm_class_keeps_one_new_pair(ring):
-    basis, queue = TemporaryBasis(), PairQueue()
+    basis, queue = [], PairQueue()
     update(basis, queue, ring.poly({(1, 1, 0): 1}))          # x y
     update(basis, queue, ring.poly({(0, 1, 1): 1}))          # y z
     update(basis, queue, ring.poly({(1, 1, 1): 1}))          # x y z
-    got = {(pr.left, pr.right) for pr in queue.select(ring, batch=True)}
+    got = {(pr.left, pr.right) for pr in queue.select(batch=True)}
     # new pairs (0,2) and (1,2) share lcm xyz: only the earliest partner
     # survives; the old pair (0,1) stays because lcm(xy, xyz) equals its lcm
     assert got == {(0, 1), (0, 2)}
@@ -94,28 +93,18 @@ def test_update_equal_lcm_class_keeps_one_new_pair(ring):
 
 def test_update_rejects_zero(ring):
     with pytest.raises(ZeroInputError):
-        update(TemporaryBasis(), PairQueue(), ring.zero)
-    with pytest.raises(ZeroInputError):
-        update_no_criteria(TemporaryBasis(), PairQueue(), ring.zero)
-
-
-def test_update_no_criteria_queues_everything(ring):
-    basis, queue = TemporaryBasis(), PairQueue()
-    update_no_criteria(basis, queue, ring.poly({(2, 0, 0): 1, (0, 1, 0): 1}))
-    update_no_criteria(basis, queue, ring.poly({(0, 0, 2): 1, (0, 1, 0): 1}))
-    assert len(queue) == 1  # even the coprime pair stays
+        update([], PairQueue(), ring.zero)
 
 
 def test_shared_leading_monomial_reduces_with_earlier_member(ring):
-    basis = TemporaryBasis()
     p1 = ring.poly({(1, 1, 0): 1, (0, 0, 1): 1})  # x*y + z
     p2 = ring.poly({(1, 1, 0): 1, (0, 1, 0): 1})  # x*y + y
-    basis.add(p1)
-    basis.add(p2)
-    assert len(basis) == 2
-    assert list(basis) == [p1, p2]
+    basis, queue = [], PairQueue()
+    assert update(basis, queue, p1) == 0
+    assert update(basis, queue, p2) == 1
+    assert basis == [p1, p2]
     xy = ring.poly({(1, 1, 0): 1})
-    assert str(normal_form(xy, basis.polys)) == "z"  # p1's tail, not p2's y
+    assert str(normal_form(xy, basis)) == "z"  # p1's tail, not p2's y
     # the reducer row symbolic preprocessing adds for the tail x*y is p1
     g1 = ring.poly({(2, 0, 0): 1, (1, 1, 0): 1})  # x^2 + x*y
     g2 = ring.poly({(2, 0, 0): 1, (0, 0, 1): 1})  # x^2 + z
@@ -167,6 +156,12 @@ def test_engine_config_validation(ring):
         EngineConfig(ring, max_rounds=0)
     cfg = EngineConfig(ring)
     assert cfg.engine == "f4" and cfg.middle_solving and cfg.adjoin_field_eqs
+    # field equations stop at q = 2^16; 65521 is the largest prime below it
+    EngineConfig(PolyRing(65521, ["x"], "grevlex"))
+    big = PolyRing(65537, ["x"], "grevlex")
+    with pytest.raises(TooLargeError):
+        EngineConfig(big)
+    EngineConfig(big, adjoin_field_eqs=False)
 
 
 def test_status_values():

@@ -11,17 +11,15 @@ from midgb import (
     EngineConfig,
     Status,
     OrderNotLexError,
+    TooLargeError,
     PairQueue,
     PolyRing,
-    RenormalizationError,
-    TemporaryBasis,
     f4_gb,
     find_unique_root_polys,
     inconsistency_check,
     renew,
     triangular_shape_check,
 )
-from midgb import midsolve
 from midgb.poly import univariate_roots
 
 
@@ -79,39 +77,39 @@ def test_same_value_twice_is_fine(r2):
 
 
 def test_renew_substitutes_and_drops_field_polynomial(r2):
-    basis, queue = TemporaryBasis(), PairQueue()
+    basis, queue = [], PairQueue()
     from midgb import update, field_polynomial
 
     x, y = r2.variable(0), r2.variable(1)
     for g in (x + r2.one, x * y + y, field_polynomial(r2, 0), field_polynomial(r2, 1)):
         update(basis, queue, g)
-    res = renew(basis, [], queue, Assignment(0, 1, 1), r2)
+    res = renew(basis, [], Assignment(0, 1, 1))
     assert not res.inconsistent
-    remaining = [str(p) for p in res.basis.polys]
+    remaining = [str(p) for p in res.basis]
     # x+1 -> 0, x*y+y -> 0 (y+y), x^2+x -> dropped as the solved field poly
     assert remaining == ["y^2 + y"]
 
 
 def test_renew_flags_nonzero_constant(r2):
-    basis, queue = TemporaryBasis(), PairQueue()
+    basis, queue = [], PairQueue()
     from midgb import update
 
     x = r2.variable(0)
     update(basis, queue, x + r2.one)
     update(basis, queue, x)
-    res = renew(basis, [], queue, Assignment(0, 1, 1), r2)
+    res = renew(basis, [], Assignment(0, 1, 1))
     assert res.inconsistent
-    assert res.basis.polys == []
+    assert res.basis == []
 
 
 def test_renew_substitutes_pending(r2):
-    basis, queue = TemporaryBasis(), PairQueue()
+    basis, queue = [], PairQueue()
     from midgb import update
 
     x, y = r2.variable(0), r2.variable(1)
     update(basis, queue, x + r2.one)
     pending = [x * y + x + y]
-    res = renew(basis, pending, queue, Assignment(0, 1, 2), r2)
+    res = renew(basis, pending, Assignment(0, 1, 2))
     # y + 1 + y = 1: the pending member becomes a nonzero constant
     assert res.inconsistent
     assert res.pending == []
@@ -147,14 +145,6 @@ def test_triangular_shape_requires_lex():
         triangular_shape_check([g.one], g)
 
 
-def test_renormalize_without_a_fixed_point_raises_typed_error(r3, monkeypatch):
-    # a fold that always changes its input never lets the loop settle
-    monkeypatch.setattr(midsolve, "field_reduce", lambda p: p.scale(2))
-    xy = r3.poly({(1, 1): 1})
-    with pytest.raises(RenormalizationError):
-        midsolve._renormalize([xy + r3.one], field_active=True)
-
-
 def test_middle_solving_with_a_prime_past_int64_returns_at_once():
     # screening used to evaluate all q field elements per univariate
     q = 8589934609
@@ -166,6 +156,18 @@ def test_middle_solving_with_a_prime_past_int64_returns_at_once():
     assert time.perf_counter() - start < 1.0
     assert rep.status is Status.ALL_VARIABLES_SOLVED
     assert rep.assignments == {0: q - 2, 1: (q + 1) // 2}
+
+
+def test_field_equations_with_a_prime_past_the_limit_fail_at_once():
+    # each pair that involves x^q - x costs O(q) reduction steps, so this
+    # system with field equations on used to run without end
+    q = 8589934609
+    ring = PolyRing(q, ["x", "y"], "grevlex")
+    x, y = ring.variable(0), ring.variable(1)
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError):
+        f4_gb([x * y + ring.one, x + ring.constant(2)], EngineConfig(ring))
+    assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=200, deadline=None)
