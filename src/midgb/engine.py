@@ -89,61 +89,48 @@ def update(basis: list, queue: PairQueue, h: Polynomial) -> int:
     Two members may share a leading monomial only when raw inputs collide;
     every reducer scan then picks the earlier one (list order).
 
-    Pair bookkeeping is the conservative Gebauer-Moller style:
-      * a new pair with coprime leading monomials is dropped (its S-polynomial
-        always reduces to zero), but still dominates other new pairs first;
-      * a new pair whose lcm is a proper multiple of another new pair's lcm is
-        dropped; among equal lcms only the earliest partner survives;
+    Pair bookkeeping is Gebauer-Moller style. With l_g = lcm(LM(g), LM(h))
+    computed once for each earlier member g:
+      * only minimal lcms pair: l_g is dropped when another l_f properly
+        divides it. In every admissible order a proper divisor comes before
+        its multiple, so the least lcm not yet dropped is minimal; the sweep
+        keeps it, drops its multiples and repeats, in O(k) per minimal lcm;
+      * among equal lcms only the earliest partner counts;
+      * a minimal lcm equal to LM(g)*LM(h) (coprime leading monomials)
+        dominates but never pairs: its S-polynomial reduces to zero;
       * an existing pair (f, g) is dropped when LM(h) divides lcm(f, g) and
-        lcm(f, h) != lcm(f, g) != lcm(g, h).
-
-    Returns h's basis index.
+        l_f != lcm(f, g) != l_g.
+    New pairs are queued in partner order. Returns h's basis index.
     """
     if h.is_zero:
         raise ZeroInputError("cannot insert the zero polynomial")
     codec = h.ring.codec
-    lcm, shift, guard = codec.lcm, codec.shift, codec.guard
+    lcm, divides, guard = codec.lcm, codec.divides, codec.guard
     lm_h = h.lm()
+    lcms = [lcm(g.lm(), lm_h) for g in basis]
     h_idx = len(basis)
     basis.append(h)
 
-    # (index, lcm, shift(lcm), coprime); l2 | l iff (l - shift(l2)) & guard == 0
-    cands = []
-    for g_idx in range(h_idx):
-        lm_g = basis[g_idx].lm()
-        l = lcm(lm_g, lm_h)
-        cands.append((g_idx, l, shift(l), codec.coprime(lm_g, lm_h)))
+    # each distinct lcm -> its first partner (zipped in reverse, so the
+    # earliest index is written last)
+    first = dict(zip(reversed(lcms), range(h_idx - 1, -1, -1)))
+    shift_h = codec.shift(lm_h)
+    partners = []
+    rest = sorted(first)
+    while rest:
+        l = rest[0]
+        g_idx = first[l]
+        if l - shift_h != basis[g_idx].lm():  # l / LM(h) != LM(g): not coprime
+            partners.append(g_idx)
+        # drop l and its multiples: m | x iff (x - shift(m)) & guard == 0
+        s = codec.shift(l)
+        rest = [x for x in rest if (x - s) & guard]
 
-    survivors = []
-    for i, (g_idx, l, _, coprime) in enumerate(cands):
-        if coprime:
-            continue  # dominates others below, but never becomes a pair itself
-        dominated = False
-        for j, (_, l2, s2, _) in enumerate(cands):
-            if j == i:
-                continue
-            if l2 == l:
-                if j < i:  # one representative per equal-lcm class
-                    dominated = True
-                    break
-            elif not (l - s2) & guard:
-                dominated = True
-                break
-        if not dominated:
-            survivors.append(CriticalPair(g_idx, h_idx, l, codec.degree(l)))
-
-    def keep_old(pr: CriticalPair) -> bool:
-        if not codec.divides(lm_h, pr.lcm):
-            return True
-        if lcm(basis[pr.left].lm(), lm_h) == pr.lcm:
-            return True
-        if lcm(basis[pr.right].lm(), lm_h) == pr.lcm:
-            return True
-        return False
-
-    queue.filter_inplace(keep_old)
-    for pr in survivors:
-        queue.add(pr)
+    queue.filter_inplace(
+        lambda pr: not divides(lm_h, pr.lcm) or pr.lcm in (lcms[pr.left], lcms[pr.right])
+    )
+    for g_idx in sorted(partners):
+        queue.add(CriticalPair(g_idx, h_idx, lcms[g_idx], codec.degree(lcms[g_idx])))
     return h_idx
 
 
@@ -234,6 +221,16 @@ class EngineConfig:
 
 @dataclass
 class EngineReport:
+    """The outcome of one run.
+
+    ``assignments``, solve events and the ``Inconsistent`` status speak only
+    of GF(q)-rational zeros: a variable is fixed when a univariate member has
+    exactly one root in GF(q). With field equations on, every zero is
+    GF(q)-rational. With them off, a system with no GF(q) zero may still end
+    as ``GroebnerBasis``, its zeros lying in an extension field, and a
+    variable fixed at its only rational value may take other values there.
+    """
+
     status: Status
     basis: list
     assignments: dict

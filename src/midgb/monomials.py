@@ -59,7 +59,7 @@ class MonomialCodec:
     __slots__ = (
         "n", "q", "order", "graded", "width", "limit", "one", "guard",
         "_sign", "_slot", "_dshift", "_units", "_pos", "_emask", "_eguard",
-        "_eones", "_sumshift", "_flip", "_at_one", "_at_q", "_vars",
+        "_eones", "_sumshift", "_flip", "_at_q", "_vars",
     )
 
     def __init__(self, n: int, q: int, order: str):
@@ -91,7 +91,6 @@ class MonomialCodec:
         # x * _eones at this shift holds their sum
         self._sumshift = self._pos[0] + self._pos[-1]
         self._flip = 0 if lex else self._eguard
-        self._at_one = self._at_least(1)
         self._at_q = self._at_least(q)
         self._vars = {self.one + u: i for i, u in enumerate(self._units)}
 
@@ -192,11 +191,6 @@ class MonomialCodec:
                 f"this ring's limit {self.limit}"
             )
         return x + (d << self._dshift)
-
-    def coprime(self, a: int, b: int) -> bool:
-        """True iff no variable occurs in both (lcm(a, b) == a*b)."""
-        g, f, t = self._eguard, self._flip, self._at_one
-        return not (((a + t) & g) ^ f) & (((b + t) & g) ^ f)
 
     def support(self, m: int) -> int:
         """Bitmask of the variables occurring in m: bit i is x_i."""

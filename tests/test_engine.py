@@ -1,5 +1,7 @@
 """Pair queue, update criteria, degree monitor, and config validation."""
 
+import random
+
 import pytest
 
 from midgb import (
@@ -89,6 +91,89 @@ def test_update_equal_lcm_class_keeps_one_new_pair(ring):
     # new pairs (0,2) and (1,2) share lcm xyz: only the earliest partner
     # survives; the old pair (0,1) stays because lcm(xy, xyz) equals its lcm
     assert got == {(0, 1), (0, 2)}
+
+
+def reference_update(basis: list, queue: PairQueue, h) -> int:
+    """The former update, which tests every candidate lcm against every
+    other, kept as the reference. Coprimality is decided on exponent tuples."""
+    if h.is_zero:
+        raise ZeroInputError("cannot insert the zero polynomial")
+    codec = h.ring.codec
+    lcm, shift, guard = codec.lcm, codec.shift, codec.guard
+    lm_h = h.lm()
+    h_idx = len(basis)
+    basis.append(h)
+
+    # (index, lcm, shift(lcm), coprime); l2 | l iff (l - shift(l2)) & guard == 0
+    cands = []
+    for g_idx in range(h_idx):
+        lm_g = basis[g_idx].lm()
+        l = lcm(lm_g, lm_h)
+        coprime = not any(a and b for a, b in zip(codec.exponents(lm_g), codec.exponents(lm_h)))
+        cands.append((g_idx, l, shift(l), coprime))
+
+    survivors = []
+    for i, (g_idx, l, _, coprime) in enumerate(cands):
+        if coprime:
+            continue  # dominates others below, but never becomes a pair itself
+        dominated = False
+        for j, (_, l2, s2, _) in enumerate(cands):
+            if j == i:
+                continue
+            if l2 == l:
+                if j < i:  # one representative per equal-lcm class
+                    dominated = True
+                    break
+            elif not (l - s2) & guard:
+                dominated = True
+                break
+        if not dominated:
+            survivors.append(CriticalPair(g_idx, h_idx, l, codec.degree(l)))
+
+    def keep_old(pr: CriticalPair) -> bool:
+        if not codec.divides(lm_h, pr.lcm):
+            return True
+        if lcm(basis[pr.left].lm(), lm_h) == pr.lcm:
+            return True
+        if lcm(basis[pr.right].lm(), lm_h) == pr.lcm:
+            return True
+        return False
+
+    queue.filter_inplace(keep_old)
+    for pr in survivors:
+        queue.add(pr)
+    return h_idx
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_update_matches_quadratic_reference(q, order):
+    """Random leading-monomial streams, with repeated heads, the unit monomial
+    and x^q heads; pairs are drained now and then as a run would."""
+    ring = PolyRing(q, ["x", "y", "z", "w"], order)
+    rng = random.Random(q * 10 + len(order))
+    for _ in range(6):
+        got_basis, got_queue = [], PairQueue()
+        ref_basis, ref_queue = [], PairQueue()
+        heads = []
+        for _ in range(45):
+            roll = rng.random()
+            if heads and roll < 0.15:
+                exps = rng.choice(heads)
+            elif roll < 0.2:
+                exps = (0, 0, 0, 0)
+            elif roll < 0.3:
+                v = rng.randrange(4)
+                exps = tuple(q if i == v else 0 for i in range(4))
+            else:
+                exps = tuple(rng.choice((0, 0, 1, 1, 2, q)) for _ in range(4))
+            heads.append(exps)
+            h = ring.poly({exps: 1})
+            assert update(got_basis, got_queue, h) == reference_update(ref_basis, ref_queue, h)
+            assert got_queue.pairs == ref_queue.pairs
+            if got_queue and rng.random() < 0.2:
+                batch = rng.random() < 0.5
+                assert got_queue.select(batch) == ref_queue.select(batch)
 
 
 def test_update_rejects_zero(ring):

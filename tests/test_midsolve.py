@@ -16,6 +16,7 @@ from midgb import (
     PolyRing,
     f4_gb,
     find_unique_root_polys,
+    groebner_basis,
     inconsistency_check,
     renew,
     triangular_shape_check,
@@ -168,6 +169,25 @@ def test_field_equations_with_a_prime_past_the_limit_fail_at_once():
     with pytest.raises(TooLargeError):
         f4_gb([x * y + ring.one, x + ring.constant(2)], EngineConfig(ring))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("engine", ["f4", "buchberger", "incremental"])
+def test_without_field_equations_answers_speak_of_rational_zeros_only(engine):
+    # x^3 + 1, xy + y + 1 over GF(2) has no GF(2) zero, but GF(4) zeros
+    # (x = y = w and x = y = w^2, w^2 + w + 1 = 0). f4 and buchberger return
+    # a basis of the ideal itself; incremental screens x^3 + 1 on its own,
+    # fixes its only GF(2) root x = 1, and then reaches 1 = 0.
+    ring = PolyRing(2, ["x", "y"], "grevlex")
+    x, y = ring.variable(0), ring.variable(1)
+    rep = groebner_basis([x * x * x + ring.one, x * y + y + ring.one],
+                         EngineConfig(ring, engine=engine, adjoin_field_eqs=False))
+    if engine == "incremental":
+        assert rep.status is Status.INCONSISTENT
+        assert rep.assignments == {0: 1}
+    else:
+        assert rep.status is Status.GROEBNER_BASIS
+        assert [str(p) for p in rep.basis] == ["x + y", "y^2 + y + 1"]
+        assert rep.assignments == {}
 
 
 @settings(max_examples=200, deadline=None)

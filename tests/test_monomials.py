@@ -49,12 +49,6 @@ def test_mul_lcm_div_basics():
     assert c.pack((0, 0, 0)) == c.one
 
 
-def test_coprime():
-    c = codec()
-    assert c.coprime(c.pack((2, 0, 0)), c.pack((0, 3, 1)))
-    assert not c.coprime(c.pack((2, 1, 0)), c.pack((0, 3, 0)))
-
-
 def test_length_mismatch_raises():
     with pytest.raises(ValueError):
         codec().pack((1, 0))
@@ -212,7 +206,6 @@ def test_packed_ops_match_tuple_arithmetic(case):
     lcm = tuple(map(max, a, b))
     if sum(lcm) <= k.limit:
         assert k.exponents(k.lcm(pa, pb)) == lcm
-    assert k.coprime(pa, pb) == all(x == 0 or y == 0 for x, y in zip(a, b))
 
     folded = tuple(e if e < q else (e - 1) % (q - 1) + 1 for e in a)
     assert k.fold(pa) == k.pack(folded)
