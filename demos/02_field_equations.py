@@ -10,9 +10,9 @@ from midgb import (
     EngineConfig,
     PolyRing,
     adjoin_field_equations,
-    f4_gb,
     field_polynomial,
     field_reduce,
+    groebner_basis,
 )
 
 ring = PolyRing(3, ["x", "y"], "grevlex")
@@ -41,7 +41,7 @@ for f in adjoined:
     print("  ", f)
 
 print()
-rep = f4_gb(system, EngineConfig(ring, middle_solving=False))
+rep = groebner_basis(system, EngineConfig(ring, middle_solving=False))
 cap = ring.n * (ring.q - 1)
 print(f"basis of (x*y + 2) plus field equations, degree cap {cap}:")
 for g in rep.basis:

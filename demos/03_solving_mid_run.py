@@ -9,15 +9,15 @@ so even a run that is killed early has already leaked partial solutions.
 import os
 import tempfile
 
-from midgb import BenchSpec, EngineConfig, f4_gb, gen_system, read_trace
+from midgb import BenchSpec, EngineConfig, gen_system, groebner_basis, read_trace
 
 ring, system = gen_system(BenchSpec("eco", 12))  # GF(2), grevlex
 
-plain = f4_gb(system, EngineConfig(ring, middle_solving=False))
+plain = groebner_basis(system, EngineConfig(ring, middle_solving=False))
 print(f"plain F4 on eco-12: status {plain.status.value}, "
       f"{plain.total_rounds} rounds, basis size {len(plain.basis)}")
 
-solving = f4_gb(system, EngineConfig(ring))
+solving = groebner_basis(system, EngineConfig(ring))
 print(f"with solving on:   status {solving.status.value}, "
       f"{solving.total_rounds} rounds")
 for ev in solving.events:
@@ -31,7 +31,7 @@ print(f"first variable pinned at round {first}, "
 # event, so whatever was solved before the cap is already on disk.
 fd, path = tempfile.mkstemp(suffix=".trace")
 os.close(fd)
-capped = f4_gb(system, EngineConfig(ring, max_rounds=first, trace_path=path))
+capped = groebner_basis(system, EngineConfig(ring, max_rounds=first, trace_path=path))
 print()
 print(f"re-run capped at {first} round(s): status {capped.status.value}")
 print("trace lines recovered from disk:")

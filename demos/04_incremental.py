@@ -14,21 +14,20 @@ from midgb import (
     EngineConfig,
     PolyRing,
     Status,
-    f4_gb,
     gen_system,
-    incremental_gb,
+    groebner_basis,
     interreduce,
 )
 
 ring, system = gen_system(BenchSpec("eco", 6))
 
-inc = incremental_gb(system, EngineConfig(ring, engine="incremental"))
+inc = groebner_basis(system, EngineConfig(ring, engine="incremental"))
 print(f"eco-6, one input per round: {inc.total_rounds} rounds, "
       f"status {inc.status.value}")
 for ev in inc.events:
     print(f"   round {ev.round}: {ring.names[ev.variable]} = {ev.value}")
 
-full = f4_gb(system, EngineConfig(ring))
+full = groebner_basis(system, EngineConfig(ring))
 print()
 print("same final answer as a whole-system F4 run:")
 print("   status match:", inc.status is full.status)
@@ -40,7 +39,7 @@ r2 = PolyRing(2, ["x", "y", "z"], "grevlex")
 x, y = r2.variable(0), r2.variable(1)
 one = r2.one
 contradictory = [x + one, x, y, y + one]  # inputs 1 and 2 already clash
-rep = incremental_gb(contradictory, EngineConfig(r2, engine="incremental"))
+rep = groebner_basis(contradictory, EngineConfig(r2, engine="incremental"))
 print()
 print("inputs [x + 1, x, y, y + 1]:", rep.status.value,
       f"after {rep.total_rounds} rounds")

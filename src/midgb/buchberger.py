@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .engine import EngineConfig, EngineReport, RoundTrace, degree_monitor
 from .poly import normal_form, s_polynomial
-from .runner import RunState, prepare_inputs, run_rounds
+from .runner import RunState, run_rounds
 from .trace import TraceWriter
 
 
@@ -46,16 +46,5 @@ def buchberger_round(state: RunState) -> RoundTrace:
 
 
 def buchberger_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:
-    """Run the pair engine on already-prepared inputs (no adjoining here)."""
-    state = RunState(config, tracer)
-    state.ingest_inputs(polys)
-    return run_rounds(state, buchberger_round)
-
-
-def buchberger_gb(polys, config: EngineConfig) -> EngineReport:
-    """Compute a Groebner basis with the pair-at-a-time engine."""
-    if config.engine != "buchberger":
-        raise ValueError(f"config names engine {config.engine!r}, not 'buchberger'")
-    prepared = prepare_inputs(polys, config)
-    with TraceWriter(config.trace_path) as tracer:
-        return buchberger_core(prepared, config, tracer)
+    """The pair engine: ``run_rounds`` with one critical pair per round."""
+    return run_rounds(RunState(config, tracer), polys, buchberger_round)

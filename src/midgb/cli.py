@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .api import groebner_basis
+from .api import ENGINES, groebner_basis
 from .bench import BenchSpec, brute_force_solutions, gen_system, solutions_from_report
 from .engine import EngineConfig, Status
 from .errors import MidgbError, TooLargeError
@@ -48,9 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="field size (default 2 for --gen; must match the file header for --input)",
     )
-    ap.add_argument(
-        "--engine", choices=("buchberger", "f4", "incremental"), default="f4"
-    )
+    ap.add_argument("--engine", choices=tuple(ENGINES), default="f4")
     ap.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
     ap.add_argument(
         "--middle-solving",

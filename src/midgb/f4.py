@@ -18,7 +18,7 @@ import numpy as np
 from .engine import EngineConfig, EngineReport, RoundTrace, degree_monitor
 from .errors import EmptyBatchError
 from .poly import Polynomial, PolyRing, field_term_mul
-from .runner import RunState, prepare_inputs, run_rounds
+from .runner import RunState, run_rounds
 from .trace import TraceWriter
 
 
@@ -312,16 +312,5 @@ def f4_round(state: RunState) -> RoundTrace:
 
 
 def f4_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:
-    """Run the matrix engine on already-prepared inputs (no adjoining here)."""
-    state = RunState(config, tracer)
-    state.ingest_inputs(polys)
-    return run_rounds(state, f4_round)
-
-
-def f4_gb(polys, config: EngineConfig) -> EngineReport:
-    """Compute a Groebner basis with the matrix-batch engine."""
-    if config.engine != "f4":
-        raise ValueError(f"config names engine {config.engine!r}, not 'f4'")
-    prepared = prepare_inputs(polys, config)
-    with TraceWriter(config.trace_path) as tracer:
-        return f4_core(prepared, config, tracer)
+    """The matrix engine: ``run_rounds`` with one F4 batch per round."""
+    return run_rounds(RunState(config, tracer), polys, f4_round)

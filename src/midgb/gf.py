@@ -36,34 +36,10 @@ class PrimeField:
             raise NonPrimeFieldError(f"field size must be a prime integer, got {q!r}")
         self.q = q
 
-    def normalize(self, a: int) -> int:
-        return a % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
     def inv(self, a: int) -> int:
         if a % self.q == 0:
             raise ZeroInverseError(f"0 has no inverse in GF({self.q})")
         return pow(a, -1, self.q)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a % self.q, e, self.q)
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.q == self.q

@@ -33,39 +33,32 @@ def _complete(state: RunState) -> None:
             return
 
 
-def incremental_gb(polys, config: EngineConfig) -> EngineReport:
-    """Compute a Groebner basis one input polynomial at a time."""
-    if config.engine != "incremental":
-        raise ValueError(f"config names engine {config.engine!r}, not 'incremental'")
-    inputs = list(polys)
-    if config.reverse_inputs:
-        inputs = inputs[::-1]
+def incremental_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:
+    """The incremental engine: field equations first, then one input per round."""
+    state = RunState(config, tracer)
+    if config.adjoin_field_eqs:
+        # a reduced basis all by themselves; completion only sorts them
+        state.ingest_inputs(adjoin_field_equations([], config.ring))
+        _complete(state)
 
-    with TraceWriter(config.trace_path) as tracer:
-        state = RunState(config, tracer)
-        if config.adjoin_field_eqs:
-            # a reduced basis all by themselves; completion only sorts them
-            state.ingest_inputs(adjoin_field_equations([], config.ring))
+    for i, f in enumerate(polys, start=1):
+        if state.inconsistent:
+            break
+        if config.max_rounds is not None and i > config.max_rounds:
+            return state.finish(Status.ROUND_LIMIT)
+        state.round_no = i
+        before = list(state.basis)
+        for var, val in state.assignments.items():
+            f = substitute(f, var, val)
+        if state.ingest_inputs([normal_form(f, state.basis)]):
             _complete(state)
 
-        for i, f in enumerate(inputs, start=1):
-            if state.inconsistent:
-                break
-            if config.max_rounds is not None and i > config.max_rounds:
-                return state.finish(Status.ROUND_LIMIT)
-            state.round_no = i
-            before = list(state.basis)
-            for var, val in state.assignments.items():
-                f = substitute(f, var, val)
-            if state.ingest_inputs([normal_form(f, state.basis)]):
-                _complete(state)
-
-            fresh = [p for p in state.basis if p not in before]
-            state.record_round(
-                RoundTrace(
-                    round=i,
-                    new_polys=len(fresh),
-                    max_poly_degree=max((p.degree() for p in fresh), default=0),
-                )
+        fresh = [p for p in state.basis if p not in before]
+        state.record_round(
+            RoundTrace(
+                round=i,
+                new_polys=len(fresh),
+                max_poly_degree=max((p.degree() for p in fresh), default=0),
             )
-        return state.finish(state.outcome() or Status.GROEBNER_BASIS)
+        )
+    return state.finish(state.outcome() or Status.GROEBNER_BASIS)

@@ -9,7 +9,7 @@ killed run), substitute it everywhere, and keep going on the smaller system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .engine import PairQueue, update
 from .errors import ConflictingRootsError, OrderNotLexError
@@ -107,11 +107,13 @@ def _unique_root(p: Polynomial, var: int):
     return -g[0] % q
 
 
-def find_unique_root_polys(batch: Iterable[Polynomial], ring: PolyRing, round_no: int = 0):
-    """Scan a batch for univariate members with exactly one root.
+def find_unique_root_polys(batch: Iterable[Polynomial], round_no: int = 0):
+    """Scan a batch for univariate members with exactly one root in GF(q).
 
-    Polynomials with zero roots or two-plus roots are skipped (zero-root
-    members surface later through the constant-inconsistency path). Two batch
+    Polynomials with zero roots or two-plus roots are skipped. With field
+    equations on, a member with no root in GF(q) later reduces the basis to
+    a constant, which the inconsistency check catches; with them off it may
+    stay in the basis, and the run ends without speaking of it. Two batch
     members forcing different values onto one variable is a contradiction and
     raises ConflictingRootsError.
     """

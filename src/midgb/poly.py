@@ -96,9 +96,6 @@ class PolyRing:
             acc[m] = (acc.get(m, 0) + coeff) % q
         return _canonical(self, acc)
 
-    def term(self, coeff: int, mono) -> "Polynomial":
-        return self.poly([(mono, coeff)])
-
     def monomial_str(self, mono) -> str:
         parts = []
         for name, e in zip(self.names, self.codec.exponents(mono)):
@@ -159,11 +156,6 @@ class Polynomial:
         if not self.terms:
             raise ZeroInputError("zero polynomial has no leading coefficient")
         return self.terms[0][1]
-
-    def lt(self):
-        if not self.terms:
-            raise ZeroInputError("zero polynomial has no leading term")
-        return self.terms[0]
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

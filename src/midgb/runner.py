@@ -114,7 +114,7 @@ class RunState:
         the renewed ``pending``.
         """
         try:
-            found = find_unique_root_polys(source, self.ring, self.round_no)
+            found = find_unique_root_polys(source, self.round_no)
         except ConflictingRootsError:
             self.mark_inconsistent()
             return True, []
@@ -234,8 +234,15 @@ class RunState:
         return report
 
 
-def run_rounds(state: RunState, round_fn) -> EngineReport:
-    """Drive a RunState to termination with the engine-specific round step."""
+def run_rounds(state: RunState, polys, round_fn) -> EngineReport:
+    """Run a batch engine to termination on its inputs.
+
+    Adjoins the field equations when they are on, ingests the inputs, then
+    calls ``round_fn`` once per round until the run reaches a status.
+    """
+    if state.field_active:
+        polys = adjoin_field_equations(polys, state.ring)
+    state.ingest_inputs(polys)
     max_rounds = state.config.max_rounds
     while state.outcome() is None:
         # completion() is False only when its screen left pairs to process
@@ -246,13 +253,3 @@ def run_rounds(state: RunState, round_fn) -> EngineReport:
         state.round_no += 1
         state.record_round(round_fn(state))
     return state.finish(state.outcome() or Status.GROEBNER_BASIS)
-
-
-def prepare_inputs(polys, config: EngineConfig):
-    """Apply the input-order and field-equation configuration."""
-    polys = list(polys)
-    if config.reverse_inputs:
-        polys = polys[::-1]
-    if config.adjoin_field_eqs:
-        polys = adjoin_field_equations(polys, config.ring)
-    return polys

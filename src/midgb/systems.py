@@ -16,7 +16,7 @@ precedence: the first name is greatest.
 from __future__ import annotations
 
 from .errors import NonPrimeFieldError, ParseError
-from .poly import Polynomial, PolyRing
+from .poly import PolyRing
 
 
 def _tokenize(line: str, line_no: int) -> list:
@@ -158,14 +158,9 @@ def parse_system(text: str, order: str = "grevlex"):
     return ring, polys
 
 
-def format_polynomial(p: Polynomial) -> str:
-    """Round-trippable text form (same syntax parse_system reads)."""
-    return str(p)
-
-
 def format_system(ring: PolyRing, polys) -> str:
     lines = [f"field {ring.q}", "vars " + " ".join(ring.names)]
-    lines.extend(format_polynomial(p) for p in polys)
+    lines.extend(str(p) for p in polys)
     return "\n".join(lines) + "\n"
 
 

@@ -14,27 +14,26 @@ import pytest
 
 from midgb import (
     BenchSpec,
-    BoundViolationError,
     EngineConfig,
     PolyRing,
     Status,
     brute_force_solutions,
-    format_system,
     gen_system,
     groebner_basis,
     interreduce,
-    is_field_polynomial,
     normal_form,
-    parse_system,
-    random_system,
     read_trace,
     s_polynomial,
     solutions_from_report,
-    triangular_shape_check,
 )
 from midgb import runner
+from midgb.bench import random_system
 from midgb.cli import EXIT_ROUND_LIMIT, run_cli
+from midgb.errors import BoundViolationError
+from midgb.midsolve import triangular_shape_check
+from midgb.poly import is_field_polynomial
 from midgb.runner import RunState
+from midgb.systems import format_system, parse_system
 
 
 # ---------------------------------------------------------------- corpus

@@ -8,18 +8,16 @@ import pytest
 from midgb import (
     BenchSpec,
     EngineConfig,
-    InvalidSizeError,
-    OrderNotLexError,
     PolyRing,
     Status,
     TooLargeError,
     brute_force_solutions,
-    f4_gb,
     gen_system,
-    random_system,
-    solutions_from_lex_basis,
+    groebner_basis,
     solutions_from_report,
 )
+from midgb.bench import random_system, solutions_from_lex_basis
+from midgb.errors import InvalidSizeError, OrderNotLexError
 
 
 def test_cyclic_3():
@@ -141,7 +139,7 @@ def test_lex_reader_requires_lex():
 def test_solutions_from_report_inconsistent_is_empty():
     ring = PolyRing(2, ["x"], "lex")
     x = ring.variable(0)
-    rep = f4_gb([x, x + ring.one], EngineConfig(ring))
+    rep = groebner_basis([x, x + ring.one], EngineConfig(ring))
     assert rep.status is Status.INCONSISTENT
     assert solutions_from_report(rep, ring) == set()
 
@@ -149,7 +147,7 @@ def test_solutions_from_report_inconsistent_is_empty():
 def test_solutions_from_report_all_solved():
     ring = PolyRing(2, ["x", "y"], "lex")
     x, y = ring.variable(0), ring.variable(1)
-    rep = f4_gb([x + ring.one, x + y], EngineConfig(ring))
+    rep = groebner_basis([x + ring.one, x + y], EngineConfig(ring))
     assert rep.status is Status.ALL_VARIABLES_SOLVED
     assert solutions_from_report(rep, ring) == {(1, 1)}
 
@@ -157,5 +155,5 @@ def test_solutions_from_report_all_solved():
 @pytest.mark.parametrize("fam,n", [("cyclic", 4), ("eco", 4), ("katsura", 3)])
 def test_oracle_agrees_on_benchmarks(fam, n):
     ring, F = gen_system(BenchSpec(fam, n), order="lex")
-    rep = f4_gb(F, EngineConfig(ring))
+    rep = groebner_basis(F, EngineConfig(ring))
     assert solutions_from_report(rep, ring) == brute_force_solutions(F, ring)

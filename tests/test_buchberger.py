@@ -8,13 +8,12 @@ from midgb import (
     EngineConfig,
     PolyRing,
     Status,
-    buchberger_gb,
     groebner_basis,
     interreduce,
     normal_form,
-    random_system,
     s_polynomial,
 )
+from midgb.bench import random_system
 
 
 def spoly_test(basis):
@@ -31,14 +30,14 @@ def test_two_generators_lex():
     F = [ring.poly({(1, 0): 1, (0, 1): 1}), ring.poly({(0, 2): 1, (0, 1): 1})]
     cfg = EngineConfig(ring, engine="buchberger", middle_solving=False,
                        adjoin_field_eqs=False)
-    rep = buchberger_gb(F, cfg)
+    rep = groebner_basis(F, cfg)
     assert rep.status is Status.GROEBNER_BASIS
     assert [str(p) for p in rep.basis] == ["y^2 + y", "x + y"]
 
 
 def test_empty_input_yields_field_equations():
     ring = PolyRing(2, ["x"], "lex")
-    rep = buchberger_gb([], EngineConfig(ring, engine="buchberger"))
+    rep = groebner_basis([], EngineConfig(ring, engine="buchberger"))
     assert rep.status is Status.GROEBNER_BASIS
     assert [str(p) for p in rep.basis] == ["x^2 + x"]
 
@@ -47,12 +46,12 @@ def test_contradictory_generators():
     ring = PolyRing(2, ["x"], "lex")
     x = ring.variable(0)
     cfg = EngineConfig(ring, engine="buchberger", middle_solving=False)
-    rep = buchberger_gb([x, x + ring.one], cfg)
+    rep = groebner_basis([x, x + ring.one], cfg)
     assert rep.status is Status.GROEBNER_BASIS
     assert [str(p) for p in rep.basis] == ["1"]
 
     cfg_ms = EngineConfig(ring, engine="buchberger", middle_solving=True)
-    rep_ms = buchberger_gb([x, x + ring.one], cfg_ms)
+    rep_ms = groebner_basis([x, x + ring.one], cfg_ms)
     assert rep_ms.status is Status.INCONSISTENT
     assert [str(p) for p in rep_ms.basis] == ["1"]
 
@@ -60,8 +59,8 @@ def test_contradictory_generators():
 def test_middle_solving_emits_events():
     ring = PolyRing(2, ["x", "y"], "grevlex")
     x, y = ring.variable(0), ring.variable(1)
-    rep = buchberger_gb([x + ring.one, x + y],
-                        EngineConfig(ring, engine="buchberger"))
+    rep = groebner_basis([x + ring.one, x + y],
+                         EngineConfig(ring, engine="buchberger"))
     assert rep.status is Status.ALL_VARIABLES_SOLVED
     assert rep.assignments == {0: 1, 1: 1}
 
@@ -71,16 +70,10 @@ def test_round_limit_snapshot():
     F = random_system(ring, 4, 3, random.Random(7))
     cfg = EngineConfig(ring, engine="buchberger", middle_solving=False,
                        max_rounds=2)
-    rep = buchberger_gb(F, cfg)
+    rep = groebner_basis(F, cfg)
     assert rep.status is Status.ROUND_LIMIT
     assert rep.total_rounds == 2
     assert rep.basis  # honest snapshot, not emptied
-
-
-def test_engine_mismatch_rejected():
-    ring = PolyRing(2, ["x"], "lex")
-    with pytest.raises(ValueError):
-        buchberger_gb([], EngineConfig(ring, engine="f4"))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 5, 11])
@@ -89,7 +82,7 @@ def test_output_is_a_groebner_basis(seed):
     ring = PolyRing(q, ["x1", "x2", "x3"], "grevlex")
     F = random_system(ring, 4, 3, random.Random(seed))
     cfg = EngineConfig(ring, engine="buchberger", middle_solving=False)
-    rep = buchberger_gb(F, cfg)
+    rep = groebner_basis(F, cfg)
     assert rep.status is Status.GROEBNER_BASIS
     assert spoly_test(rep.basis)
     for f in F:

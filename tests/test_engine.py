@@ -5,22 +5,17 @@ import random
 import pytest
 
 from midgb import (
-    BoundViolationError,
-    CriticalPair,
-    EmptyQueueError,
     EngineConfig,
-    PairQueue,
     PolyRing,
     Status,
     TooLargeError,
-    ZeroInputError,
     adjoin_field_equations,
-    degree_monitor,
     field_polynomial,
     normal_form,
-    symbolic_preprocess,
-    update,
 )
+from midgb.engine import CriticalPair, PairQueue, degree_monitor, update
+from midgb.errors import BoundViolationError, EmptyQueueError, ZeroInputError
+from midgb.f4 import symbolic_preprocess
 
 
 @pytest.fixture

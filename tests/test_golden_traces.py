@@ -14,14 +14,8 @@ import random
 
 import pytest
 
-from midgb import (
-    BenchSpec,
-    EngineConfig,
-    PolyRing,
-    gen_system,
-    groebner_basis,
-    random_system,
-)
+from midgb import BenchSpec, EngineConfig, PolyRing, gen_system, groebner_basis
+from midgb.bench import random_system
 
 
 def planted_mq(n, seed):

@@ -4,23 +4,16 @@ import random
 
 import pytest
 
-from midgb import (
-    EngineConfig,
-    PolyRing,
-    Status,
-    groebner_basis,
-    incremental_gb,
-    interreduce,
-    random_system,
-    runner,
-)
+from midgb import EngineConfig, PolyRing, Status, groebner_basis, interreduce
+from midgb import runner
+from midgb.bench import random_system
 from midgb.engine import update
 
 
 def test_solves_early_inputs_before_reading_later_ones():
     ring = PolyRing(2, ["x", "y"], "grevlex")
     x, y = ring.variable(0), ring.variable(1)
-    rep = incremental_gb([x + ring.one, x + y],
+    rep = groebner_basis([x + ring.one, x + y],
                          EngineConfig(ring, engine="incremental"))
     assert rep.status is Status.ALL_VARIABLES_SOLVED
     # x falls out of round 1 alone; y needs the second input
@@ -32,7 +25,7 @@ def test_solves_early_inputs_before_reading_later_ones():
 def test_later_input_contradicts_leaked_assignment():
     ring = PolyRing(2, ["x"], "grevlex")
     x = ring.variable(0)
-    rep = incremental_gb([x + ring.one, x],
+    rep = groebner_basis([x + ring.one, x],
                          EngineConfig(ring, engine="incremental"))
     assert rep.status is Status.INCONSISTENT
     # the x=1 event emitted in round 1 survives in the report
@@ -43,7 +36,7 @@ def test_later_input_contradicts_leaked_assignment():
 def test_round_trace_counts_inputs():
     ring = PolyRing(2, ["x", "y"], "grevlex")
     x, y = ring.variable(0), ring.variable(1)
-    rep = incremental_gb([x * y + x, y],
+    rep = groebner_basis([x * y + x, y],
                          EngineConfig(ring, engine="incremental",
                                       middle_solving=False))
     assert [tr.round for tr in rep.rounds] == [1, 2]
@@ -54,7 +47,7 @@ def test_round_trace_counts_inputs():
 def test_solved_total_in_round_trace():
     ring = PolyRing(2, ["x", "y"], "grevlex")
     x, y = ring.variable(0), ring.variable(1)
-    rep = incremental_gb([x + ring.one, y],
+    rep = groebner_basis([x + ring.one, y],
                          EngineConfig(ring, engine="incremental"))
     assert [tr.solved_total for tr in rep.rounds] == [1, 2]
 
@@ -64,7 +57,7 @@ def test_round_limit_counts_inputs():
     F = random_system(ring, 5, 2, random.Random(3))
     cfg = EngineConfig(ring, engine="incremental", middle_solving=False,
                        max_rounds=2)
-    rep = incremental_gb(F, cfg)
+    rep = groebner_basis(F, cfg)
     assert rep.status is Status.ROUND_LIMIT
     assert rep.total_rounds == 2
 
@@ -80,18 +73,12 @@ def test_inputs_extend_one_persistent_basis(monkeypatch):
         return update(basis, queue, h)
 
     monkeypatch.setattr(runner, "update", spy)
-    rep = incremental_gb([x * y + z, y * z + x, x * z + y],
+    rep = groebner_basis([x * y + z, y * z + x, x * z + y],
                          EngineConfig(ring, engine="incremental",
                                       middle_solving=False))
     assert rep.total_rounds == 3
     assert all(tr.new_polys for tr in rep.rounds)
     assert len(inserted) == len(set(inserted))
-
-
-def test_engine_mismatch_rejected():
-    ring = PolyRing(2, ["x"], "lex")
-    with pytest.raises(ValueError):
-        incremental_gb([], EngineConfig(ring, engine="f4"))
 
 
 @pytest.mark.parametrize("batch", ["f4", "buchberger"])
@@ -100,7 +87,7 @@ def test_matches_batch_engine(batch, seed):
     q = 3 if seed == 9 else 2
     ring = PolyRing(q, ["x1", "x2", "x3", "x4"], "grevlex")
     F = random_system(ring, 5, 3, random.Random(seed))
-    rep_inc = incremental_gb(F, EngineConfig(ring, engine="incremental"))
+    rep_inc = groebner_basis(F, EngineConfig(ring, engine="incremental"))
     rep_batch = groebner_basis(F, EngineConfig(ring, engine=batch))
     assert rep_inc.status is rep_batch.status
     assert sorted(str(p) for p in interreduce(rep_inc.basis)) == sorted(

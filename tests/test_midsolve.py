@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from midgb import (
-    Assignment,
-    ConflictingRootsError,
     EngineConfig,
-    Status,
-    OrderNotLexError,
-    TooLargeError,
-    PairQueue,
     PolyRing,
-    f4_gb,
-    find_unique_root_polys,
+    Status,
+    TooLargeError,
+    field_polynomial,
     groebner_basis,
+)
+from midgb.engine import PairQueue, update
+from midgb.errors import ConflictingRootsError, OrderNotLexError
+from midgb.midsolve import (
+    Assignment,
+    find_unique_root_polys,
     inconsistency_check,
     renew,
     triangular_shape_check,
@@ -36,51 +37,49 @@ def r3():
 
 def test_unique_root_found_gf2(r2):
     x = r2.variable(0)
-    found = find_unique_root_polys([x + r2.one], r2, round_no=3)
+    found = find_unique_root_polys([x + r2.one], round_no=3)
     assert found == [Assignment(variable=0, value=1, round=3)]
-    assert find_unique_root_polys([x], r2) == [Assignment(0, 0, 0)]
+    assert find_unique_root_polys([x]) == [Assignment(0, 0, 0)]
 
 
 def test_two_root_polys_are_skipped(r2):
     # x^2 + x vanishes on all of GF(2): no information
     p = r2.poly({(2, 0): 1, (1, 0): 1})
-    assert find_unique_root_polys([p], r2) == []
+    assert find_unique_root_polys([p]) == []
 
 
 def test_rootless_polys_are_skipped(r3):
     # x^2 + 1 has no root over GF(3)
     p = r3.poly({(2, 0): 1, (0, 0): 1})
-    assert find_unique_root_polys([p], r3) == []
+    assert find_unique_root_polys([p]) == []
 
 
 def test_double_root_counts_once(r3):
     # (x+1)^2 = x^2 + 2x + 1 forces x = 2
     p = r3.poly({(2, 0): 1, (1, 0): 2, (0, 0): 1})
-    assert find_unique_root_polys([p], r3) == [Assignment(0, 2, 0)]
+    assert find_unique_root_polys([p]) == [Assignment(0, 2, 0)]
 
 
 def test_multivariate_and_zero_members_ignored(r2):
     xy = r2.poly({(1, 1): 1, (0, 0): 1})
-    assert find_unique_root_polys([r2.zero, xy, r2.one], r2) == []
+    assert find_unique_root_polys([r2.zero, xy, r2.one]) == []
 
 
 def test_conflicting_roots_raise(r3):
     x = r3.variable(0)
     # x forces 0; x + 1 forces 2
     with pytest.raises(ConflictingRootsError):
-        find_unique_root_polys([x, x + r3.one], r3)
+        find_unique_root_polys([x, x + r3.one])
 
 
 def test_same_value_twice_is_fine(r2):
     x = r2.variable(0)
-    found = find_unique_root_polys([x, x.scale(1)], r2)
+    found = find_unique_root_polys([x, x.scale(1)])
     assert found == [Assignment(0, 0, 0)]
 
 
 def test_renew_substitutes_and_drops_field_polynomial(r2):
     basis, queue = [], PairQueue()
-    from midgb import update, field_polynomial
-
     x, y = r2.variable(0), r2.variable(1)
     for g in (x + r2.one, x * y + y, field_polynomial(r2, 0), field_polynomial(r2, 1)):
         update(basis, queue, g)
@@ -93,8 +92,6 @@ def test_renew_substitutes_and_drops_field_polynomial(r2):
 
 def test_renew_flags_nonzero_constant(r2):
     basis, queue = [], PairQueue()
-    from midgb import update
-
     x = r2.variable(0)
     update(basis, queue, x + r2.one)
     update(basis, queue, x)
@@ -105,8 +102,6 @@ def test_renew_flags_nonzero_constant(r2):
 
 def test_renew_substitutes_pending(r2):
     basis, queue = [], PairQueue()
-    from midgb import update
-
     x, y = r2.variable(0), r2.variable(1)
     update(basis, queue, x + r2.one)
     pending = [x * y + x + y]
@@ -152,8 +147,8 @@ def test_middle_solving_with_a_prime_past_int64_returns_at_once():
     ring = PolyRing(q, ["x", "y"], "grevlex")
     x, y = ring.variable(0), ring.variable(1)
     start = time.perf_counter()
-    rep = f4_gb([x * y + ring.one, x + ring.constant(2)],
-                EngineConfig(ring, adjoin_field_eqs=False))
+    rep = groebner_basis([x * y + ring.one, x + ring.constant(2)],
+                         EngineConfig(ring, adjoin_field_eqs=False))
     assert time.perf_counter() - start < 1.0
     assert rep.status is Status.ALL_VARIABLES_SOLVED
     assert rep.assignments == {0: q - 2, 1: (q + 1) // 2}
@@ -167,7 +162,7 @@ def test_field_equations_with_a_prime_past_the_limit_fail_at_once():
     x, y = ring.variable(0), ring.variable(1)
     start = time.perf_counter()
     with pytest.raises(TooLargeError):
-        f4_gb([x * y + ring.one, x + ring.constant(2)], EngineConfig(ring))
+        groebner_basis([x * y + ring.one, x + ring.constant(2)], EngineConfig(ring))
     assert time.perf_counter() - start < 1.0
 
 
@@ -205,4 +200,4 @@ def test_unique_root_agrees_with_exhaustive_search(q, var, coeffs):
         return
     roots = univariate_roots(p, var)
     want = [Assignment(var, min(roots), 0)] if len(roots) == 1 else []
-    assert find_unique_root_polys([p], ring) == want
+    assert find_unique_root_polys([p]) == want

@@ -9,16 +9,21 @@ from midgb import (
     MonomialOverflowError,
     PolyRing,
     Polynomial,
-    ZeroInputError,
     field_polynomial,
     field_reduce,
     interreduce,
-    is_field_polynomial,
     normal_form,
     s_polynomial,
-    substitute,
 )
-from midgb.poly import field_term_mul, is_univariate, univariate_coeffs, univariate_roots
+from midgb.errors import ZeroInputError
+from midgb.poly import (
+    field_term_mul,
+    is_field_polynomial,
+    is_univariate,
+    substitute,
+    univariate_coeffs,
+    univariate_roots,
+)
 
 
 @pytest.fixture

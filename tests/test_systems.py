@@ -5,15 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from midgb import (
-    NonPrimeFieldError,
-    ParseError,
-    PolyRing,
-    format_system,
-    homogenize,
-    parse_system,
-    random_system,
-)
+from midgb import PolyRing
+from midgb.bench import random_system
+from midgb.errors import NonPrimeFieldError, ParseError
+from midgb.systems import format_system, homogenize, parse_system
 
 
 SAMPLE = """\

@@ -5,14 +5,14 @@ import json
 import pytest
 
 from midgb import (
+    BenchSpec,
     EngineConfig,
     PolyRing,
-    TraceWriter,
-    f4_gb,
     gen_system,
-    BenchSpec,
+    groebner_basis,
     read_trace,
 )
+from midgb.trace import TraceWriter
 
 
 def test_writer_produces_one_json_object_per_line(tmp_path):
@@ -60,7 +60,7 @@ def test_read_trace_round_trips(tmp_path):
 def test_engine_trace_shape(tmp_path):
     ring, F = gen_system(BenchSpec("eco", 4), order="grevlex")
     path = tmp_path / "run.jsonl"
-    rep = f4_gb(F, EngineConfig(ring, trace_path=str(path)))
+    rep = groebner_basis(F, EngineConfig(ring, trace_path=str(path)))
     lines = read_trace(str(path))
     terminal = lines[-1]
     assert terminal["status"] == rep.status.value
@@ -82,7 +82,7 @@ def test_reruns_are_byte_identical(tmp_path):
     blobs = []
     for k in range(2):
         path = tmp_path / f"run{k}.jsonl"
-        f4_gb(F, EngineConfig(ring, trace_path=str(path)))
+        groebner_basis(F, EngineConfig(ring, trace_path=str(path)))
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
 
