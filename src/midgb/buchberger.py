@@ -26,7 +26,7 @@ def buchberger_round(state: RunState) -> RoundTrace:
         degree_monitor(s, state.ring, "created", state.field_active)
         # folding and scaling an irreducible remainder keep it irreducible
         reduced_at = state.renewals
-        h = state.canon(normal_form(s, state.basis))
+        h = state.canon(normal_form(s, state.basis, state.divisors))
         if not h.is_zero:
             for p in state.screen_batch([h]):
                 if state.inconsistent:

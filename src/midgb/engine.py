@@ -86,8 +86,11 @@ def adjoin_field_equations(polys, ring: PolyRing, variables=None) -> list:
 def update(basis: list, queue: PairQueue, h: Polynomial) -> int:
     """Append h to the basis and maintain the pair queue.
 
-    Two members may share a leading monomial only when raw inputs collide;
-    every reducer scan then picks the earlier one (list order).
+    Two members may share a leading monomial only when raw inputs collide.
+    Reducers are looked up as the first member, in list order, whose leading
+    monomial divides a monomial (``poly.FirstDivisor``, and ``interreduce``'s
+    per-pass lookups), so the earlier one is picked. A ``FirstDivisor`` over
+    the basis stays valid through this append.
 
     Pair bookkeeping is Gebauer-Moller style. With l_g = lcm(LM(g), LM(h))
     computed once for each earlier member g:

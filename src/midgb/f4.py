@@ -17,36 +17,42 @@ import numpy as np
 
 from .engine import EngineConfig, EngineReport, RoundTrace, degree_monitor
 from .errors import EmptyBatchError
-from .poly import Polynomial, PolyRing, field_term_mul
+from .poly import FirstDivisor, Polynomial, PolyRing, field_term_mul
 from .runner import RunState, run_rounds
 from .trace import TraceWriter
 
 
-def symbolic_preprocess(pairs, basis, ring: PolyRing, *, field_active: bool = True) -> list:
+def symbolic_preprocess(
+    pairs, basis, ring: PolyRing, *, field_active: bool = True, first=None
+) -> list:
     """Collect every row the batch's one matrix needs.
 
     Seeds the row list with the two monomial multiples that cancel each
     pair's leading terms, then closes downward: every monomial of every row
     that is not already some row's leading monomial gets a reducer row (the
     first basis member, in insertion order, whose leading monomial divides
-    it), worked largest monomial first. Rows are exponent-folded on the spot
-    (field polynomials excepted), so the matrix never grows columns past the
-    per-variable degree cap.
+    it), worked largest monomial first. Reducers are found by ``first``, a
+    ``FirstDivisor`` over ``basis`` that may carry lookups from earlier
+    rounds; without one, a fresh one. Rows are exponent-folded on the spot
+    (field polynomials excepted), through one fold memo per call, so the
+    matrix never grows columns past the per-variable degree cap.
     """
     if not pairs:
         raise EmptyBatchError("symbolic preprocessing needs at least one pair")
+    if first is None:
+        first = FirstDivisor(basis, ring)
     field = ring.field
     codec = ring.codec
+    folds: dict = {}  # monomial -> folded monomial, for this matrix only
 
     def multiple(g, quot):
         """(quot / LC(g)) * g, exponent-folded unless it is a field polynomial."""
         if field_active:
-            return field_term_mul(g, quot, field.inv(g.lc()))
+            return field_term_mul(g, quot, field.inv(g.lc()), folds)
         return g.term_mul(quot, field.inv(g.lc()))
 
     rows: list = []
-    done: set = set()
-    moved_heads: list = []
+    seen: set = set()  # row heads and every monomial queued for a reducer
     seen_products: set = set()
     for pr in pairs:
         for idx in (pr.left, pr.right):
@@ -61,43 +67,33 @@ def symbolic_preprocess(pairs, basis, ring: PolyRing, *, field_active: bool = Tr
                 continue  # a field-polynomial multiple; nothing to cancel
             degree_monitor(row, ring, "created", field_active)
             rows.append(row)
+            # a head that folding moved below the lcm is NOT covered by this
+            # row's parent, so it is left for enqueue to give it a reducer
             if row.lm() == pr.lcm:
-                done.add(row.lm())
-            else:
-                # folding moved the head below the lcm; the new head is NOT
-                # covered by this row's parent, so it still needs a reducer
-                moved_heads.append(row.lm())
+                seen.add(row.lm())
 
-    queued: set = set()
     heap: list = []  # negated monomials: the heap pops the largest first
 
-    def enqueue(m):
-        if m not in done and m not in queued:
-            queued.add(m)
+    def enqueue(row):
+        fresh = {m for m, _ in row.terms}
+        fresh -= seen
+        seen.update(fresh)
+        for m in fresh:
             heapq.heappush(heap, -m)
 
-    for m in moved_heads:
-        enqueue(m)
     for row in rows:
-        for m, _ in row.terms[1:]:
-            enqueue(m)
+        enqueue(row)
 
-    # m - shift(lm) is the quotient m / lm, valid iff no guard bit is set
-    guard = codec.guard
-    reducers = [(codec.shift(g.lm()), g) for g in basis]
+    members = first.members
     while heap:
         m = -heapq.heappop(heap)
-        done.add(m)
-        for s, g in reducers:
-            quot = m - s
-            if quot & guard:
-                continue
-            row = multiple(g, quot)
+        i = first.index(m)
+        if i is not None:
+            g = members[i]
+            row = multiple(g, m - first.reducers[i][0])  # the quotient m / LM(g)
             degree_monitor(row, ring, "created", field_active)
             rows.append(row)
-            for m2, _ in row.terms[1:]:
-                enqueue(m2)
-            break
+            enqueue(row)
     return rows
 
 
@@ -279,7 +275,9 @@ def _clear(row: int, pivots: dict, mask: int) -> int:
 def f4_round(state: RunState) -> RoundTrace:
     """One batch: select, preprocess, row reduce, screen, insert."""
     pairs = state.queue.select(batch=True)
-    rows = symbolic_preprocess(pairs, state.basis, state.ring, field_active=state.field_active)
+    rows = symbolic_preprocess(
+        pairs, state.basis, state.ring, field_active=state.field_active, first=state.divisors
+    )
     matrix = MacaulayMatrix(rows, state.ring, [g.lm() for g in state.basis])
     nrows, ncols = matrix.shape
     reduced, zero_rows = matrix.reduce()

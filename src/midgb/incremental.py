@@ -50,7 +50,7 @@ def incremental_core(polys, config: EngineConfig, tracer: TraceWriter) -> Engine
         before = list(state.basis)
         for var, val in state.assignments.items():
             f = substitute(f, var, val)
-        if state.ingest_inputs([normal_form(f, state.basis)]):
+        if state.ingest_inputs([normal_form(f, state.basis, state.divisors)]):
             _complete(state)
 
         fresh = [p for p in state.basis if p not in before]

@@ -316,20 +316,23 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return _canonical(ring, acc)
 
 
-def normal_form(p: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
+def normal_form(p: Polynomial, reducers: Sequence[Polynomial], first=None) -> Polynomial:
     """Fully reduce p modulo the reducer list.
 
     Deterministic policy: always pick the largest still-reducible monomial of
     the running remainder, and reduce it with the first reducer (list order)
     whose leading monomial divides it. Every monomial of the result is
-    irreducible.
+    irreducible. ``first`` is a ``FirstDivisor`` over ``reducers`` whose
+    lookups outlive this call; without one, each monomial is found by a scan.
     """
     if p.is_zero or not reducers:
         return p
-    for g in reducers:
-        if g.is_zero:
-            raise ZeroInputError("zero polynomial in reducer list")
-    return _reduce_by(p, [_reducer(g) for g in reducers])
+    if first is None:
+        for g in reducers:
+            if g.is_zero:
+                raise ZeroInputError("zero polynomial in reducer list")
+        first = FirstDivisor(reducers, p.ring)
+    return _reduce_by(p, first)
 
 
 def _reducer(g: Polynomial) -> tuple:
@@ -338,8 +341,57 @@ def _reducer(g: Polynomial) -> tuple:
     return g.ring.codec.shift(lm), lm, g.terms[0][1], g.terms
 
 
-def _reduce_by(p: Polynomial, red: list) -> Polynomial:
-    """``normal_form`` of a nonzero p against reducers made by ``_reducer``."""
+class FirstDivisor:
+    """The first member, in list order, whose leading monomial divides m.
+
+    Answers are remembered per monomial as (members checked, index of the
+    first divisor or None). The member list may grow by appends between
+    lookups, and then a monomial with no divisor yet is tested only against
+    the members appended since; any other change to the list needs a new
+    FirstDivisor. Members must be nonzero.
+    """
+
+    __slots__ = ("members", "reducers", "_shifts", "_memo", "_guard")
+
+    def __init__(self, members: list, ring: PolyRing):
+        self.members = members
+        self.reducers: list = []  # _reducer(g) of the members seen so far
+        self._shifts: list = []
+        self._memo: dict = {}
+        self._guard = ring.codec.guard
+
+    def index(self, m):
+        """The index of the first member whose leading monomial divides m, or None."""
+        hit = self._memo.get(m)
+        if hit is not None:
+            start, i = hit
+            if i is not None:
+                return i
+        else:
+            start = 0
+        shifts = self._shifts
+        if len(shifts) < len(self.members):
+            fresh = [_reducer(g) for g in self.members[len(shifts):]]
+            self.reducers += fresh
+            shifts += [r[0] for r in fresh]
+        # m - shift(lm) is the quotient m / lm, valid iff no guard bit is set
+        guard = self._guard
+        for i in range(start, len(shifts)):
+            if not (m - shifts[i]) & guard:
+                self._memo[m] = (i + 1, i)
+                return i
+        self._memo[m] = (len(shifts), None)
+        return None
+
+    def __call__(self, m):
+        """The first divisor's ``_reducer`` entry, or None."""
+        i = self.index(m)
+        return None if i is None else self.reducers[i]
+
+
+def _reduce_by(p: Polynomial, first) -> Polynomial:
+    """``normal_form`` of a nonzero p, where ``first(m)`` is the ``_reducer``
+    entry that reduces the monomial m, or None when m is irreducible."""
     ring = p.ring
     codec = ring.codec
     guard = codec.guard
@@ -359,29 +411,28 @@ def _reduce_by(p: Polynomial, red: list) -> Polynomial:
         c = coeffs.pop(m, 0)
         if not c:
             continue
-        for s, lm, lc, tail in red:
-            if (m - s) & guard:
-                continue
-            # cancel c*m using (c/lc)*(m/lm)*g; tail lands strictly below m.
-            # Reducers outnumber reduction steps, so the inverse is taken
-            # per step, and only for a reducer that is not monic.
-            d = m - lm
-            fac = c if lc == 1 else c * inv(lc) % q
-            for t, ct in islice(tail, 1, None):
-                m2 = t + d
-                old = coeffs.get(m2)
-                v = ((old or 0) - fac * ct) % q
-                if v:
-                    if old is None:
-                        if m2 & guard:
-                            codec.mul(t, m - s)  # raises MonomialOverflowError
-                        heapq.heappush(heap, -m2)
-                    coeffs[m2] = v
-                else:
-                    coeffs.pop(m2, None)
-            break
-        else:
+        r = first(m)
+        if r is None:
             out.append((m, c))  # irreducible: popped in descending order
+            continue
+        s, lm, lc, tail = r
+        # cancel c*m using (c/lc)*(m/lm)*g; tail lands strictly below m.
+        # Reducers outnumber reduction steps, so the inverse is taken
+        # per step, and only for a reducer that is not monic.
+        d = m - lm
+        fac = c if lc == 1 else c * inv(lc) % q
+        for t, ct in islice(tail, 1, None):
+            m2 = t + d
+            old = coeffs.get(m2)
+            v = ((old or 0) - fac * ct) % q
+            if v:
+                if old is None:
+                    if m2 & guard:
+                        codec.mul(t, m - s)  # raises MonomialOverflowError
+                    heapq.heappush(heap, -m2)
+                coeffs[m2] = v
+            else:
+                coeffs.pop(m2, None)
     if not out:
         return ring.zero
     return Polynomial(ring, tuple(out))
@@ -392,28 +443,64 @@ def interreduce(polys: Iterable[Polynomial]) -> list:
 
     Result polynomials are monic, fully reduced against each other, and sorted
     ascending by leading monomial.
+
+    Each pass reduces every member in turn by the others: slot k holds this
+    pass's result for member k < i and last pass's version for k > i, and a
+    dropped member leaves its slot empty.
     """
     work = [p.monic() for p in polys if not p.is_zero]
     if not work:
         return []
+    guard = work[0].ring.codec.guard
     changed = True
     while changed:
         changed = False
-        # each member's reducer entry is built once per pass
-        red = [_reducer(p) for p in work]
-        out, out_red = [], []
+        slots = [_reducer(p) for p in work]
+        memo: dict = {}  # lookups of this pass, see _pass_divisors
+        out = []
         for i, p in enumerate(work):
-            others = out_red + red[i + 1 :]
-            h = _reduce_by(p, others) if others else p
+            h = _reduce_by(p, _pass_divisors(slots, memo, i, guard))
             if h != p:
                 changed = True
-            if not h.is_zero:
+            if h.is_zero:
+                slots[i] = None
+            else:
                 h = h.monic()
                 out.append(h)
-                out_red.append(_reducer(h))
+                slots[i] = _reducer(h)
         work = out
     work.sort(key=Polynomial.lm)
     return work
+
+
+def _pass_divisors(slots: list, memo: dict, i: int, guard: int):
+    """The first-divisor lookup of member i in an ``interreduce`` pass.
+
+    ``memo`` maps a monomial m to (i0, the slots other than i0 whose leading
+    monomial divided m while member i0 was reduced). Since then only slots
+    i0 .. i-1 have changed, so a divisor below i0 still answers at once;
+    otherwise those slots are tested again, and the divisors above i stand.
+    """
+
+    def first(m):
+        hit = memo.get(m)
+        if hit is None:
+            divs = [
+                k for k, r in enumerate(slots)
+                if k != i and r is not None and not (m - r[0]) & guard
+            ]
+        else:
+            i0, divs = hit
+            if divs and divs[0] < i0:
+                return slots[divs[0]]
+            divs = [
+                k for k in range(i0, i)
+                if slots[k] is not None and not (m - slots[k][0]) & guard
+            ] + [k for k in divs if k > i]
+        memo[m] = (i, divs)
+        return slots[divs[0]] if divs else None
+
+    return first
 
 
 def field_reduce(p: Polynomial) -> Polynomial:
@@ -423,42 +510,50 @@ def field_reduce(p: Polynomial) -> Polynomial:
     in [1, q-1]. Note that this maps the field polynomial x^q - x itself to 0;
     callers that must keep field polynomials intact test for them first.
     """
-    folded = _folded(p.ring, p.terms)
-    return p if folded is None else folded
+    foldable = p.ring.codec.foldable
+    if not any(foldable(m) for m, _ in p.terms):
+        return p
+    return _folded(p.ring, p.terms, {})
 
 
-def field_term_mul(p: Polynomial, mono, coeff: int) -> Polynomial:
+def field_term_mul(p: Polynomial, mono, coeff: int, folds=None) -> Polynomial:
     """``field_reduce(p.term_mul(mono, coeff))``, except that a product that
     is a field polynomial x^q - x stays as it is.
 
     Each term is folded as it is formed, so the unfolded product is never
-    built as a polynomial.
+    built as a polynomial. ``folds`` is a dict from monomial to folded
+    monomial that callers may share across products of one ring.
     """
     ring = p.ring
     coeff %= ring.q
     if coeff == 0:
         return ring.zero
     terms = _products(p, mono, coeff)
-    folded = _folded(ring, terms)
+    folded = _folded(ring, terms, {} if folds is None else folds)
     if folded is not None:
         if len(terms) != 2 or is_field_polynomial(Polynomial(ring, tuple(terms))) is None:
             return folded
     return Polynomial(ring, tuple(terms))
 
 
-def _folded(ring: PolyRing, terms):
+def _folded(ring: PolyRing, terms, folds: dict):
     """The polynomial of terms with exponents folded by x^q = x, or None
-    when no exponent reaches q."""
-    codec = ring.codec
-    foldable = codec.foldable
-    if not any(foldable(m) for m, _ in terms):
+    when no exponent reaches q. ``folds`` remembers ``codec.fold``."""
+    fold = ring.codec.fold
+    images = []
+    moved = False
+    for m, _ in terms:
+        f = folds.get(m)
+        if f is None:
+            f = folds[m] = fold(m)
+        images.append(f)
+        moved = moved or f != m
+    if not moved:
         return None
     q = ring.q
-    fold = codec.fold
     acc: dict = {}
-    for m, c in terms:
-        m = fold(m)
-        acc[m] = (acc.get(m, 0) + c) % q
+    for f, (_, c) in zip(images, terms):
+        acc[f] = (acc.get(f, 0) + c) % q
     return _canonical(ring, acc)
 
 

@@ -29,7 +29,7 @@ from .midsolve import (
     inconsistency_check,
     renew,
 )
-from .poly import field_reduce, interreduce, is_field_polynomial, normal_form
+from .poly import FirstDivisor, field_reduce, interreduce, is_field_polynomial, normal_form
 from .trace import TraceWriter
 
 
@@ -42,7 +42,7 @@ class RunState:
         # the incremental mode screens completed bases only, never a batch
         self.batch_screening = self.screening and config.engine != "incremental"
         self.tracer = tracer
-        self.basis: list = []
+        self.basis = []
         self.queue = PairQueue()
         self.assignments: dict = {}
         self.events: list = []
@@ -50,6 +50,20 @@ class RunState:
         self.round_no = 0
         self.renewals = 0  # renews applied to the basis so far
         self.inconsistent = False
+
+    @property
+    def basis(self) -> list:
+        return self._basis
+
+    @basis.setter
+    def basis(self, members: list):
+        """Replace the basis, and with it the reducer lookups over it.
+
+        ``engine.update`` only appends, which ``divisors`` follows; any other
+        change to the basis must assign a new list here.
+        """
+        self._basis = members
+        self.divisors = FirstDivisor(members, self.ring)
 
     # ------------------------------------------------------------ helpers
 
@@ -147,7 +161,7 @@ class RunState:
         Returns the polynomial as stored, or None when it reduced away.
         """
         if reduced_at != self.renewals:
-            h = normal_form(h, self.basis)
+            h = normal_form(h, self.basis, self.divisors)
             if h.is_zero:
                 return None
         h = self.canon(h)

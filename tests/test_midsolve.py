@@ -13,7 +13,7 @@ from midgb import (
     field_polynomial,
     groebner_basis,
 )
-from midgb.engine import PairQueue, update
+from midgb.engine import PairQueue, adjoin_field_equations, update
 from midgb.errors import ConflictingRootsError, OrderNotLexError
 from midgb.midsolve import (
     Assignment,
@@ -23,6 +23,8 @@ from midgb.midsolve import (
     triangular_shape_check,
 )
 from midgb.poly import univariate_roots
+from midgb.runner import RunState
+from midgb.trace import TraceWriter
 
 
 @pytest.fixture
@@ -109,6 +111,41 @@ def test_renew_substitutes_pending(r2):
     # y + 1 + y = 1: the pending member becomes a nonzero constant
     assert res.inconsistent
     assert res.pending == []
+
+
+def test_replacing_the_basis_gives_fresh_reducer_lookups(r2):
+    """The reducer lookups over ``RunState.basis`` live as long as that list.
+    Appends keep them; a renew or a completion that replaces the list gets
+    new ones, which answer for the new list."""
+    x, y = r2.variable(0), r2.variable(1)
+    divides = r2.codec.divides
+
+    def scan(basis, m):
+        return next((i for i, g in enumerate(basis) if divides(g.lm(), m)), None)
+
+    state = RunState(EngineConfig(ring=r2), TraceWriter())
+    state.ingest_inputs(adjoin_field_equations([x * y + y], r2))
+    xy, lx = (x * y).lm(), x.lm()
+    lookups = state.divisors
+    assert lookups.members is state.basis
+    assert lookups.index(xy) == 0
+    assert lookups.index(lx) is None
+    update(state.basis, state.queue, x + r2.one)  # an append keeps the lookups
+    assert state.divisors is lookups
+    assert lookups.index(lx) == scan(state.basis, lx) == 3
+
+    state.screen([x + r2.one], [])  # x = 1: a renew replaces the basis
+    assert state.renewals == 1
+    assert state.divisors is not lookups
+    assert state.divisors.members is state.basis
+    assert [str(g) for g in state.basis] == ["y^2 + y"]
+    assert state.divisors.index(xy) is None
+
+    lookups = state.divisors
+    state.queue = PairQueue()
+    state.completion()
+    assert state.divisors is not lookups
+    assert state.divisors.members is state.basis
 
 
 def test_inconsistency_check(r2):

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, reduction, and the field-equation helpers."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,9 @@ from midgb import (
 )
 from midgb.errors import ZeroInputError
 from midgb.poly import (
+    FirstDivisor,
+    _reduce_by,
+    _reducer,
     field_term_mul,
     is_field_polynomial,
     is_univariate,
@@ -182,6 +186,120 @@ def test_interreduce_is_idempotent_and_sorted(r7):
     assert all(p.lc() == 1 for p in once)
 
 
+def linear_scan(red: list, guard: int):
+    """The first-divisor lookup as a scan of ``_reducer`` entries in order."""
+    return lambda m: next((r for r in red if not (m - r[0]) & guard), None)
+
+
+def reference_interreduce(polys):
+    """The pass-based interreduce that ``poly.interreduce`` replaced: member i
+    reduces by a linear scan of ``out_red + red[i + 1:]``."""
+    work = [p.monic() for p in polys if not p.is_zero]
+    if not work:
+        return []
+    guard = work[0].ring.codec.guard
+    changed = True
+    while changed:
+        changed = False
+        # each member's reducer entry is built once per pass
+        red = [_reducer(p) for p in work]
+        out, out_red = [], []
+        for i, p in enumerate(work):
+            others = out_red + red[i + 1 :]
+            h = _reduce_by(p, linear_scan(others, guard)) if others else p
+            if h != p:
+                changed = True
+            if not h.is_zero:
+                h = h.monic()
+                out.append(h)
+                out_red.append(_reducer(h))
+        work = out
+    work.sort(key=Polynomial.lm)
+    return work
+
+
+def random_member_set(ring, rng):
+    """Members over a small pool of heads, with derived members that vanish
+    (a multiple of another member) or lose their head (a difference of two
+    members that share it)."""
+    q, n = ring.q, ring.n
+    pool = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(4)]
+
+    def poly():
+        terms = {rng.choice(pool): rng.randrange(1, q)}
+        for _ in range(rng.randrange(4)):
+            terms[tuple(rng.randrange(3) for _ in range(n))] = rng.randrange(1, q)
+        return ring.poly(terms)
+
+    members = [p for p in (poly() for _ in range(rng.randrange(2, 7))) if not p.is_zero]
+    for _ in range(rng.randrange(4)):
+        a, b = rng.choice(members), rng.choice(members)
+        kind = rng.randrange(3)
+        if kind == 0:
+            extra = a.scale(rng.randrange(1, q))
+        elif kind == 1:
+            extra = a.term_mul(ring.codec.pack(rng.choice(pool)), 1)
+        else:
+            extra = a.scale(b.lc()) - b.scale(a.lc())
+        if not extra.is_zero:
+            members.insert(rng.randrange(len(members) + 1), extra)
+    return members
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_interreduce_matches_pass_reference(q, order):
+    ring = PolyRing(q, ["x", "y", "z"], order)
+    rng = random.Random(q * 31 + len(order))
+    seen = {"vanished": 0, "head moved": 0, "shared head": 0}
+    for _ in range(150):
+        members = random_member_set(ring, rng)
+        assert interreduce(members) == reference_interreduce(members)
+        # what the first pass did, member by member, in the reference order
+        heads = [p.lm() for p in members]
+        seen["shared head"] += len(set(heads)) < len(heads)
+        work = [p.monic() for p in members]
+        out = []
+        for i, p in enumerate(work):
+            h = normal_form(p, out + work[i + 1 :])
+            if h.is_zero:
+                seen["vanished"] += 1
+            else:
+                seen["head moved"] += h.lm() != p.lm()
+                out.append(h.monic())
+    assert all(seen.values()), seen
+
+
+lead_exponents = st.lists(st.integers(0, 5), min_size=3, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5]),
+    order=st.sampled_from(["lex", "grevlex"]),
+    steps=st.lists(st.tuples(st.booleans(), lead_exponents), min_size=1, max_size=40),
+)
+def test_first_divisor_matches_a_scan_as_the_list_grows(q, order, steps):
+    """Appends and lookups interleaved: the memo answers what a scan of the
+    list as it stands answers. Heads repeat, and include 1 and x^q."""
+    ring = PolyRing(q, ["x", "y", "z"], order)
+    special = [(0, 0, 0), (q, 0, 0), (0, q, 0)]
+    members: list = []
+    first = FirstDivisor(members, ring)
+    looked_up = []
+    for append, exps in steps:
+        if exps[0] == 5:  # about one step in six is a special monomial
+            exps = special[exps[1] % 3]
+        m = ring.codec.pack(exps)
+        if append:
+            members.append(ring.poly({tuple(exps): 1, (0, 0, 0): 1}) if any(exps) else ring.one)
+        looked_up.append(m)
+        for m in looked_up[-3:] + [m]:  # repeat recent lookups too
+            want = next((i for i, g in enumerate(members) if ring.codec.divides(g.lm(), m)), None)
+            assert first.index(m) == want
+            assert first(m) == (None if want is None else _reducer(members[want]))
+
+
 def test_field_reduce_gf2():
     ring = PolyRing(2, ["x", "y"], "lex")
     assert field_reduce(ring.poly({(2, 0): 1, (1, 0): 1})).is_zero  # x^2+x
@@ -268,3 +386,24 @@ def test_field_term_mul_is_the_folded_product(r3):
     # a product that is a field polynomial is kept, not folded to zero
     g = r3.poly({(2, 0): 1, (0, 0): 2})  # x^2 - 1
     assert field_term_mul(g, r3.codec.var(0), 1) == field_polynomial(r3, 0)
+
+    # one fold memo shared across many products of one ring
+    for q in (2, 3, 5):
+        ring = PolyRing(q, ["x", "y"], "grevlex")
+        rng = random.Random(q)
+        folds: dict = {}
+        for _ in range(60):
+            f = ring.poly(
+                {(rng.randrange(2 * q), rng.randrange(2 * q)): rng.randrange(1, q) for _ in range(4)}
+            )
+            m = ring.codec.pack((rng.randrange(2 * q), rng.randrange(2 * q)))
+            c = rng.randrange(1, q)
+            assert field_term_mul(f, m, c, folds) == field_reduce(f.term_mul(m, c))
+        assert folds
+        # x^(q-1) - 1 times x is x^q - x, which is kept intact
+        g = ring.poly({(q - 1, 0): 1, (0, 0): -1})
+        assert field_term_mul(g, ring.codec.var(0), 1, folds) == field_polynomial(ring, 0)
+        # the degree limit is checked before any memo lookup
+        big = ring.poly({(ring.codec.limit, 0): 1})
+        with pytest.raises(MonomialOverflowError):
+            field_term_mul(big, ring.codec.var(1), 1, folds)
