@@ -162,6 +162,12 @@ def renew(
     away), which substitution leaves alone. Interreduction removes every
     other multiple of x^k, so only that member can hold an exponent >= q,
     and then it is the field polynomial x^q - x itself.
+
+    ``RunState.screen`` skips the renews of a screen whose assignments fix
+    every variable at a zero of every ingested polynomial. Each member lies
+    in the ideal of those polynomials and the earlier assignments, so it
+    vanishes at that point: no renew would meet a nonzero constant, and the
+    last one would leave the basis, the pending batch and the queue empty.
     """
     inconsistent = False
     survivors = []

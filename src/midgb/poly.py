@@ -439,10 +439,12 @@ def _reduce_by(p: Polynomial, first) -> Polynomial:
 
 
 def interreduce(polys: Iterable[Polynomial]) -> list:
-    """Mutually reduce a set to its unique reduced form.
+    """Mutually reduce a set until no member can reduce another.
 
     Result polynomials are monic, fully reduced against each other, and sorted
-    ascending by leading monomial.
+    ascending by leading monomial. The result is deterministic for a given
+    input order, but not unique: another order of the same set may reach
+    another interreduced set (unless the input is a Groebner basis).
 
     Each pass reduces every member in turn by the others: slot k holds this
     pass's result for member k < i and last pass's version for k > i, and a

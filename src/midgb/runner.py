@@ -50,6 +50,9 @@ class RunState:
         self.round_no = 0
         self.renewals = 0  # renews applied to the basis so far
         self.inconsistent = False
+        # everything ingest_inputs inserted; with the assignments made so
+        # far, these generate the ideal of every basis and pending member
+        self.ingested: list = []
 
     @property
     def basis(self) -> list:
@@ -95,6 +98,7 @@ class RunState:
                 return False
             degree_monitor(f, self.ring, "stored", self.field_active)
             update(self.basis, self.queue, f)
+            self.ingested.append(f)
         return True
 
     def mark_inconsistent(self):
@@ -126,22 +130,47 @@ class RunState:
         Each one is substituted through the basis, the queue and ``pending``
         (a batch not yet inserted). Returns whether anything was found, and
         the renewed ``pending``.
+
+        The screen settles without a renew when, after its first emit, its
+        assignments and the earlier ones fix every variable at a point that
+        is a zero of every ingested polynomial: the rest are emitted, and
+        the basis, ``pending`` and the queue become empty. That is exactly
+        where the renews would end. Every basis and pending member lies in
+        the ideal of the ingested polynomials and the earlier x_j - v_j, so
+        it vanishes at the point; each renew substitutes one coordinate, so
+        a survivor that turns constant is 0 and no renew flags
+        inconsistency, and after the last coordinate nothing survives.
         """
         try:
             found = find_unique_root_polys(source, self.round_no)
         except ConflictingRootsError:
             self.mark_inconsistent()
             return True, []
-        for a in found:
+        for i, a in enumerate(found):
             if self.inconsistent:
                 break
             self.emit(a)
+            if i == 0 and self.settles(found):
+                for b in found[1:]:
+                    self.emit(b)
+                self.basis, pending, self.queue = [], [], PairQueue()
+                self.renewals += 1  # the basis changed, as a renew changes it
+                break
             res = renew(self.basis, pending, a)
             self.basis, pending, self.queue = res.basis, res.pending, res.queue
             self.renewals += 1
             if res.inconsistent:
                 self.mark_inconsistent()
         return bool(found), pending
+
+    def settles(self, found) -> bool:
+        """Whether the assignments so far and ``found`` fix a common zero."""
+        values = dict(self.assignments)
+        values.update((a.variable, a.value) for a in found)
+        if len(values) != self.ring.n:
+            return False
+        point = [values[i] for i in range(self.ring.n)]
+        return not any(f.evaluate(point) for f in self.ingested)
 
     def screen_batch(self, batch: list) -> list:
         """Mid-run solving over a freshly reduced batch; returns it renewed."""

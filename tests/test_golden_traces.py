@@ -400,3 +400,74 @@ def test_split_elimination_equals_full_rref(split_checked, tmp_path):
             if engine != "buchberger":
                 trace_digest(system, engine, order, ms, tmp_path / "run.trace", **options)
     assert 2 in split_checked and max(split_checked) > 2
+
+
+# ------------------------------------------------------------- trace corpus
+#
+# A wider net than the per-case digests above: 360 seeded traces, folded into
+# one SHA-256 per group, over every engine, both orders, q in {2, 3, 5, 7},
+# and the three (middle solving, field equations) modes that differ, on
+# planted and unplanted random systems and a few family systems.
+
+CORPUS_MODES = ((True, True), (True, False), (False, True))
+
+
+def seeded_system(q, order, seed, planted):
+    """n + 1 random quadrics in n variables over GF(q), n = 5 for q = 2 else 3.
+
+    A planted system has each constant term shifted so that a random point
+    drawn after the polynomials is a common zero.
+    """
+    rng = random.Random(f"{q}-{seed}")
+    n = 5 if q == 2 else 3
+    ring = PolyRing(q, [f"x{i}" for i in range(1, n + 1)], order)
+    polys = random_system(ring, n + 1, 2, rng, max_terms=5)
+    if planted:
+        point = [rng.randrange(q) for _ in range(n)]
+        polys = [p - ring.constant(p.evaluate(point)) for p in polys]
+    return ring, polys
+
+
+def corpus_runs(group):
+    """(ring, polys, engine, middle_solving, field_eqs) for one corpus group."""
+    for engine, order, (ms, fe) in itertools.product(
+        ("f4", "buchberger", "incremental"), ("grevlex", "lex"), CORPUS_MODES
+    ):
+        if group == "families":
+            for spec in (
+                BenchSpec("eco", 4, 3),
+                BenchSpec("cyclic", 4, 5),
+                BenchSpec("katsura", 3, 7),
+                BenchSpec("katsura", 3, 2),
+            ):
+                yield (*gen_system(spec, order), engine, ms, fe)
+        else:
+            for seed, planted in itertools.product(range(2), (True, False)):
+                yield (*seeded_system(group, order, seed, planted), engine, ms, fe)
+
+
+# group -> SHA-256 over the SHA-256 of each of its traces, in run order
+GOLDEN_CORPUS = {
+    2: "d93210a870cc09d40d1ed81ca54cd30348adea324d2eec72b441fd1887568976",
+    3: "ff4c0b5ecfb10ccf14239ee758b1d3ccfe34f9112409b00647404af13acebd19",
+    5: "b09483da436112c9e98f749a1a10a2832fba044944dcba452efd3a1ef872a18d",
+    7: "4f0cfd61a912bd783f093f31296900934e52ba405de46afe822a015f676e4711",
+    "families": "fca9fb8278551155491aa1f8e1e3fa0dafbdba98303af9ca988002771a2c1881",
+}
+
+
+@pytest.mark.parametrize("group", [2, 3, 5, 7, "families"])
+def test_trace_corpus_digests_match_golden(group, tmp_path):
+    path = tmp_path / "run.trace"
+    digest = hashlib.sha256()
+    for ring, polys, engine, ms, fe in corpus_runs(group):
+        config = EngineConfig(
+            ring=ring,
+            engine=engine,
+            middle_solving=ms,
+            adjoin_field_eqs=fe,
+            trace_path=path,
+        )
+        groebner_basis(polys, config)
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    assert digest.hexdigest() == GOLDEN_CORPUS[group]

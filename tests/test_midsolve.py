@@ -1,5 +1,7 @@
 """Unique-root screening, substitution renewal, and the shape checks."""
 
+import itertools
+import random
 import time
 
 import pytest
@@ -13,6 +15,7 @@ from midgb import (
     field_polynomial,
     groebner_basis,
 )
+from midgb.bench import random_system
 from midgb.engine import PairQueue, adjoin_field_equations, update
 from midgb.errors import ConflictingRootsError, OrderNotLexError
 from midgb.midsolve import (
@@ -146,6 +149,98 @@ def test_replacing_the_basis_gives_fresh_reducer_lookups(r2):
     state.completion()
     assert state.divisors is not lookups
     assert state.divisors.members is state.basis
+
+
+# (linear, constant) coefficients of a quadratic x^2 + a*x + c with no root in GF(q)
+ROOTLESS = {2: (1, 1), 3: (0, 1), 5: (0, 2), 7: (0, 1)}
+
+
+def settle_system(q, order, seed, kind):
+    """n + 1 random quadrics in n variables, n = 4 for q = 2 else 3.
+
+    A "planted" system has a random point as a common zero; a "rootless" one
+    adds to that a quadratic in x1 with no root in GF(q), so it has none.
+    """
+    rng = random.Random(f"settle-{q}-{seed}")
+    n = 4 if q == 2 else 3
+    ring = PolyRing(q, [f"x{i}" for i in range(1, n + 1)], order)
+    polys = random_system(ring, n + 1, 2, rng, max_terms=5)
+    if kind != "unplanted":
+        point = [rng.randrange(q) for _ in range(n)]
+        polys = [p - ring.constant(p.evaluate(point)) for p in polys]
+    if kind == "rootless":
+        a, c = ROOTLESS[q]
+        x1 = ring.variable(0)
+        polys.append(x1 * x1 + x1.scale(a) + ring.constant(c))
+    return ring, polys
+
+
+def test_settled_screens_run_as_the_renews_would(monkeypatch, tmp_path):
+    """A screen that fixes every variable at a common zero of the inputs
+    settles with no renew; its trace and report equal those of the same run
+    with the check off, where every assignment is renewed in turn."""
+    settles = RunState.settles
+    branches = set()
+
+    def counted(state, found):
+        settled = settles(state, found)
+        fixed = {a.variable for a in found} | set(state.assignments)
+        branches.add((len(fixed) == state.ring.n, settled))
+        return settled
+
+    def run(ring, polys, engine, field_eqs, path):
+        rep = groebner_basis(polys, EngineConfig(
+            ring, engine=engine, adjoin_field_eqs=field_eqs, trace_path=path
+        ))
+        summary = (rep.status, [str(p) for p in rep.basis], rep.assignments, rep.events)
+        return path.read_bytes(), summary
+
+    cases = itertools.product(
+        (2, 3, 5, 7), ("grevlex", "lex"), range(2), ("planted", "unplanted", "rootless"),
+        ("f4", "buchberger", "incremental"), (True, False),
+    )
+    for q, order, seed, kind, engine, field_eqs in cases:
+        ring, polys = settle_system(q, order, seed, kind)
+        monkeypatch.setattr(RunState, "settles", counted)
+        got = run(ring, polys, engine, field_eqs, tmp_path / "settle.trace")
+        monkeypatch.setattr(RunState, "settles", lambda state, found: False)
+        want = run(ring, polys, engine, field_eqs, tmp_path / "renew.trace")
+        assert got == want, (q, order, seed, kind, engine, field_eqs)
+    # both branches ran: a settle, and a fallback with every variable fixed
+    assert {(True, True), (True, False)} <= branches
+
+
+def test_screen_that_fixes_every_variable_off_the_zero_set_falls_back(
+    monkeypatch, tmp_path
+):
+    """Over GF(3), y^2 + 1 has no root, and round 1 fixes x = y = 0, which is
+    no zero of it. So the screen renews: x = 0 turns 2xy + 2 into 2 and the
+    run ends Inconsistent before y = 0 is ever emitted."""
+    ring = PolyRing(3, ["x", "y"], "grevlex")
+    polys = [ring.poly({(0, 2): 1, (0, 0): 1}), ring.poly({(1, 1): 2, (0, 0): 2})]
+    settles = RunState.settles
+    checks = []
+
+    def spy(state, found):
+        checks.append(([(a.variable, a.value) for a in found], settles(state, found)))
+        return checks[-1][1]
+
+    monkeypatch.setattr(RunState, "settles", spy)
+    path = tmp_path / "run.trace"
+    rep = groebner_basis(polys, EngineConfig(ring, trace_path=path))
+    assert checks == [([(0, 0), (1, 0)], False)]
+    assert rep.status is Status.INCONSISTENT
+    assert rep.assignments == {0: 0}
+    # the trace the renew-only screen wrote
+    assert path.read_text().splitlines() == [
+        '{"kind":"solved","round":1,"var":"x","value":0}',
+        '{"kind":"inconsistent","round":1,"var":null,"value":null}',
+        '{"round":1,"pairs_selected":2,"new_polys":0,"matrix_rows":4,"matrix_cols":4,'
+        '"zero_rows":0,"max_degree":0,"events":[{"kind":"solved","var":"x","value":0},'
+        '{"kind":"inconsistent","var":null,"value":null}],"solved_total":1}',
+        '{"status":"Inconsistent","assignments":{"x":0},"basis":["1"],'
+        '"total_rounds":1,"engine":"f4"}',
+    ]
 
 
 def test_inconsistency_check(r2):

@@ -186,6 +186,23 @@ def test_interreduce_is_idempotent_and_sorted(r7):
     assert all(p.lc() == 1 for p in once)
 
 
+def test_interreduce_depends_on_input_order():
+    """Interreduced, but not unique: the set below generates the unit ideal,
+    which one order reaches and the other does not (it is no Groebner basis).
+    """
+    g = PolyRing(3, ["x", "y"], "grevlex")
+    polys = [g.poly({(1, 2): 2}), g.poly({(1, 1): 1, (0, 0): 1}), g.poly({(0, 2): 2})]
+    forward, backward = interreduce(polys), interreduce(polys[::-1])
+    assert [str(p) for p in forward] == ["1"]
+    assert [str(p) for p in backward] == ["y^2", "x*y + 1"]
+    divides = g.codec.divides
+    for out in (forward, backward):
+        assert all(p.lc() == 1 for p in out)
+        for i, p in enumerate(out):
+            others = [h.lm() for j, h in enumerate(out) if j != i]
+            assert not any(divides(lm, m) for lm in others for m, _ in p.terms)
+
+
 def linear_scan(red: list, guard: int):
     """The first-divisor lookup as a scan of ``_reducer`` entries in order."""
     return lambda m: next((r for r in red if not (m - r[0]) & guard), None)
