@@ -15,34 +15,17 @@ from .trace import TraceWriter
 
 
 def buchberger_round(state: RunState) -> RoundTrace:
-    """One pair: S-polynomial, full reduction, screen, insert."""
+    """One pair: S-polynomial, full reduction, then ``RunState.absorb``."""
     (pr,) = state.queue.select(batch=False)
-    f = state.basis[pr.left]
-    g = state.basis[pr.right]
-    s = state.canon(s_polynomial(f, g))
-    added = 0
-    max_deg = 0
+    s = state.canon(s_polynomial(state.basis[pr.left], state.basis[pr.right]))
+    batch = []
     if not s.is_zero:
         degree_monitor(s, state.ring, "created", state.field_active)
         # folding and scaling an irreducible remainder keep it irreducible
-        reduced_at = state.renewals
         h = state.canon(normal_form(s, state.basis, state.divisors))
         if not h.is_zero:
-            for p in state.screen_batch([h]):
-                if state.inconsistent:
-                    break
-                kept = state.insert_new(p, reduced_at)
-                if kept is not None:
-                    added += 1
-                    max_deg = max(max_deg, kept.degree())
-
-    state.post_round_checks()
-    return RoundTrace(
-        round=state.round_no,
-        pairs_selected=1,
-        new_polys=added,
-        max_poly_degree=max_deg,
-    )
+            batch = [h]
+    return state.absorb(batch, RoundTrace(round=state.round_no, pairs_selected=1))
 
 
 def buchberger_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:

@@ -3,10 +3,12 @@
 Each round takes every critical pair of minimal degree, gathers all the
 monomial multiples needed to reduce the whole batch at once (symbolic
 preprocessing), reduces one matrix, and feeds the rows with new leading
-monomials back into the basis. Rows the basis already heads are used as
-known pivots; only the others are brought to reduced row echelon form.
-Batches, not single pairs, are what make mid-run solving pay off: a fresh
-batch is screened for forced variables before anything is inserted.
+monomials back into the basis. Rows whose heads the run's reducer lookup
+(``RunState.divisors``) finds reducible are used as known pivots; only the
+others are brought to reduced row echelon form. The fresh rows then end the
+round through ``RunState.absorb``. Batches, not single pairs, are what make
+mid-run solving pay off: a fresh batch is screened for forced variables
+before anything is inserted.
 """
 
 from __future__ import annotations
@@ -100,46 +102,42 @@ def symbolic_preprocess(
 class MacaulayMatrix:
     """The round's rows laid over their sorted monomial columns, split in two.
 
-    Column 0 is the largest monomial. A row is a *known pivot* when a basis
-    leading monomial divides its head and no earlier row has that head; the
-    other rows form the *block*. Known pivots are used as they are and never
-    reduced themselves: ``reduce`` clears the block on their columns and
-    brings only the block to reduced row echelon form (Faugère–Lachartre).
-    Over GF(2) a row is an int bitmask (bit j = column j), so a row
-    operation is one XOR; other fields hold the block in a dense numpy array.
+    Column 0 is the largest monomial. A row is a *known pivot* when
+    ``first``, a ``FirstDivisor`` over the basis, finds a member whose
+    leading monomial divides its head, and no earlier row has that head;
+    the other rows form the *block*. Known pivots are used as they are and
+    never reduced themselves: ``reduce`` clears the block on their columns
+    and brings only the block to reduced row echelon form
+    (Faugère–Lachartre). Over GF(2) a row is an int bitmask (bit j = column
+    j), so a row operation is one XOR; other fields hold the block in a
+    dense numpy array.
     """
 
-    def __init__(self, rows, ring: PolyRing, basis_lms=()):
+    def __init__(self, rows, ring: PolyRing, first=None):
         self.ring = ring
         self.rows = list(rows)
+        self.first = first
         cols = set()
         for p in self.rows:
             for m, _ in p.terms:
                 cols.add(m)
         self.columns = sorted(cols, reverse=True)
         self.col_index = {m: j for j, m in enumerate(self.columns)}
-        # any divisor will do, and small leading monomials divide more heads
-        self.shifts = [ring.codec.shift(m) for m in sorted(basis_lms)]
 
     @property
     def shape(self):
         return (len(self.rows), len(self.columns))
-
-    def basis_divides(self, m) -> bool:
-        """Whether some basis leading monomial divides the monomial m."""
-        # m - shift(lm) is the quotient m / lm, valid iff no guard bit is set
-        guard = self.ring.codec.guard
-        return not all((m - s) & guard for s in self.shifts)
 
     def split(self):
         """(known, block): head column -> index of that column's known-pivot
         row, and the indices of the other rows, in row order."""
         known: dict = {}
         block: list = []
+        first = self.first
         for i, p in enumerate(self.rows):
-            if p.terms:
+            if p.terms and first is not None:
                 j = self.col_index[p.lm()]
-                if j not in known and self.basis_divides(p.lm()):
+                if j not in known and first.index(p.lm()) is not None:
                     known[j] = i
                     continue
             block.append(i)  # a zero row stays here and counts as a zero row
@@ -152,8 +150,7 @@ class MacaulayMatrix:
         ordered by descending leading monomial, and the matrix's rows minus
         its rank. The polynomials are exactly the rows of the full matrix's
         RREF whose leading monomial is not a known pivot's head. With no
-        basis leading monomials every row is in the block, and this is the
-        full RREF.
+        lookup every row is in the block, and this is the full RREF.
         """
         known, block = self.split()
         if not block:
@@ -273,39 +270,28 @@ def _clear(row: int, pivots: dict, mask: int) -> int:
 
 
 def f4_round(state: RunState) -> RoundTrace:
-    """One batch: select, preprocess, row reduce, screen, insert."""
+    """One batch: select, preprocess, row reduce, then ``RunState.absorb``.
+
+    Every basis-divisible column got a reducer row, so it is a pivot column
+    and no reduced row has a basis-reducible monomial: the rows are already
+    in normal form against the basis.
+    """
     pairs = state.queue.select(batch=True)
     rows = symbolic_preprocess(
         pairs, state.basis, state.ring, field_active=state.field_active, first=state.divisors
     )
-    matrix = MacaulayMatrix(rows, state.ring, [g.lm() for g in state.basis])
+    matrix = MacaulayMatrix(rows, state.ring, state.divisors)
     nrows, ncols = matrix.shape
     reduced, zero_rows = matrix.reduce()
-
-    # Every basis-divisible column got a reducer row, so it is a pivot column
-    # and no reduced row has a basis-reducible monomial: the rows are
-    # already in normal form against the basis, until a renew changes it.
-    reduced_at = state.renewals
-    batch = state.screen_batch(reduced)
-    added = 0
-    max_deg = 0
-    for h in batch:
-        if state.inconsistent:
-            break
-        kept = state.insert_new(h, reduced_at)
-        if kept is not None:
-            added += 1
-            max_deg = max(max_deg, kept.degree())
-
-    state.post_round_checks()
-    return RoundTrace(
-        round=state.round_no,
-        pairs_selected=len(pairs),
-        new_polys=added,
-        max_poly_degree=max_deg,
-        matrix_rows=nrows,
-        matrix_cols=ncols,
-        zero_rows=zero_rows,
+    return state.absorb(
+        reduced,
+        RoundTrace(
+            round=state.round_no,
+            pairs_selected=len(pairs),
+            matrix_rows=nrows,
+            matrix_cols=ncols,
+            zero_rows=zero_rows,
+        ),
     )
 
 

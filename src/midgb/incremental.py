@@ -47,7 +47,7 @@ def incremental_core(polys, config: EngineConfig, tracer: TraceWriter) -> Engine
         if config.max_rounds is not None and i > config.max_rounds:
             return state.finish(Status.ROUND_LIMIT)
         state.round_no = i
-        before = list(state.basis)
+        before = set(state.basis)
         for var, val in state.assignments.items():
             f = substitute(f, var, val)
         if state.ingest_inputs([normal_form(f, state.basis, state.divisors)]):

@@ -11,23 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .engine import PairQueue, update
-from .errors import ConflictingRootsError, OrderNotLexError
+from .engine import PairQueue, SolveEvent, update
+from .errors import ConflictingRootsError
 from .poly import (
     Polynomial,
-    PolyRing,
     interreduce,
     is_field_polynomial,
     is_univariate,
     substitute,
 )
-
-
-@dataclass(frozen=True)
-class Assignment:
-    variable: int
-    value: int
-    round: int
 
 
 def _poly_rem(a: list, f: list, q: int) -> list:
@@ -110,12 +102,14 @@ def _unique_root(p: Polynomial, var: int):
 def find_unique_root_polys(batch: Iterable[Polynomial], round_no: int = 0):
     """Scan a batch for univariate members with exactly one root in GF(q).
 
-    Polynomials with zero roots or two-plus roots are skipped. With field
-    equations on, a member with no root in GF(q) later reduces the basis to
-    a constant, which the inconsistency check catches; with them off it may
-    stay in the basis, and the run ends without speaking of it. Two batch
-    members forcing different values onto one variable is a contradiction and
-    raises ConflictingRootsError.
+    Returns one ``SolveEvent`` in round ``round_no`` per forced variable, in
+    the order the batch first forces them. Polynomials with zero roots or
+    two-plus roots are skipped. With field equations on, a member with no
+    root in GF(q) later reduces the basis to a constant, which the
+    inconsistency check catches; with them off it may stay in the basis,
+    and the run ends without speaking of it. Two batch members forcing
+    different values onto one variable is a contradiction and raises
+    ConflictingRootsError.
     """
     found: dict = {}
     for p in batch:
@@ -129,7 +123,7 @@ def find_unique_root_polys(batch: Iterable[Polynomial], round_no: int = 0):
             continue
         prev = found.get(var)
         if prev is None:
-            found[var] = Assignment(var, val, round_no)
+            found[var] = SolveEvent(round_no, var, val)
         elif prev.value != val:
             raise ConflictingRootsError(var)
     return list(found.values())
@@ -144,7 +138,7 @@ class RenewResult:
 
 
 def renew(
-    basis: Sequence[Polynomial], pending: Sequence[Polynomial], a: Assignment
+    basis: Sequence[Polynomial], pending: Sequence[Polynomial], event: SolveEvent
 ) -> RenewResult:
     """Substitute a solved variable everywhere and rebuild the bookkeeping.
 
@@ -172,9 +166,9 @@ def renew(
     inconsistent = False
     survivors = []
     for g in basis:
-        if is_field_polynomial(g) == a.variable:
+        if is_field_polynomial(g) == event.variable:
             continue
-        g2 = substitute(g, a.variable, a.value)
+        g2 = substitute(g, event.variable, event.value)
         if g2.is_zero:
             continue
         if g2.is_constant:
@@ -184,7 +178,7 @@ def renew(
 
     new_pending = []
     for p in pending:
-        p2 = substitute(p, a.variable, a.value)
+        p2 = substitute(p, event.variable, event.value)
         if p2.is_zero:
             continue
         if p2.is_constant:
@@ -207,27 +201,3 @@ def inconsistency_check(polys: Iterable[Polynomial]) -> bool:
             return True
     return False
 
-
-def triangular_shape_check(polys: Iterable[Polynomial], ring: PolyRing) -> bool:
-    """Check the staircase variable structure of a completed lex basis.
-
-    Walking variables from the lex-least upward, every member whose greatest
-    variable is x_i may otherwise involve only variables that earlier members
-    already introduced — i.e. some member is univariate in the least occurring
-    variable, the next members add one new variable at a time, and so on.
-    Constant members are ignored (the empty-variety case is degenerately true).
-    """
-    if ring.order != "lex":
-        raise OrderNotLexError("triangular shape is defined for lex bases")
-    supports = [s for s in (p.support() for p in polys) if s]
-    if not supports:
-        return True
-    covered: set = set()
-    for idx in range(ring.n - 1, -1, -1):
-        members = [s for s in supports if min(s) == idx]
-        for s in members:
-            if not (s - {idx}) <= covered:
-                return False
-        if members:
-            covered.add(idx)
-    return True

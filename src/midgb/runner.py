@@ -2,12 +2,13 @@
 
 A RunState owns the basis (a plain list in insertion order), the pair
 queue, the solved-variable map and the trace; the engines supply a
-per-round step function. Middle solving runs through one method,
-``RunState.screen``, in one of the paper's two modes: the batch engines
-screen every freshly reduced batch and, once the queue drains, the
-completed basis; the incremental engine screens only each completed
-intermediate basis. Everything here is deterministic: fixed iteration
-orders, no set iteration.
+per-round step function that reduces a batch and hands it to
+``RunState.absorb``, which screens, inserts and counts it. Middle solving
+runs through one method, ``RunState.screen``, in one of the paper's two
+modes: the batch engines screen every freshly reduced batch and, once the
+queue drains, the completed basis; the incremental engine screens only each
+completed intermediate basis. Everything here is deterministic: fixed
+iteration orders, no set iteration.
 """
 
 from __future__ import annotations
@@ -109,12 +110,10 @@ class RunState:
     def all_solved(self) -> bool:
         return len(self.assignments) == self.ring.n
 
-    def emit(self, assignment):
-        ev = SolveEvent(assignment.round, assignment.variable, assignment.value)
+    def emit(self, ev: SolveEvent):
         self.events.append(ev)
         self.assignments[ev.variable] = ev.value
         self.tracer.event("solved", ev.round, self.ring.names[ev.variable], ev.value)
-        return ev
 
     def outcome(self):
         """The status a run has reached early or at completion, if any."""
@@ -146,17 +145,17 @@ class RunState:
         except ConflictingRootsError:
             self.mark_inconsistent()
             return True, []
-        for i, a in enumerate(found):
+        for i, ev in enumerate(found):
             if self.inconsistent:
                 break
-            self.emit(a)
+            self.emit(ev)
             if i == 0 and self.settles(found):
                 for b in found[1:]:
                     self.emit(b)
                 self.basis, pending, self.queue = [], [], PairQueue()
                 self.renewals += 1  # the basis changed, as a renew changes it
                 break
-            res = renew(self.basis, pending, a)
+            res = renew(self.basis, pending, ev)
             self.basis, pending, self.queue = res.basis, res.pending, res.queue
             self.renewals += 1
             if res.inconsistent:
@@ -166,17 +165,36 @@ class RunState:
     def settles(self, found) -> bool:
         """Whether the assignments so far and ``found`` fix a common zero."""
         values = dict(self.assignments)
-        values.update((a.variable, a.value) for a in found)
+        values.update((ev.variable, ev.value) for ev in found)
         if len(values) != self.ring.n:
             return False
         point = [values[i] for i in range(self.ring.n)]
         return not any(f.evaluate(point) for f in self.ingested)
 
-    def screen_batch(self, batch: list) -> list:
-        """Mid-run solving over a freshly reduced batch; returns it renewed."""
-        if not self.batch_screening or not batch:
-            return batch
-        return self.screen(batch, batch)[1]
+    def absorb(self, batch: list, tr: RoundTrace) -> RoundTrace:
+        """End a round: screen a freshly reduced batch, insert it, count it.
+
+        ``batch`` is in normal form against the basis as it stands on entry
+        and in descending leading-monomial order (see ``insert_new``). The
+        batch engines screen it first, which may renew it; each member is
+        then inserted until the run turns inconsistent, and the kept ones
+        are counted in ``tr``. Last, the whole basis is checked for a
+        constant: a renew's interreduce can turn survivors such as
+        {x + 1, x} into 1 without flagging it. Returns ``tr``.
+        """
+        reduced_at = self.renewals
+        if self.batch_screening and batch:
+            batch = self.screen(batch, batch)[1]
+        for h in batch:
+            if self.inconsistent:
+                break
+            kept = self.insert_new(h, reduced_at)
+            if kept is not None:
+                tr.new_polys += 1
+                tr.max_poly_degree = max(tr.max_poly_degree, kept.degree())
+        if self.batch_screening and not self.inconsistent and inconsistency_check(self.basis):
+            self.mark_inconsistent()
+        return tr
 
     def insert_new(self, h, reduced_at: int):
         """Insert a candidate if it does not reduce to zero.
@@ -199,10 +217,6 @@ class RunState:
         degree_monitor(h, self.ring, "stored", self.field_active)
         update(self.basis, self.queue, h)
         return h
-
-    def post_round_checks(self):
-        if self.batch_screening and not self.inconsistent and inconsistency_check(self.basis):
-            self.mark_inconsistent()
 
     def record_round(self, tr: RoundTrace):
         tr.events = [e for e in self.events if e.round == tr.round]

@@ -10,19 +10,20 @@ def split_checked(monkeypatch):
     """Make every F4 round check its split elimination against the full one.
 
     Each round's ``MacaulayMatrix.reduce`` result must equal the full RREF of
-    the same rows (the matrix built with no basis) with the rows whose leading
-    monomial a basis leading monomial divides left out, and its zero-row
-    count must equal the full one. Yields the set of field sizes q that had a
-    round with both known pivots and a nonempty block, so a caller can show
-    that the check was not vacuous.
+    the same rows (the matrix built with no lookup) with the rows whose
+    leading monomial a basis leading monomial divides left out, and its
+    zero-row count must equal the full one. The basis is the lookup's
+    member list, read here by a plain scan. Yields the set of field sizes q
+    that had a round with both known pivots and a nonempty block, so a
+    caller can show that the check was not vacuous.
     """
     full_matrix = f4.MacaulayMatrix
     split = set()
 
     class Checked(full_matrix):
-        def __init__(self, rows, ring, basis_lms=()):
-            super().__init__(rows, ring, basis_lms)
-            self.basis_exponents = [ring.exponents(m) for m in basis_lms]
+        def __init__(self, rows, ring, first):
+            super().__init__(rows, ring, first)
+            self.basis_exponents = [ring.exponents(g.lm()) for g in first.members]
 
         def reducible(self, p):
             e = self.ring.exponents(p.lm())

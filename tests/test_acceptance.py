@@ -29,8 +29,7 @@ from midgb import (
 from midgb import runner
 from midgb.bench import random_system
 from midgb.cli import EXIT_ROUND_LIMIT, run_cli
-from midgb.errors import BoundViolationError
-from midgb.midsolve import triangular_shape_check
+from midgb.errors import BoundViolationError, OrderNotLexError
 from midgb.poly import is_field_polynomial
 from midgb.runner import RunState
 from midgb.systems import format_system, parse_system
@@ -229,6 +228,60 @@ def test_criterion_7_incremental_agreement():
         if rf.status is not Status.INCONSISTENT:
             assert ri.assignments == rf.assignments, label
     print(f"criterion 7 PASS: incremental matches f4 on {len(CORPUS)} systems")
+
+
+def triangular_shape_check(polys, ring: PolyRing) -> bool:
+    """Check the staircase variable structure of a completed lex basis.
+
+    Walking variables from the lex-least upward, every member whose greatest
+    variable is x_i may otherwise involve only variables that earlier members
+    already introduced — i.e. some member is univariate in the least occurring
+    variable, the next members add one new variable at a time, and so on.
+    Constant members are ignored (the empty-variety case is degenerately true).
+    """
+    if ring.order != "lex":
+        raise OrderNotLexError("triangular shape is defined for lex bases")
+    supports = [s for s in (p.support() for p in polys) if s]
+    if not supports:
+        return True
+    covered: set = set()
+    for idx in range(ring.n - 1, -1, -1):
+        members = [s for s in supports if min(s) == idx]
+        for s in members:
+            if not (s - {idx}) <= covered:
+                return False
+        if members:
+            covered.add(idx)
+    return True
+
+
+@pytest.fixture
+def r2():
+    return PolyRing(2, ["x", "y"], "lex")
+
+
+def test_triangular_shape_on_staircase(r2):
+    y2y = r2.poly({(0, 2): 1, (0, 1): 1})
+    x_y = r2.poly({(1, 0): 1, (0, 1): 1})
+    assert triangular_shape_check([y2y, x_y], r2)
+
+
+def test_triangular_shape_rejects_tangled_basis(r2):
+    # one member mixing both variables with nothing univariate below it
+    xy1 = r2.poly({(1, 1): 1, (0, 0): 1})
+    assert not triangular_shape_check([xy1], r2)
+
+
+def test_triangular_shape_vacuous_cases(r2):
+    assert triangular_shape_check([], r2)
+    assert triangular_shape_check([r2.one], r2)
+
+
+def test_triangular_shape_requires_lex():
+    g = PolyRing(2, ["x", "y"], "grevlex")
+    with pytest.raises(OrderNotLexError):
+        triangular_shape_check([g.one], g)
+
 
 
 def test_criterion_8_triangular_shape():

@@ -17,6 +17,12 @@ from midgb.bench import random_system
 from midgb.engine import CriticalPair
 from midgb.errors import EmptyBatchError
 from midgb.f4 import MacaulayMatrix, symbolic_preprocess
+from midgb.poly import FirstDivisor, Polynomial
+
+
+def lookup(lms, ring):
+    """A reducer lookup over one monomial member per leading monomial."""
+    return FirstDivisor([Polynomial(ring, ((m, 1),)) for m in lms], ring)
 
 
 def make_pair(f, g, left=0, right=1):
@@ -162,7 +168,7 @@ def test_split_reduce_matches_reference(q, trial):
         e = ring.exponents(mono)
         return any(all(a <= b for a, b in zip(d, e)) for d in exps)
 
-    m = MacaulayMatrix(rows, ring, lms)
+    m = MacaulayMatrix(rows, ring, lookup(lms, ring))
     red, zero_rows = m.reduce()
     known = {m.col_index[p.lm()] for p in rows if divisible(p.lm())}
     assert known and m.split()[1]  # both halves of the split are used
@@ -185,8 +191,8 @@ def test_matrix_reduce_counts_a_zero_input_row(q):
     ring = PolyRing(q, ["x", "y"], "grevlex")
     x, y = ring.variable(0), ring.variable(1)
     rows = [x + ring.one, ring.zero, y + ring.one]
-    for lms, kept in (((), ["x + 1", "y + 1"]), ([x.lm()], ["y + 1"])):
-        red, zero_rows = MacaulayMatrix(rows, ring, lms).reduce()
+    for first, kept in ((None, ["x + 1", "y + 1"]), (lookup([x.lm()], ring), ["y + 1"])):
+        red, zero_rows = MacaulayMatrix(rows, ring, first).reduce()
         assert [str(p) for p in red] == kept
         assert zero_rows == 1
 

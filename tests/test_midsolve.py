@@ -1,4 +1,4 @@
-"""Unique-root screening, substitution renewal, and the shape checks."""
+"""Unique-root screening, substitution renewal, and the end of a round."""
 
 import itertools
 import random
@@ -16,15 +16,9 @@ from midgb import (
     groebner_basis,
 )
 from midgb.bench import random_system
-from midgb.engine import PairQueue, adjoin_field_equations, update
-from midgb.errors import ConflictingRootsError, OrderNotLexError
-from midgb.midsolve import (
-    Assignment,
-    find_unique_root_polys,
-    inconsistency_check,
-    renew,
-    triangular_shape_check,
-)
+from midgb.engine import PairQueue, RoundTrace, SolveEvent, adjoin_field_equations, update
+from midgb.errors import ConflictingRootsError
+from midgb.midsolve import find_unique_root_polys, inconsistency_check, renew
 from midgb.poly import univariate_roots
 from midgb.runner import RunState
 from midgb.trace import TraceWriter
@@ -43,8 +37,8 @@ def r3():
 def test_unique_root_found_gf2(r2):
     x = r2.variable(0)
     found = find_unique_root_polys([x + r2.one], round_no=3)
-    assert found == [Assignment(variable=0, value=1, round=3)]
-    assert find_unique_root_polys([x]) == [Assignment(0, 0, 0)]
+    assert found == [SolveEvent(round=3, variable=0, value=1)]
+    assert find_unique_root_polys([x]) == [SolveEvent(0, 0, 0)]
 
 
 def test_two_root_polys_are_skipped(r2):
@@ -62,7 +56,7 @@ def test_rootless_polys_are_skipped(r3):
 def test_double_root_counts_once(r3):
     # (x+1)^2 = x^2 + 2x + 1 forces x = 2
     p = r3.poly({(2, 0): 1, (1, 0): 2, (0, 0): 1})
-    assert find_unique_root_polys([p]) == [Assignment(0, 2, 0)]
+    assert find_unique_root_polys([p]) == [SolveEvent(0, 0, 2)]
 
 
 def test_multivariate_and_zero_members_ignored(r2):
@@ -80,7 +74,7 @@ def test_conflicting_roots_raise(r3):
 def test_same_value_twice_is_fine(r2):
     x = r2.variable(0)
     found = find_unique_root_polys([x, x.scale(1)])
-    assert found == [Assignment(0, 0, 0)]
+    assert found == [SolveEvent(0, 0, 0)]
 
 
 def test_renew_substitutes_and_drops_field_polynomial(r2):
@@ -88,7 +82,7 @@ def test_renew_substitutes_and_drops_field_polynomial(r2):
     x, y = r2.variable(0), r2.variable(1)
     for g in (x + r2.one, x * y + y, field_polynomial(r2, 0), field_polynomial(r2, 1)):
         update(basis, queue, g)
-    res = renew(basis, [], Assignment(0, 1, 1))
+    res = renew(basis, [], SolveEvent(1, 0, 1))
     assert not res.inconsistent
     remaining = [str(p) for p in res.basis]
     # x+1 -> 0, x*y+y -> 0 (y+y), x^2+x -> dropped as the solved field poly
@@ -100,7 +94,7 @@ def test_renew_flags_nonzero_constant(r2):
     x = r2.variable(0)
     update(basis, queue, x + r2.one)
     update(basis, queue, x)
-    res = renew(basis, [], Assignment(0, 1, 1))
+    res = renew(basis, [], SolveEvent(1, 0, 1))
     assert res.inconsistent
     assert res.basis == []
 
@@ -110,7 +104,7 @@ def test_renew_substitutes_pending(r2):
     x, y = r2.variable(0), r2.variable(1)
     update(basis, queue, x + r2.one)
     pending = [x * y + x + y]
-    res = renew(basis, pending, Assignment(0, 1, 2))
+    res = renew(basis, pending, SolveEvent(2, 0, 1))
     # y + 1 + y = 1: the pending member becomes a nonzero constant
     assert res.inconsistent
     assert res.pending == []
@@ -149,6 +143,40 @@ def test_replacing_the_basis_gives_fresh_reducer_lookups(r2):
     state.completion()
     assert state.divisors is not lookups
     assert state.divisors.members is state.basis
+
+
+def test_absorb_screens_inserts_and_counts_a_batch(r2):
+    """``RunState.absorb`` ends a batch engine's round: it screens a reduced
+    batch when middle solving is on, inserts what is left and counts it in
+    the round's trace, then checks the whole basis for a constant."""
+    x, y = r2.variable(0), r2.variable(1)
+    batch = [x * y + r2.one, y + r2.one]  # normal forms, descending
+
+    def state(middle_solving):
+        st = RunState(EngineConfig(r2, middle_solving=middle_solving), TraceWriter())
+        st.ingest_inputs(adjoin_field_equations([], r2))
+        st.round_no = 1
+        return st
+
+    off = state(False)
+    tr = off.absorb(list(batch), RoundTrace(round=1))
+    assert (tr.new_polys, tr.max_poly_degree) == (2, 2)
+    assert off.basis[2:] == batch
+    assert off.events == [] and off.renewals == 0
+
+    # y + 1 forces y = 1; the renew drops y^2 + y and turns x*y + 1 into x + 1
+    on = state(True)
+    tr = on.absorb(list(batch), RoundTrace(round=1))
+    assert on.events == [SolveEvent(1, 1, 1)] and on.renewals == 1
+    assert [str(g) for g in on.basis] == ["x^2 + x", "x + 1"]
+    assert (tr.new_polys, tr.max_poly_degree) == (1, 1)
+    assert not on.inconsistent
+
+    for middle_solving in (False, True):
+        st = state(middle_solving)
+        tr = st.absorb([r2.one], RoundTrace(round=1))
+        assert tr.new_polys == 1  # the unit is inserted either way
+        assert st.inconsistent is middle_solving
 
 
 # (linear, constant) coefficients of a quadratic x^2 + a*x + c with no root in GF(q)
@@ -250,29 +278,6 @@ def test_inconsistency_check(r2):
     assert not inconsistency_check([])
 
 
-def test_triangular_shape_on_staircase(r2):
-    y2y = r2.poly({(0, 2): 1, (0, 1): 1})
-    x_y = r2.poly({(1, 0): 1, (0, 1): 1})
-    assert triangular_shape_check([y2y, x_y], r2)
-
-
-def test_triangular_shape_rejects_tangled_basis(r2):
-    # one member mixing both variables with nothing univariate below it
-    xy1 = r2.poly({(1, 1): 1, (0, 0): 1})
-    assert not triangular_shape_check([xy1], r2)
-
-
-def test_triangular_shape_vacuous_cases(r2):
-    assert triangular_shape_check([], r2)
-    assert triangular_shape_check([r2.one], r2)
-
-
-def test_triangular_shape_requires_lex():
-    g = PolyRing(2, ["x", "y"], "grevlex")
-    with pytest.raises(OrderNotLexError):
-        triangular_shape_check([g.one], g)
-
-
 def test_middle_solving_with_a_prime_past_int64_returns_at_once():
     # screening used to evaluate all q field elements per univariate
     q = 8589934609
@@ -331,5 +336,5 @@ def test_unique_root_agrees_with_exhaustive_search(q, var, coeffs):
     if p.is_zero or p.is_constant:
         return
     roots = univariate_roots(p, var)
-    want = [Assignment(var, min(roots), 0)] if len(roots) == 1 else []
+    want = [SolveEvent(0, var, min(roots))] if len(roots) == 1 else []
     assert find_unique_root_polys([p]) == want
