@@ -11,6 +11,7 @@ from .buchberger import buchberger_core
 from .engine import EngineConfig, EngineReport
 from .f4 import f4_core
 from .incremental import incremental_core
+from .poly import require_ring
 from .trace import TraceWriter
 
 ENGINES = {
@@ -21,8 +22,13 @@ ENGINES = {
 
 
 def groebner_basis(polys, config: EngineConfig) -> EngineReport:
-    """Run the engine that ``config.engine`` names on the input polynomials."""
+    """Run the engine that ``config.engine`` names on the input polynomials.
+
+    Every input must be over ``config.ring``, else MixedRingsError.
+    """
     inputs = list(polys)
+    for p in inputs:
+        require_ring(config.ring, p)
     if config.reverse_inputs:
         inputs = inputs[::-1]
     with TraceWriter(config.trace_path) as tracer:

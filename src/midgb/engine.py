@@ -71,12 +71,10 @@ def field_polynomial(ring: PolyRing, i: int) -> Polynomial:
     return Polynomial(ring, ((ring.codec.var(i, q), 1), (ring.codec.var(i), q - 1)))
 
 
-def adjoin_field_equations(polys, ring: PolyRing, variables=None) -> list:
-    """Append x_i^q - x_i for each variable (default: all), skipping duplicates."""
+def adjoin_field_equations(polys, ring: PolyRing) -> list:
+    """Append x_i^q - x_i for each variable, skipping duplicates."""
     out = list(polys)
-    if variables is None:
-        variables = range(ring.n)
-    for i in variables:
+    for i in range(ring.n):
         fp = field_polynomial(ring, i)
         if fp not in out:
             out.append(fp)

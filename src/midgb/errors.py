@@ -21,6 +21,10 @@ class ZeroPolynomialError(MidgbError, ValueError):
     """Root search on the zero polynomial."""
 
 
+class MixedRingsError(MidgbError, ValueError):
+    """Polynomials from different rings in one operation or run."""
+
+
 class EmptyQueueError(MidgbError, LookupError):
     """Pair selection from an empty queue."""
 

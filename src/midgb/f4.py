@@ -13,8 +13,6 @@ before anything is inserted.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from .engine import EngineConfig, EngineReport, RoundTrace, degree_monitor
@@ -33,11 +31,12 @@ def symbolic_preprocess(
     pair's leading terms, then closes downward: every monomial of every row
     that is not already some row's leading monomial gets a reducer row (the
     first basis member, in insertion order, whose leading monomial divides
-    it), worked largest monomial first. Reducers are found by ``first``, a
-    ``FirstDivisor`` over ``basis`` that may carry lookups from earlier
-    rounds; without one, a fresh one. Rows are exponent-folded on the spot
-    (field polynomials excepted), through one fold memo per call, so the
-    matrix never grows columns past the per-variable degree cap.
+    it). The closure walks the row list as it grows, reducer rows included;
+    row order does not change the matrix's reduced rows. Reducers are found
+    by ``first``, a ``FirstDivisor`` over ``basis`` that may carry lookups
+    from earlier rounds; without one, a fresh one. Rows are exponent-folded
+    on the spot (field polynomials excepted), through one fold memo per
+    call, so the matrix never grows columns past the per-variable degree cap.
     """
     if not pairs:
         raise EmptyBatchError("symbolic preprocessing needs at least one pair")
@@ -54,7 +53,7 @@ def symbolic_preprocess(
         return g.term_mul(quot, field.inv(g.lc()))
 
     rows: list = []
-    seen: set = set()  # row heads and every monomial queued for a reducer
+    seen: set = set()  # pair-row heads and every monomial looked up
     seen_products: set = set()
     for pr in pairs:
         for idx in (pr.left, pr.right):
@@ -70,32 +69,21 @@ def symbolic_preprocess(
             degree_monitor(row, ring, "created", field_active)
             rows.append(row)
             # a head that folding moved below the lcm is NOT covered by this
-            # row's parent, so it is left for enqueue to give it a reducer
+            # row's parent, so it is left for the closure to give a reducer
             if row.lm() == pr.lcm:
                 seen.add(row.lm())
 
-    heap: list = []  # negated monomials: the heap pops the largest first
-
-    def enqueue(row):
-        fresh = {m for m, _ in row.terms}
-        fresh -= seen
-        seen.update(fresh)
-        for m in fresh:
-            heapq.heappush(heap, -m)
-
-    for row in rows:
-        enqueue(row)
-
     members = first.members
-    while heap:
-        m = -heapq.heappop(heap)
-        i = first.index(m)
-        if i is not None:
-            g = members[i]
-            row = multiple(g, m - first.reducers[i][0])  # the quotient m / LM(g)
-            degree_monitor(row, ring, "created", field_active)
-            rows.append(row)
-            enqueue(row)
+    for row in rows:
+        for m, _ in row.terms:
+            if m in seen:
+                continue
+            seen.add(m)
+            i = first.index(m)
+            if i is not None:
+                reducer = multiple(members[i], m - first.reducers[i][0])  # m / LM(g)
+                degree_monitor(reducer, ring, "created", field_active)
+                rows.append(reducer)
     return rows
 
 

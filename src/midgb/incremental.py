@@ -36,6 +36,7 @@ def _complete(state: RunState) -> None:
 def incremental_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:
     """The incremental engine: field equations first, then one input per round."""
     state = RunState(config, tracer)
+    state.batch_screening = False
     if config.adjoin_field_eqs:
         # a reduced basis all by themselves; completion only sorts them
         state.ingest_inputs(adjoin_field_equations([], config.ring))

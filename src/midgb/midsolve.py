@@ -15,88 +15,44 @@ from .engine import PairQueue, SolveEvent, update
 from .errors import ConflictingRootsError
 from .poly import (
     Polynomial,
+    field_reduce,
     interreduce,
     is_field_polynomial,
     is_univariate,
+    normal_form,
     substitute,
 )
-
-
-def _poly_rem(a: list, f: list, q: int) -> list:
-    """a mod f for dense coefficient lists (index = exponent), f monic."""
-    a = a[:]
-    df = len(f) - 1
-    for k in range(len(a) - 1, df - 1, -1):
-        c = a[k]
-        if c:
-            for j in range(df + 1):
-                a[k - df + j] = (a[k - df + j] - c * f[j]) % q
-    del a[df:]
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_mulmod(a: list, b: list, f: list, q: int) -> list:
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % q
-    return _poly_rem(prod, f, q)
-
-
-def _poly_gcd(a: list, b: list, q: int) -> list:
-    """Monic gcd of two dense coefficient lists."""
-    while b:
-        inv = pow(b[-1], -1, q)
-        b = [c * inv % q for c in b]
-        a, b = b, _poly_rem(a, b, q)
-    return a
 
 
 def _unique_root(p: Polynomial, var: int):
     """The root of p, univariate in x_var, when GF(q) holds exactly one; else None.
 
-    On GF(q) points x^q = x, so exponents fold to at most q - 1 first. The
-    roots in GF(q) of the folded f are those of g = gcd(f, x^q - x), one per
-    degree, with x^q mod f from square-and-multiply: O(deg^2 log q) work
-    where trying every field element is O(q deg).
+    On GF(q) points x^q = x, so p is exponent-folded first (``field_reduce``)
+    into f, made monic. The roots in GF(q) of f are those of
+    g = gcd(f, x^q - x), one per degree of g: x^q mod f comes from
+    square-and-multiply, each product reduced by ``normal_form``, and the
+    gcd from Euclid's algorithm on ``normal_form`` remainders. That is
+    O(deg^2 log q) work where trying every field element is O(q deg).
     """
-    q = p.ring.q
-    exponent = p.ring.codec.exponent
-    coeffs: dict = {}
-    for m, c in p.terms:
-        e = exponent(m, var)
-        if e >= q:
-            e = (e - 1) % (q - 1) + 1
-        coeffs[e] = (coeffs.get(e, 0) + c) % q
-    f = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        f[e] = c
-    while f and not f[-1]:
-        f.pop()
-    if len(f) < 2:
+    f = field_reduce(p)
+    if f.is_constant:
         return None  # a nonzero constant has no root; zero has q of them
-    inv = pow(f[-1], -1, q)
-    f = [c * inv % q for c in f]
-    # x^q mod f
-    power, base, k = [1], _poly_rem([0, 1], f, q), q
+    f = f.monic()
+    ring = p.ring
+    x = ring.variable(var)
+    power, base, k = ring.one, x, ring.q  # every product is reduced mod f
     while k:
         if k & 1:
-            power = _poly_mulmod(power, base, f, q)
-        base = _poly_mulmod(base, base, f, q)
+            power = normal_form(power * base, [f])
         k >>= 1
-    h = power + [0] * (2 - len(power))
-    h[1] = (h[1] - 1) % q  # x^q - x mod f
-    while h and not h[-1]:
-        h.pop()
-    g = _poly_gcd(f, h, q)
-    if len(g) != 2:
+        if k:
+            base = normal_form(base * base, [f])
+    g, h = f, power - x  # h = x^q - x mod f
+    while h:
+        g, h = h.monic(), normal_form(g, [h])
+    if g.degree() != 1:
         return None
-    return -g[0] % q
+    return -g.terms[1][1] % ring.q if len(g.terms) == 2 else 0  # g = x - root
 
 
 def find_unique_root_polys(batch: Iterable[Polynomial], round_no: int = 0):

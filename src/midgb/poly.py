@@ -2,10 +2,11 @@
 
 A Polynomial is an immutable sorted term list (descending under the ring's
 monomial order) with coefficients in canonical range. Every polynomial knows
-its ring; operations never mix rings. Monomials are packed ints (see
-``monomials``): the ring's ``codec`` does their arithmetic, and integer order
-is the monomial order. Exponent tuples appear only at the boundary:
-``PolyRing.poly`` takes them and ``PolyRing.exponents`` gives them back.
+its ring; an operation on two rings raises MixedRingsError. Monomials are
+packed ints (see ``monomials``): the ring's ``codec`` does their arithmetic,
+and integer order is the monomial order. Exponent tuples appear only at the
+boundary: ``PolyRing.poly`` takes them and ``PolyRing.exponents`` gives them
+back.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import heapq
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .errors import ZeroInputError, ZeroPolynomialError
+from .errors import MixedRingsError, ZeroInputError, ZeroPolynomialError
 from .gf import PrimeField
 from .monomials import ORDERS, MonomialCodec
 
@@ -120,6 +121,12 @@ class PolyRing:
         return f"PolyRing(GF({self.q}), [{', '.join(self.names)}], {self.order})"
 
 
+def require_ring(ring: PolyRing, p: "Polynomial") -> None:
+    """Raise MixedRingsError unless p belongs to ``ring``."""
+    if p.ring is not ring and p.ring != ring:
+        raise MixedRingsError(f"a polynomial over {p.ring} where {ring} was expected")
+
+
 def _canonical(ring: PolyRing, acc: dict) -> "Polynomial":
     """The polynomial of a {packed monomial: coefficient mod q} dict."""
     terms = tuple((m, c) for m, c in sorted(acc.items(), reverse=True) if c)
@@ -177,8 +184,7 @@ class Polynomial:
     # ------------------------------------------------------------ arithmetic
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError("mixed rings")
+        require_ring(self.ring, other)
         if not self.terms:
             return other
         if not other.terms:
@@ -219,6 +225,7 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
+        require_ring(self.ring, other)
         q = self.ring.q
         mul = self.ring.codec.mul
         acc: dict = {}
@@ -306,6 +313,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero or g.is_zero:
         raise ZeroInputError("s_polynomial of a zero polynomial")
     ring = f.ring
+    require_ring(ring, g)
     q = ring.q
     field = ring.field
     codec = ring.codec
@@ -323,7 +331,8 @@ def normal_form(p: Polynomial, reducers: Sequence[Polynomial], first=None) -> Po
     the running remainder, and reduce it with the first reducer (list order)
     whose leading monomial divides it. Every monomial of the result is
     irreducible. ``first`` is a ``FirstDivisor`` over ``reducers`` whose
-    lookups outlive this call; without one, each monomial is found by a scan.
+    lookups outlive this call; without one, each monomial is found by a scan,
+    and every reducer must be nonzero and over p's ring.
     """
     if p.is_zero or not reducers:
         return p
@@ -331,6 +340,7 @@ def normal_form(p: Polynomial, reducers: Sequence[Polynomial], first=None) -> Po
         for g in reducers:
             if g.is_zero:
                 raise ZeroInputError("zero polynomial in reducer list")
+            require_ring(p.ring, g)
         first = FirstDivisor(reducers, p.ring)
     return _reduce_by(p, first)
 
@@ -453,6 +463,8 @@ def interreduce(polys: Iterable[Polynomial]) -> list:
     work = [p.monic() for p in polys if not p.is_zero]
     if not work:
         return []
+    for p in work:
+        require_ring(work[0].ring, p)
     guard = work[0].ring.codec.guard
     changed = True
     while changed:

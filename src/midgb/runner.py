@@ -40,8 +40,8 @@ class RunState:
         self.config = config
         self.field_active = config.adjoin_field_eqs
         self.screening = config.middle_solving
-        # the incremental mode screens completed bases only, never a batch
-        self.batch_screening = self.screening and config.engine != "incremental"
+        # the incremental engine turns this off: it screens completed bases only
+        self.batch_screening = config.middle_solving
         self.tracer = tracer
         self.basis = []
         self.queue = PairQueue()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from midgb import read_trace
+from midgb import EngineReport, Status, read_trace
+from midgb import cli
 from midgb.cli import (
     EXIT_ERROR,
     EXIT_INCONSISTENT,
@@ -63,6 +64,22 @@ def test_oracle_check_on_inconsistent(tmp_path, capsys):
     path.write_text(INCONSISTENT)
     assert run_cli(["--input", str(path), "--oracle-check"]) == EXIT_INCONSISTENT
     assert "oracle: ok (no solutions, status Inconsistent)" in capsys.readouterr().out
+
+
+def test_oracle_check_rejects_a_wrong_basis(tmp_path, capsys, monkeypatch):
+    # {x*y + 1, x + y} over GF(2) has the one zero (1, 1); x + y alone has two
+    path = tmp_path / "sys.txt"
+    path.write_text(SOLVABLE)
+    assert run_cli(["--input", str(path), "--oracle-check"]) == EXIT_OK
+    assert "oracle: ok" in capsys.readouterr().out
+
+    def wrong(polys, config):
+        x, y = config.ring.variable(0), config.ring.variable(1)
+        return EngineReport(Status.GROEBNER_BASIS, [x + y], {}, [], [], config.engine)
+
+    monkeypatch.setattr(cli, "groebner_basis", wrong)
+    assert run_cli(["--input", str(path), "--oracle-check"]) == EXIT_ORACLE_MISMATCH
+    assert "oracle: MISMATCH" in capsys.readouterr().out
 
 
 def test_round_limit_exit(capsys):

@@ -1,6 +1,8 @@
 """Symbolic preprocessing, the Macaulay matrix, and the batch engine."""
 
+import heapq
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,11 +15,12 @@ from midgb import (
     normal_form,
     s_polynomial,
 )
+from midgb import f4
 from midgb.bench import random_system
-from midgb.engine import CriticalPair
+from midgb.engine import CriticalPair, degree_monitor
 from midgb.errors import EmptyBatchError
 from midgb.f4 import MacaulayMatrix, symbolic_preprocess
-from midgb.poly import FirstDivisor, Polynomial
+from midgb.poly import FirstDivisor, Polynomial, field_term_mul
 
 
 def lookup(lms, ring):
@@ -61,6 +64,81 @@ def test_preprocess_folds_rows_and_recovers_moved_heads(lex2):
     rows = symbolic_preprocess([make_pair(f, g)], [f, g], lex2,
                                field_active=True)
     assert [str(r) for r in rows] == ["x*y + y", "x*y + 1"]
+
+
+def reference_symbolic_preprocess(pairs, basis, ring, *, field_active=True):
+    """The heap-ordered closure that ``f4.symbolic_preprocess`` replaced:
+    after the pair rows, reducer rows are made largest monomial first."""
+    first = FirstDivisor(basis, ring)
+    folds: dict = {}
+
+    def multiple(g, quot):
+        if field_active:
+            return field_term_mul(g, quot, ring.field.inv(g.lc()), folds)
+        return g.term_mul(quot, ring.field.inv(g.lc()))
+
+    rows, seen, seen_products = [], set(), set()
+    for pr in pairs:
+        for idx in (pr.left, pr.right):
+            g = basis[idx]
+            quot = ring.codec.div(pr.lcm, g.lm())
+            if (idx, quot) in seen_products:
+                continue
+            seen_products.add((idx, quot))
+            row = multiple(g, quot)
+            if row.is_zero:
+                continue
+            degree_monitor(row, ring, "created", field_active)
+            rows.append(row)
+            if row.lm() == pr.lcm:
+                seen.add(row.lm())
+
+    heap: list = []  # negated monomials: the heap pops the largest first
+
+    def enqueue(row):
+        fresh = {m for m, _ in row.terms} - seen
+        seen.update(fresh)
+        for m in fresh:
+            heapq.heappush(heap, -m)
+
+    for row in rows:
+        enqueue(row)
+    while heap:
+        m = -heapq.heappop(heap)
+        i = first.index(m)
+        if i is not None:
+            row = multiple(basis[i], m - first.reducers[i][0])
+            degree_monitor(row, ring, "created", field_active)
+            rows.append(row)
+            enqueue(row)
+    return rows
+
+
+@pytest.mark.parametrize("field_active", [True, False])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_preprocess_matches_heap_reference(q, field_active, monkeypatch):
+    """Every matrix of seeded f4 and incremental runs: the same rows as a
+    multiset, and the same reduced rows and zero-row count."""
+    count = Counter()
+
+    def checked(pairs, basis, ring, *, field_active=True, first=None):
+        rows = symbolic_preprocess(pairs, basis, ring, field_active=field_active, first=first)
+        ref = reference_symbolic_preprocess(pairs, basis, ring, field_active=field_active)
+        assert Counter(rows) == Counter(ref)
+        lookup = FirstDivisor(basis, ring)
+        reduced = MacaulayMatrix(rows, ring, lookup).reduce()
+        assert reduced == MacaulayMatrix(ref, ring, lookup).reduce()
+        count["matrices"] += 1
+        count["reordered"] += rows != ref
+        return rows
+
+    monkeypatch.setattr(f4, "symbolic_preprocess", checked)
+    for seed in range(6):
+        ring = PolyRing(q, ["x", "y", "z"], "grevlex" if seed % 2 else "lex")
+        polys = random_system(ring, 4, 3, random.Random(seed))
+        for engine in ("f4", "incremental"):
+            groebner_basis(polys, EngineConfig(ring, engine=engine, adjoin_field_eqs=field_active))
+    assert count["reordered"] > 0, count
 
 
 def test_matrix_columns_sorted_descending(lex2):

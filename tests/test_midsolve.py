@@ -325,11 +325,12 @@ def test_without_field_equations_answers_speak_of_rational_zeros_only(engine):
 @settings(max_examples=200, deadline=None)
 @given(
     q=st.sampled_from([2, 3, 5, 7]),
+    order=st.sampled_from(["lex", "grevlex"]),
     var=st.integers(0, 1),
     coeffs=st.dictionaries(st.integers(0, 12), st.integers(0, 6), min_size=1, max_size=5),
 )
-def test_unique_root_agrees_with_exhaustive_search(q, var, coeffs):
-    ring = PolyRing(q, ["x", "y"], "lex")
+def test_unique_root_agrees_with_exhaustive_search(q, order, var, coeffs):
+    ring = PolyRing(q, ["x", "y"], order)
     p = ring.poly(
         ((e, 0) if var == 0 else (0, e), c) for e, c in coeffs.items()
     )

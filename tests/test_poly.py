@@ -7,16 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from midgb import (
+    EngineConfig,
     MonomialOverflowError,
     PolyRing,
     Polynomial,
     field_polynomial,
     field_reduce,
+    groebner_basis,
     interreduce,
     normal_form,
     s_polynomial,
 )
-from midgb.errors import ZeroInputError
+from midgb.api import ENGINES
+from midgb.errors import MixedRingsError, ZeroInputError
 from midgb.poly import (
     FirstDivisor,
     _reduce_by,
@@ -184,6 +187,33 @@ def test_interreduce_is_idempotent_and_sorted(r7):
     keys = [r7.exponents(p.lm()) for p in once]  # lex: the key is the tuple
     assert keys == sorted(keys)
     assert all(p.lc() == 1 for p in once)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda a, b: a + b, id="add"),
+        pytest.param(lambda a, b: a * b, id="mul"),
+        pytest.param(s_polynomial, id="s_polynomial"),
+        pytest.param(lambda a, b: interreduce([a, b]), id="interreduce"),
+        pytest.param(lambda a, b: normal_form(a, [b]), id="normal_form"),
+        *(
+            pytest.param(
+                lambda a, b, e=e: groebner_basis([a, b], EngineConfig(b.ring, engine=e)),
+                id=f"groebner_basis-{e}",
+            )
+            for e in ENGINES
+        ),
+    ],
+)
+def test_polynomials_of_two_rings_raise(call):
+    """A GF(2) polynomial meeting a GF(3) one used to give silent nonsense."""
+    r2 = PolyRing(2, ["x", "y"], "grevlex")
+    r3 = PolyRing(3, ["x", "y"], "grevlex")
+    a = r2.variable(0) + r2.one  # x + 1 over GF(2)
+    b = r3.variable(1)  # y over GF(3)
+    with pytest.raises(MixedRingsError):
+        call(a, b)
 
 
 def test_interreduce_depends_on_input_order():
