@@ -8,6 +8,7 @@ each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,11 +16,9 @@ import numpy as np
 from .engine import Status
 from .errors import InvalidSizeError, OrderNotLexError, TooLargeError
 from .midsolve import inconsistency_check
-from .poly import PolyRing, is_univariate, substitute, univariate_roots
+from .poly import PolyRing, is_univariate, require_ring, substitute, univariate_roots
 
 ORACLE_LIMIT = 1 << 24
-
-_FAMILY_FLOOR = {"cyclic": 2, "katsura": 1, "eco": 3}
 
 
 @dataclass(frozen=True)
@@ -31,13 +30,11 @@ class BenchSpec:
     q: int = 2
 
     def __post_init__(self):
-        if self.family not in _FAMILY_FLOOR:
+        if self.family not in _FAMILIES:
             raise InvalidSizeError(f"unknown benchmark family {self.family!r}")
-        floor = _FAMILY_FLOOR[self.family]
+        floor = _FAMILIES[self.family][0]
         if self.n < floor:
-            raise InvalidSizeError(
-                f"{self.family} needs n >= {floor}, got {self.n}"
-            )
+            raise InvalidSizeError(f"{self.family} needs n >= {floor}, got {self.n}")
 
 
 def bench_variables(family: str, n: int) -> list:
@@ -53,73 +50,37 @@ def gen_system(spec: BenchSpec, order: str = "grevlex"):
     identical output.
     """
     ring = PolyRing(spec.q, bench_variables(spec.family, spec.n), order)
-    if spec.family == "cyclic":
-        polys = _cyclic(ring, spec.n)
-    elif spec.family == "katsura":
-        polys = _katsura(ring, spec.n)
-    else:
-        polys = _eco(ring, spec.n)
-    return ring, polys
+    x = [ring.variable(i) for i in range(ring.n)]
+    return ring, _FAMILIES[spec.family][1](ring, x, spec.n)
 
 
-def _cyclic(ring: PolyRing, n: int) -> list:
+def _cyclic(ring: PolyRing, x: list, n: int) -> list:
     # e_k = sum over the n cyclic windows of length k, then x1...xn - 1
-    out = []
-    for k in range(1, n):
-        pairs = []
-        for i in range(n):
-            m = [0] * n
-            for j in range(k):
-                m[(i + j) % n] = 1
-            pairs.append((tuple(m), 1))
-        out.append(ring.poly(pairs))
-    out.append(ring.poly([(tuple([1] * n), 1), (tuple([0] * n), -1)]))
-    return out
+    xx = x + x  # the windows wrap around
+    return [
+        sum((math.prod(xx[i:i + k], start=ring.one) for i in range(n)), ring.zero)
+        for k in range(1, n)
+    ] + [math.prod(x, start=ring.one) - ring.one]
 
 
-def _katsura(ring: PolyRing, n: int) -> list:
-    # variables u_0..u_n; indices fold by absolute value
-    def e(i, j=None):
-        m = [0] * ring.n
-        m[i] += 1
-        if j is not None:
-            m[j] += 1
-        return tuple(m)
-
-    unit = (0,) * ring.n
-    out = [
-        ring.poly(
-            [(e(0), 1)] + [(e(i), 2) for i in range(1, n + 1)] + [(unit, -1)]
-        )
+def _katsura(ring: PolyRing, u: list, n: int) -> list:
+    # u_0 + 2(u_1 + ... + u_n) - 1, then sum_i u_|i| u_|k-i| - u_k for k < n
+    return [u[0] + sum(u[1:], ring.zero).scale(2) - ring.one] + [
+        sum((u[abs(i)] * u[abs(k - i)] for i in range(k - n, n + 1)), ring.zero) - u[k]
+        for k in range(n)
     ]
-    for k in range(n):
-        pairs = []
-        for i in range(-n, n + 1):
-            if abs(k - i) <= n:
-                pairs.append((e(abs(i), abs(k - i)), 1))
-        pairs.append((e(k), -1))
-        out.append(ring.poly(pairs))
-    return out
 
 
-def _eco(ring: PolyRing, n: int) -> list:
-    # x_i lives at index i-1; f_k = x_n*(x_k + sum x_i*x_{i+k}) - k
-    def e(*idx):
-        m = [0] * n
-        for i in idx:
-            m[i] += 1
-        return tuple(m)
+def _eco(ring: PolyRing, x: list, n: int) -> list:
+    # x_i lives at index i-1; f_k = x_n*(x_k + sum x_i*x_{i+k}) - k for k < n,
+    # then x_1 + ... + x_{n-1} + 1
+    return [
+        x[-1] * sum((x[i] * x[i + k] for i in range(n - k - 1)), x[k - 1]) - ring.constant(k)
+        for k in range(1, n)
+    ] + [sum(x[:-1], ring.one)]
 
-    unit = (0,) * n
-    out = []
-    for k in range(1, n):
-        pairs = [(e(n - 1, k - 1), 1)]
-        for i in range(1, n - k):
-            pairs.append((e(n - 1, i - 1, i + k - 1), 1))
-        pairs.append((unit, -k))
-        out.append(ring.poly(pairs))
-    out.append(ring.poly([(e(i - 1), 1) for i in range(1, n)] + [(unit, 1)]))
-    return out
+
+_FAMILIES = {"cyclic": (2, _cyclic), "katsura": (1, _katsura), "eco": (3, _eco)}
 
 
 def random_system(ring: PolyRing, m: int, max_degree: int, rng, max_terms: int = 5) -> list:
@@ -159,8 +120,12 @@ def brute_force_solutions(polys, ring: PolyRing) -> set:
     """The exact zero set over GF(q)^n by exhaustive evaluation.
 
     Kept independent of the reduction code: only the term lists are read,
-    each monomial unpacked to its exponent tuple.
+    each monomial unpacked to its exponent tuple. Every polynomial must be
+    over ``ring``.
     """
+    polys = list(polys)
+    for p in polys:
+        require_ring(ring, p)
     q, n = ring.q, ring.n
     total = q**n
     if total > ORACLE_LIMIT:
@@ -196,9 +161,11 @@ def solutions_from_lex_basis(basis, ring: PolyRing, fixed=None) -> set:
     field, and ``fixed`` (mid-run assignments) restricts its variables to the
     solved value. Exact for any basis; fast when the basis is triangular.
     """
+    members = [p for p in basis if not p.is_zero]
+    for p in members:
+        require_ring(ring, p)
     if ring.order != "lex":
         raise OrderNotLexError("back-substitution reads lex bases")
-    members = [p for p in basis if not p.is_zero]
     if inconsistency_check(members):
         return set()
     fixed = dict(fixed or {})

@@ -17,7 +17,6 @@ from .poly import (
     Polynomial,
     field_reduce,
     interreduce,
-    is_field_polynomial,
     is_univariate,
     normal_form,
     substitute,
@@ -98,12 +97,12 @@ def renew(
 ) -> RenewResult:
     """Substitute a solved variable everywhere and rebuild the bookkeeping.
 
-    The solved variable's field polynomial drops out (it substitutes to zero
-    anyway, by Fermat), zero survivors are dropped, and a survivor that
-    becomes a nonzero constant flags inconsistency. Otherwise the survivors
-    are interreduced once and the pair queue is rebuilt from scratch by
-    re-running update insertion in order. The pending batch (or remaining
-    inputs) is substituted but not interreduced.
+    Basis and pending members are substituted alike (``_substitute_all``):
+    zeros drop out, among them the solved variable's field polynomial (by
+    Fermat), and a member that becomes a nonzero constant flags
+    inconsistency. Otherwise the basis survivors are interreduced once and
+    the pair queue is rebuilt from scratch by re-running update insertion in
+    order. The pending batch (or remaining inputs) is not interreduced.
 
     No exponent folding is needed after the interreduce. With field
     equations adjoined, members are stored folded, and every unsolved
@@ -119,35 +118,28 @@ def renew(
     vanishes at that point: no renew would meet a nonzero constant, and the
     last one would leave the basis, the pending batch and the queue empty.
     """
-    inconsistent = False
-    survivors = []
-    for g in basis:
-        if is_field_polynomial(g) == event.variable:
-            continue
-        g2 = substitute(g, event.variable, event.value)
-        if g2.is_zero:
-            continue
-        if g2.is_constant:
-            inconsistent = True
-            continue
-        survivors.append(g2)
-
-    new_pending = []
-    for p in pending:
-        p2 = substitute(p, event.variable, event.value)
-        if p2.is_zero:
-            continue
-        if p2.is_constant:
-            inconsistent = True
-            continue
-        new_pending.append(p2)
-
+    survivors, basis_constant = _substitute_all(basis, event)
+    new_pending, pending_constant = _substitute_all(pending, event)
+    inconsistent = basis_constant or pending_constant
     new_basis: list = []
     new_queue = PairQueue()
     if not inconsistent:
         for g in interreduce(survivors):
             update(new_basis, new_queue, g)
     return RenewResult(new_basis, new_pending, new_queue, inconsistent)
+
+
+def _substitute_all(polys: Iterable[Polynomial], event: SolveEvent):
+    """The nonconstant substitutions of ``event`` into polys, and whether
+    one of them became a nonzero constant."""
+    out, constant = [], False
+    for p in polys:
+        p = substitute(p, event.variable, event.value)
+        if not p.is_constant:
+            out.append(p)
+        elif not p.is_zero:
+            constant = True
+    return out, constant
 
 
 def inconsistency_check(polys: Iterable[Polynomial]) -> bool:

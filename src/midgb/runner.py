@@ -49,7 +49,6 @@ class RunState:
         self.events: list = []
         self.rounds: list = []
         self.round_no = 0
-        self.renewals = 0  # renews applied to the basis so far
         self.inconsistent = False
         # everything ingest_inputs inserted; with the assignments made so
         # far, these generate the ideal of every basis and pending member
@@ -128,7 +127,9 @@ class RunState:
 
         Each one is substituted through the basis, the queue and ``pending``
         (a batch not yet inserted). Returns whether anything was found, and
-        the renewed ``pending``.
+        the renewed ``pending``. Every find is followed by a settle, a renew
+        or an inconsistency, so the first value also says whether the basis
+        was rewritten.
 
         The screen settles without a renew when, after its first emit, its
         assignments and the earlier ones fix every variable at a point that
@@ -153,11 +154,9 @@ class RunState:
                 for b in found[1:]:
                     self.emit(b)
                 self.basis, pending, self.queue = [], [], PairQueue()
-                self.renewals += 1  # the basis changed, as a renew changes it
                 break
             res = renew(self.basis, pending, ev)
             self.basis, pending, self.queue = res.basis, res.pending, res.queue
-            self.renewals += 1
             if res.inconsistent:
                 self.mark_inconsistent()
         return bool(found), pending
@@ -176,19 +175,21 @@ class RunState:
 
         ``batch`` is in normal form against the basis as it stands on entry
         and in descending leading-monomial order (see ``insert_new``). The
-        batch engines screen it first, which may renew it; each member is
-        then inserted until the run turns inconsistent, and the kept ones
-        are counted in ``tr``. Last, the whole basis is checked for a
-        constant: a renew's interreduce can turn survivors such as
-        {x + 1, x} into 1 without flagging it. Returns ``tr``.
+        batch engines screen it first; when the screen finds something, it
+        has rewritten the basis and renewed the batch, whose members are
+        then stale. Each member is inserted until the run turns
+        inconsistent, and the kept ones are counted in ``tr``. Last, the
+        whole basis is checked for a constant: a renew's interreduce can
+        turn survivors such as {x + 1, x} into 1 without flagging it.
+        Returns ``tr``.
         """
-        reduced_at = self.renewals
+        stale = False
         if self.batch_screening and batch:
-            batch = self.screen(batch, batch)[1]
+            stale, batch = self.screen(batch, batch)
         for h in batch:
             if self.inconsistent:
                 break
-            kept = self.insert_new(h, reduced_at)
+            kept = self.insert_new(h, stale)
             if kept is not None:
                 tr.new_polys += 1
                 tr.max_poly_degree = max(tr.max_poly_degree, kept.degree())
@@ -196,18 +197,18 @@ class RunState:
             self.mark_inconsistent()
         return tr
 
-    def insert_new(self, h, reduced_at: int):
+    def insert_new(self, h, stale: bool):
         """Insert a candidate if it does not reduce to zero.
 
-        ``reduced_at`` is the value of ``renewals`` when h was last fully
-        reduced against the basis. Members inserted since then came earlier
-        in the same batch, which runs in descending leading-monomial order;
-        a larger leading monomial divides none of h's monomials. So h is
-        reduced again only when a renew has rewritten the basis since.
+        h was fully reduced against the basis, and ``stale`` says whether a
+        screen has rewritten the basis since. Members inserted since then
+        came earlier in the same batch, which runs in descending
+        leading-monomial order; a larger leading monomial divides none of
+        h's monomials. So h is reduced again only when it is stale.
 
         Returns the polynomial as stored, or None when it reduced away.
         """
-        if reduced_at != self.renewals:
+        if stale:
             h = normal_form(h, self.basis, self.divisors)
             if h.is_zero:
                 return None

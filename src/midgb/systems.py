@@ -8,117 +8,90 @@ File grammar (UTF-8 text)::
     <polynomial>
 
 One polynomial per line, written as a sum of products over the tokens:
-integer literals, variable names, ``*``, ``+``, ``-`` and ``^<positive
-int>``. Blank lines and ``#`` comments are ignored. The variable list fixes
-precedence: the first name is greatest.
+integer literals (ASCII digits), variable names (a letter or ``_``, then
+letters, digits or ``_``), ``*``, ``+``, ``-`` and ``^<positive int>``.
+Blank lines and ``#`` comments are ignored. The variable list fixes
+precedence: the first name is greatest. A malformed line raises
+``ParseError`` with its line and column.
 """
 
 from __future__ import annotations
 
-from .errors import NonPrimeFieldError, ParseError
+import re
+
+from .errors import MidgbError, ParseError
 from .poly import PolyRing
 
 
+_NAME = r"[^\W\d]\w*"  # a letter or "_", then letters, digits or "_"
+# one token per match after blanks: an integer, a name, a symbol, or any
+# other character, which is an error
+_TOKEN = re.compile(
+    rf"[ \t]*(?:(?P<int>[0-9]+)|(?P<name>{_NAME})|(?P<symbol>[*+^-])|(?P<bad>.))",
+    re.DOTALL,
+)
+
+
 def _tokenize(line: str, line_no: int) -> list:
-    """(kind, value, 1-based column) triples; kind is int/name/the symbol."""
+    """(kind, value, 1-based column) triples, kind int/name/the symbol, closed
+    by the sentinel ("end", None, len(line) + 1)."""
     toks = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch in " \t":
-            i += 1
-            continue
-        col = i + 1
-        if ch.isdigit():
-            j = i
-            while j < n and line[j].isdigit():
-                j += 1
-            toks.append(("int", int(line[i:j]), col))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (line[j].isalnum() or line[j] == "_"):
-                j += 1
-            toks.append(("name", line[i:j], col))
-            i = j
-        elif ch in "*+-^":
-            toks.append((ch, ch, col))
-            i += 1
-        else:
-            raise ParseError(line_no, col, f"unexpected character {ch!r}")
+    for m in _TOKEN.finditer(line):
+        kind, text, col = m.lastgroup, m[m.lastgroup], m.start(m.lastgroup) + 1
+        if kind == "bad":
+            raise ParseError(line_no, col, f"unexpected character {text!r}")
+        if kind == "symbol":
+            kind = text
+        toks.append((kind, int(text) if kind == "int" else text, col))
+    toks.append(("end", None, len(line) + 1))
     return toks
 
 
 def _parse_poly_line(line: str, line_no: int, ring: PolyRing, var_index: dict):
+    """A sum of signed terms, each a product of factors; the first sign is optional."""
     toks = _tokenize(line, line_no)
-    if not toks:
-        return None
-    end_col = len(line) + 1
     pairs = []
     i = 0
-    nt = len(toks)
-    first = True
-    while i < nt:
-        sign = 1
+    while True:
+        coeff = -1 if toks[i][0] == "-" else 1
         if toks[i][0] in ("+", "-"):
-            if toks[i][0] == "-":
-                sign = -1
             i += 1
-        elif not first:
-            raise ParseError(line_no, toks[i][2], "expected '+' or '-' between terms")
-        first = False
-
-        coeff = sign
         mono = [0] * ring.n
-        expect_factor = True
         while True:
-            if i >= nt:
-                if expect_factor:
-                    raise ParseError(line_no, end_col, "expected a number or variable")
-                break
             kind, value, col = toks[i]
-            if expect_factor:
-                if kind == "int":
-                    coeff *= value
-                    i += 1
-                elif kind == "name":
-                    if value not in var_index:
-                        raise ParseError(line_no, col, f"unknown variable {value!r}")
-                    vi = var_index[value]
-                    i += 1
-                    exp = 1
-                    if i < nt and toks[i][0] == "^":
-                        i += 1
-                        if i >= nt or toks[i][0] != "int":
-                            where = toks[i][2] if i < nt else end_col
-                            raise ParseError(line_no, where, "expected an integer exponent after '^'")
-                        exp = toks[i][1]
-                        if exp < 1:
-                            raise ParseError(line_no, toks[i][2], "exponent must be a positive integer")
-                        i += 1
-                    mono[vi] += exp
-                else:
-                    raise ParseError(line_no, col, f"expected a number or variable, got {value!r}")
-                expect_factor = False
+            i += 1
+            if kind == "int":
+                coeff *= value
+            elif kind == "name":
+                if value not in var_index:
+                    raise ParseError(line_no, col, f"unknown variable {value!r}")
+                exp = 1
+                if toks[i][0] == "^":
+                    kind, exp, col = toks[i + 1]
+                    if kind != "int":
+                        raise ParseError(line_no, col, "expected an integer exponent after '^'")
+                    if exp < 1:
+                        raise ParseError(line_no, col, "exponent must be a positive integer")
+                    i += 2
+                mono[var_index[value]] += exp
+            elif kind == "end":
+                raise ParseError(line_no, col, "expected a number or variable")
             else:
-                if kind == "*":
-                    i += 1
-                    expect_factor = True
-                elif kind in ("+", "-"):
-                    break
-                else:
-                    raise ParseError(line_no, col, f"expected '*', '+' or '-', got {value!r}")
+                raise ParseError(line_no, col, f"expected a number or variable, got {value!r}")
+            kind, value, col = toks[i]
+            if kind != "*":
+                break
+            i += 1
         pairs.append((tuple(mono), coeff))
-    return ring.poly(pairs)
+        if kind == "end":
+            return ring.poly(pairs)
+        if kind not in ("+", "-"):
+            raise ParseError(line_no, col, f"expected '*', '+' or '-', got {value!r}")
 
 
 def parse_system(text: str, order: str = "grevlex"):
     """Parse a system file into (PolyRing, list of Polynomial)."""
-    ring = None
-    var_index: dict = {}
     polys = []
-    q = None
     stage = 0  # 0: expect field line, 1: expect vars line, 2: body
     line_no = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -127,32 +100,28 @@ def parse_system(text: str, order: str = "grevlex"):
             continue
         if stage == 0:
             parts = line.split()
-            if len(parts) != 2 or parts[0] != "field" or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0] != "field" or not re.fullmatch("[0-9]+", parts[1]):
                 raise ParseError(line_no, 1, "expected 'field <prime>'")
             q = int(parts[1])
             stage = 1
         elif stage == 1:
-            parts = line.split()
-            if len(parts) < 2 or parts[0] != "vars":
+            words = list(re.finditer(r"\S+", line))
+            if len(words) < 2 or words[0].group() != "vars":
                 raise ParseError(line_no, 1, "expected 'vars <name> ...'")
-            names = parts[1:]
-            for nm in names:
-                if not (nm[0].isalpha() or nm[0] == "_") or not all(
-                    c.isalnum() or c == "_" for c in nm
-                ):
-                    raise ParseError(line_no, line.index(nm) + 1, f"bad variable name {nm!r}")
+            for w in words[1:]:
+                if not re.fullmatch(_NAME, w.group()):
+                    raise ParseError(line_no, w.start() + 1, f"bad variable name {w.group()!r}")
+            names = [w.group() for w in words[1:]]
             try:
                 ring = PolyRing(q, names, order)
-            except NonPrimeFieldError:
-                raise
+            except MidgbError:
+                raise  # a non-prime or too large field keeps its own type
             except ValueError as exc:
                 raise ParseError(line_no, 1, str(exc)) from None
             var_index = {nm: i for i, nm in enumerate(names)}
             stage = 2
         else:
-            p = _parse_poly_line(line, line_no, ring, var_index)
-            if p is not None:
-                polys.append(p)
+            polys.append(_parse_poly_line(line, line_no, ring, var_index))
     if stage != 2:
         raise ParseError(line_no + 1, 1, "missing 'field'/'vars' header")
     return ring, polys

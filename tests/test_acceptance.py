@@ -320,16 +320,16 @@ def test_criterion_9_trace_determinism(tmp_path):
 
 def test_candidates_inserted_unreduced_are_normal_forms(monkeypatch):
     """F4 inserts its fresh RREF rows, and Buchberger its remainder, without
-    reducing them again unless a renew changed the basis; each such candidate
-    must already be its own normal form."""
+    reducing them again unless a screen rewrote the basis; each such
+    candidate must already be its own normal form."""
     insert_new = RunState.insert_new
     skipped = []
 
-    def checked(state, h, reduced_at):
-        if reduced_at == state.renewals:
+    def checked(state, h, stale):
+        if not stale:
             assert normal_form(h, state.basis) == h
             skipped.append(h)
-        return insert_new(state, h, reduced_at)
+        return insert_new(state, h, stale)
 
     monkeypatch.setattr(RunState, "insert_new", checked)
     configs = list(itertools.product(("f4", "buchberger"), ("grevlex", "lex"), (True, False)))

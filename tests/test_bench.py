@@ -76,6 +76,84 @@ def test_gen_system_order_flows_through():
     assert ring.order == "lex"
 
 
+# HEAD's exponent-vector generators before gen_system moved to ring
+# arithmetic, kept as the reference it must reproduce.
+
+
+def reference_cyclic(ring, n):
+    out = []
+    for k in range(1, n):
+        pairs = []
+        for i in range(n):
+            m = [0] * n
+            for j in range(k):
+                m[(i + j) % n] = 1
+            pairs.append((tuple(m), 1))
+        out.append(ring.poly(pairs))
+    out.append(ring.poly([(tuple([1] * n), 1), (tuple([0] * n), -1)]))
+    return out
+
+
+def reference_katsura(ring, n):
+    def e(i, j=None):
+        m = [0] * ring.n
+        m[i] += 1
+        if j is not None:
+            m[j] += 1
+        return tuple(m)
+
+    unit = (0,) * ring.n
+    out = [
+        ring.poly(
+            [(e(0), 1)] + [(e(i), 2) for i in range(1, n + 1)] + [(unit, -1)]
+        )
+    ]
+    for k in range(n):
+        pairs = []
+        for i in range(-n, n + 1):
+            if abs(k - i) <= n:
+                pairs.append((e(abs(i), abs(k - i)), 1))
+        pairs.append((e(k), -1))
+        out.append(ring.poly(pairs))
+    return out
+
+
+def reference_eco(ring, n):
+    def e(*idx):
+        m = [0] * n
+        for i in idx:
+            m[i] += 1
+        return tuple(m)
+
+    unit = (0,) * n
+    out = []
+    for k in range(1, n):
+        pairs = [(e(n - 1, k - 1), 1)]
+        for i in range(1, n - k):
+            pairs.append((e(n - 1, i - 1, i + k - 1), 1))
+        pairs.append((unit, -k))
+        out.append(ring.poly(pairs))
+    out.append(ring.poly([(e(i - 1), 1) for i in range(1, n)] + [(unit, 1)]))
+    return out
+
+
+REFERENCES = {"cyclic": reference_cyclic, "katsura": reference_katsura, "eco": reference_eco}
+GRID = [
+    (fam, n)
+    for fam, sizes in [("cyclic", range(2, 13)), ("katsura", range(1, 13)), ("eco", range(3, 13))]
+    for n in sizes
+]
+
+
+@pytest.mark.parametrize("fam,n", GRID)
+def test_gen_system_equals_exponent_vector_reference(fam, n):
+    """Ring arithmetic builds the same systems as the exponent vectors did,
+    for every q and order of the grid (330 systems in all)."""
+    for q, order in itertools.product((2, 3, 5, 7, 32003), ("lex", "grevlex")):
+        ring, F = gen_system(BenchSpec(fam, n, q), order=order)
+        assert F == REFERENCES[fam](ring, n), (fam, n, q, order)
+
+
 def test_random_system_is_reproducible():
     ring = PolyRing(2, ["a", "b", "c"], "grevlex")
     F1 = random_system(ring, 5, 3, random.Random(99))
@@ -128,6 +206,16 @@ def test_lex_reader_handles_non_triangular_members():
     ring = PolyRing(2, ["x", "y"], "lex")
     basis = [ring.poly({(1, 1): 1, (0, 0): 1})]  # x*y + 1
     assert solutions_from_lex_basis(basis, ring) == {(1, 1)}
+
+
+def test_oracle_and_lex_reader_read_their_input_once():
+    """Both check every input's ring before they use it, and still take a
+    one-pass iterable such as a generator."""
+    ring = PolyRing(2, ["x", "y"], "lex")
+    basis = [ring.poly({(0, 2): 1, (0, 1): 1}),  # y^2 + y
+             ring.poly({(1, 0): 1, (0, 1): 1})]  # x + y
+    assert brute_force_solutions(iter(basis), ring) == {(0, 0), (1, 1)}
+    assert solutions_from_lex_basis(iter(basis), ring) == {(0, 0), (1, 1)}
 
 
 def test_lex_reader_requires_lex():

@@ -11,6 +11,7 @@ from midgb import (
     MonomialOverflowError,
     PolyRing,
     Polynomial,
+    brute_force_solutions,
     field_polynomial,
     field_reduce,
     groebner_basis,
@@ -19,6 +20,7 @@ from midgb import (
     s_polynomial,
 )
 from midgb.api import ENGINES
+from midgb.bench import solutions_from_lex_basis
 from midgb.errors import MixedRingsError, ZeroInputError
 from midgb.poly import (
     FirstDivisor,
@@ -197,6 +199,11 @@ def test_interreduce_is_idempotent_and_sorted(r7):
         pytest.param(s_polynomial, id="s_polynomial"),
         pytest.param(lambda a, b: interreduce([a, b]), id="interreduce"),
         pytest.param(lambda a, b: normal_form(a, [b]), id="normal_form"),
+        pytest.param(lambda a, b: brute_force_solutions([a], b.ring), id="oracle"),
+        pytest.param(
+            lambda a, b: solutions_from_lex_basis([a], PolyRing(3, ["x", "y"], "lex")),
+            id="solutions_from_lex_basis",
+        ),
         *(
             pytest.param(
                 lambda a, b, e=e: groebner_basis([a, b], EngineConfig(b.ring, engine=e)),

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from midgb import PolyRing
 from midgb.bench import random_system
-from midgb.errors import NonPrimeFieldError, ParseError
-from midgb.systems import format_system, homogenize, parse_system
+from midgb.errors import MonomialOverflowError, NonPrimeFieldError, ParseError
+from midgb.systems import _parse_poly_line, format_system, homogenize, parse_system
 
 
 SAMPLE = """\
@@ -85,6 +85,150 @@ def test_stray_character():
         parse_system("field 2\nvars x\nx / 2\n")
     assert ei.value.line == 3
     assert "unexpected character '/'" in str(ei.value)
+
+
+@pytest.mark.parametrize(
+    "text,line,column,message",
+    [
+        ("field \u00b2\nvars x\n", 1, 1, "expected 'field <prime>'"),
+        ("field 2\nvars x\nx^\u00b2\n", 3, 3, "expected an integer exponent after '^'"),
+        ("field 2\nvars a1 1\n", 2, 9, "bad variable name '1'"),
+    ],
+    ids=["superscript-field", "superscript-exponent", "name-inside-earlier-name"],
+)
+def test_header_and_exponent_errors_carry_positions(text, line, column, message):
+    """A superscript digit is no ASCII integer, and a bad name is reported
+    at its own column, not at the first place its text occurs."""
+    with pytest.raises(ParseError) as ei:
+        parse_system(text)
+    assert (ei.value.line, ei.value.column) == (line, column)
+    assert str(ei.value).endswith(message)
+
+
+# HEAD's character-scanning parser before the token pattern, kept as the
+# reference the body-line parser must reproduce on ASCII input.
+
+
+def reference_tokenize(line, line_no):
+    toks = []
+    i = 0
+    n = len(line)
+    while i < n:
+        ch = line[i]
+        if ch in " \t":
+            i += 1
+            continue
+        col = i + 1
+        if ch.isdigit():
+            j = i
+            while j < n and line[j].isdigit():
+                j += 1
+            toks.append(("int", int(line[i:j]), col))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (line[j].isalnum() or line[j] == "_"):
+                j += 1
+            toks.append(("name", line[i:j], col))
+            i = j
+        elif ch in "*+-^":
+            toks.append((ch, ch, col))
+            i += 1
+        else:
+            raise ParseError(line_no, col, f"unexpected character {ch!r}")
+    return toks
+
+
+def reference_parse_poly_line(line, line_no, ring, var_index):
+    toks = reference_tokenize(line, line_no)
+    if not toks:
+        return None
+    end_col = len(line) + 1
+    pairs = []
+    i = 0
+    nt = len(toks)
+    first = True
+    while i < nt:
+        sign = 1
+        if toks[i][0] in ("+", "-"):
+            if toks[i][0] == "-":
+                sign = -1
+            i += 1
+        elif not first:
+            raise ParseError(line_no, toks[i][2], "expected '+' or '-' between terms")
+        first = False
+
+        coeff = sign
+        mono = [0] * ring.n
+        expect_factor = True
+        while True:
+            if i >= nt:
+                if expect_factor:
+                    raise ParseError(line_no, end_col, "expected a number or variable")
+                break
+            kind, value, col = toks[i]
+            if expect_factor:
+                if kind == "int":
+                    coeff *= value
+                    i += 1
+                elif kind == "name":
+                    if value not in var_index:
+                        raise ParseError(line_no, col, f"unknown variable {value!r}")
+                    vi = var_index[value]
+                    i += 1
+                    exp = 1
+                    if i < nt and toks[i][0] == "^":
+                        i += 1
+                        if i >= nt or toks[i][0] != "int":
+                            where = toks[i][2] if i < nt else end_col
+                            raise ParseError(line_no, where, "expected an integer exponent after '^'")
+                        exp = toks[i][1]
+                        if exp < 1:
+                            raise ParseError(line_no, toks[i][2], "exponent must be a positive integer")
+                        i += 1
+                    mono[vi] += exp
+                else:
+                    raise ParseError(line_no, col, f"expected a number or variable, got {value!r}")
+                expect_factor = False
+            else:
+                if kind == "*":
+                    i += 1
+                    expect_factor = True
+                elif kind in ("+", "-"):
+                    break
+                else:
+                    raise ParseError(line_no, col, f"expected '*', '+' or '-', got {value!r}")
+        pairs.append((tuple(mono), coeff))
+    return ring.poly(pairs)
+
+
+# names known and unknown, integers, zero, every symbol, blanks, and a stray
+# character; adjacent draws merge, as in "x1" or "207"
+ALPHABET = ["x", "y", "z", "w", "_", "x1", "0", "1", "2", "07", "*", "+", "-", "^",
+            "*y^2", " ", "  ", "\t", "/"]
+
+
+def _outcome(parse, line, ring, var_index):
+    try:
+        return parse(line, 4, ring, var_index)
+    except ParseError as exc:
+        return (exc.line, exc.column, str(exc))
+    except MonomialOverflowError as exc:  # an exponent past the ring's limit
+        return str(exc)
+
+
+def test_parser_matches_character_scanning_reference():
+    """Seeded random lines over the token alphabet give the same polynomial
+    or the same ParseError (line, column, message) as the old parser."""
+    rng = random.Random(1)
+    ring = PolyRing(7, ["x", "y", "z", "_"], "grevlex")
+    var_index = {nm: i for i, nm in enumerate(ring.names)}
+    for _ in range(20000):
+        line = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 10))).rstrip()
+        if not line:
+            continue  # parse_system skips blank lines
+        want = _outcome(reference_parse_poly_line, line, ring, var_index)
+        assert _outcome(_parse_poly_line, line, ring, var_index) == want, line
 
 
 def test_error_message_carries_position():
