@@ -7,11 +7,10 @@ applies the input order, opens the trace, and calls the core that
 
 from __future__ import annotations
 
-from .buchberger import buchberger_core
 from .engine import EngineConfig, EngineReport
-from .f4 import f4_core
 from .incremental import incremental_core
 from .poly import require_ring
+from .runner import buchberger_core, f4_core
 from .trace import TraceWriter
 
 ENGINES = {

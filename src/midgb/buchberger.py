@@ -3,15 +3,19 @@
 The classic loop: pick the minimal critical pair, form its S-polynomial,
 fully reduce it against the current basis, and insert the remainder if it
 is nonzero. Each nonzero remainder is screened for a forced variable before
-insertion, so solving can start while the basis is still growing.
+insertion, so solving can start while the basis is still growing. The
+engine's entry point, ``runner.buchberger_core``, runs this round.
 """
 
 from __future__ import annotations
 
-from .engine import EngineConfig, EngineReport, RoundTrace, degree_monitor
+from typing import TYPE_CHECKING
+
+from .engine import RoundTrace, degree_monitor
 from .poly import normal_form, s_polynomial
-from .runner import RunState, run_rounds
-from .trace import TraceWriter
+
+if TYPE_CHECKING:
+    from .runner import RunState
 
 
 def buchberger_round(state: RunState) -> RoundTrace:
@@ -26,8 +30,3 @@ def buchberger_round(state: RunState) -> RoundTrace:
         if not h.is_zero:
             batch = [h]
     return state.absorb(batch, RoundTrace(round=state.round_no, pairs_selected=1))
-
-
-def buchberger_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:
-    """The pair engine: ``run_rounds`` with one critical pair per round."""
-    return run_rounds(RunState(config, tracer), polys, buchberger_round)

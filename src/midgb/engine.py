@@ -12,7 +12,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import BoundViolationError, EmptyQueueError, TooLargeError, ZeroInputError
+from .errors import (
+    BoundViolationError,
+    EmptyQueueError,
+    InvalidSettingError,
+    TooLargeError,
+    ZeroInputError,
+)
 from .poly import Polynomial, PolyRing, is_field_polynomial
 
 
@@ -209,9 +215,9 @@ class EngineConfig:
 
     def __post_init__(self):
         if self.engine not in ("buchberger", "f4", "incremental"):
-            raise ValueError(f"unknown engine {self.engine!r}")
+            raise InvalidSettingError(f"unknown engine {self.engine!r}")
         if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
+            raise InvalidSettingError("max_rounds must be at least 1")
         if self.adjoin_field_eqs and self.ring.q > MAX_FIELD_EQ_Q:
             raise TooLargeError(
                 f"field equations need q <= {MAX_FIELD_EQ_Q}, got q = {self.ring.q}"

@@ -66,6 +66,11 @@ class ConflictingRootsError(MidgbError, ValueError):
         super().__init__(f"conflicting unique roots for variable index {variable}")
 
 
+class InvalidSettingError(MidgbError, ValueError):
+    """A setting outside its supported range: an engine configuration, a
+    ring's variables or order, or a monomial's exponents."""
+
+
 class OrderNotLexError(MidgbError, ValueError):
     """An operation that requires the lex order got another order."""
 

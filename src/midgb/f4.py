@@ -1,4 +1,4 @@
-"""Matrix-batch basis engine.
+"""Matrix-batch basis engine, and the one-matrix reduced basis.
 
 Each round takes every critical pair of minimal degree, gathers all the
 monomial multiples needed to reduce the whole batch at once (symbolic
@@ -9,17 +9,57 @@ others are brought to reduced row echelon form. The fresh rows then end the
 round through ``RunState.absorb``. Batches, not single pairs, are what make
 mid-run solving pay off: a fresh batch is screened for forced variables
 before anything is inserted.
+
+``reduced_basis`` turns a completed basis into its reduced Groebner basis
+with the same closure and the same known-pivot elimination, in one matrix;
+``RunState.completion`` uses it on every engine. The engines' entry points
+live in ``runner``, which imports this module; nothing here imports it back.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .engine import EngineConfig, EngineReport, RoundTrace, degree_monitor
+from .engine import RoundTrace, degree_monitor
 from .errors import EmptyBatchError
 from .poly import FirstDivisor, Polynomial, PolyRing, field_term_mul
-from .runner import RunState, run_rounds
-from .trace import TraceWriter
+
+if TYPE_CHECKING:
+    from .runner import RunState
+
+
+def _multiple(g: Polynomial, quot, field_active: bool, folds: dict) -> Polynomial:
+    """(quot / LC(g)) * g, exponent-folded through ``folds`` when field
+    equations are on, unless the product is a field polynomial."""
+    inv = g.ring.field.inv(g.lc())
+    if field_active:
+        return field_term_mul(g, quot, inv, folds)
+    return g.term_mul(quot, inv)
+
+
+def _close(rows: list, seen: set, first, field_active: bool, folds: dict) -> None:
+    """Close ``rows`` downward under reduction by ``first``'s members.
+
+    Every monomial of every row that is not in ``seen`` gets a reducer row,
+    appended to ``rows``: the multiple of the first member, in ``first``'s
+    list order, whose leading monomial divides it. The walk covers the rows
+    as they grow, reducer rows included, and adds each monomial it looks up
+    to ``seen``.
+    """
+    members = first.members
+    for row in rows:
+        for m, _ in row.terms:
+            if m in seen:
+                continue
+            seen.add(m)
+            i = first.index(m)
+            if i is not None:
+                g = members[i]
+                reducer = _multiple(g, m - first.reducers[i][0], field_active, folds)  # m / LM(g)
+                degree_monitor(reducer, g.ring, "created", field_active)
+                rows.append(reducer)
 
 
 def symbolic_preprocess(
@@ -28,29 +68,22 @@ def symbolic_preprocess(
     """Collect every row the batch's one matrix needs.
 
     Seeds the row list with the two monomial multiples that cancel each
-    pair's leading terms, then closes downward: every monomial of every row
-    that is not already some row's leading monomial gets a reducer row (the
-    first basis member, in insertion order, whose leading monomial divides
-    it). The closure walks the row list as it grows, reducer rows included;
-    row order does not change the matrix's reduced rows. Reducers are found
-    by ``first``, a ``FirstDivisor`` over ``basis`` that may carry lookups
-    from earlier rounds; without one, a fresh one. Rows are exponent-folded
-    on the spot (field polynomials excepted), through one fold memo per
-    call, so the matrix never grows columns past the per-variable degree cap.
+    pair's leading terms, then closes downward (``_close``): every monomial
+    of every row that is not already some row's leading monomial gets a
+    reducer row (the first basis member, in insertion order, whose leading
+    monomial divides it); row order does not change the matrix's reduced
+    rows. Reducers are found by ``first``, a ``FirstDivisor`` over ``basis``
+    that may carry lookups from earlier rounds; without one, a fresh one.
+    Rows are exponent-folded on the spot (field polynomials excepted),
+    through one fold memo per call, so the matrix never grows columns past
+    the per-variable degree cap.
     """
     if not pairs:
         raise EmptyBatchError("symbolic preprocessing needs at least one pair")
     if first is None:
         first = FirstDivisor(basis, ring)
-    field = ring.field
     codec = ring.codec
     folds: dict = {}  # monomial -> folded monomial, for this matrix only
-
-    def multiple(g, quot):
-        """(quot / LC(g)) * g, exponent-folded unless it is a field polynomial."""
-        if field_active:
-            return field_term_mul(g, quot, field.inv(g.lc()), folds)
-        return g.term_mul(quot, field.inv(g.lc()))
 
     rows: list = []
     seen: set = set()  # pair-row heads and every monomial looked up
@@ -63,7 +96,7 @@ def symbolic_preprocess(
             if key in seen_products:
                 continue
             seen_products.add(key)
-            row = multiple(g, quot)
+            row = _multiple(g, quot, field_active, folds)
             if row.is_zero:
                 continue  # a field-polynomial multiple; nothing to cancel
             degree_monitor(row, ring, "created", field_active)
@@ -73,18 +106,49 @@ def symbolic_preprocess(
             if row.lm() == pr.lcm:
                 seen.add(row.lm())
 
-    members = first.members
-    for row in rows:
-        for m, _ in row.terms:
-            if m in seen:
-                continue
-            seen.add(m)
-            i = first.index(m)
-            if i is not None:
-                reducer = multiple(members[i], m - first.reducers[i][0])  # m / LM(g)
-                degree_monitor(reducer, ring, "created", field_active)
-                rows.append(reducer)
+    _close(rows, seen, first, field_active, folds)
     return rows
+
+
+def reduced_basis(basis, ring: PolyRing, field_active: bool = True) -> list:
+    """The reduced Groebner basis of ``basis``, which must be a Groebner basis.
+
+    Equal to ``interreduce(basis)``: a Groebner basis has exactly one reduced
+    basis, monic and sorted ascending by leading monomial. It is built as F4
+    builds one, in a single matrix. The first member of each minimal leading
+    monomial is kept; ``_close`` gives every other monomial of the kept rows,
+    and of the rows it adds, a reducer row from the first kept divisor
+    (folded when field equations are on); the reducer rows are the known
+    pivots and the kept rows the block, whose RREF is the answer.
+
+    A folded reducer row keeps its head m, so it is a pivot at m. With field
+    equations on, no member has an exponent past q - 1 except in the head
+    of a field polynomial x^q - x (see ``midsolve.renew``), and a kept head
+    needs no reducer; reducer rows are folded themselves. So every m has
+    all exponents at most q - 1, and a fold moves only monomials that have
+    one past q - 1, each to a proper divisor, which is smaller than m.
+    """
+    first = FirstDivisor([], ring)
+    kept = first.members
+    for g in sorted(basis, key=Polynomial.lm):  # stable: the first of equal heads
+        if first.index(g.lm()) is None:
+            kept.append(g)
+    rows = list(kept)
+    _close(rows, {g.lm() for g in kept}, first, field_active, {})
+    columns, col = _columns(rows)
+    known = {col[rows[i].lm()]: i for i in range(len(kept), len(rows))}
+    return _eliminate(ring, rows, columns, col, known, range(len(kept)))[::-1]
+
+
+def _columns(rows) -> tuple:
+    """(columns, col_index): the rows' monomials, largest first, and the
+    column of each."""
+    cols = set()
+    for p in rows:
+        for m, _ in p.terms:
+            cols.add(m)
+    columns = sorted(cols, reverse=True)
+    return columns, {m: j for j, m in enumerate(columns)}
 
 
 class MacaulayMatrix:
@@ -105,12 +169,7 @@ class MacaulayMatrix:
         self.ring = ring
         self.rows = list(rows)
         self.first = first
-        cols = set()
-        for p in self.rows:
-            for m, _ in p.terms:
-                cols.add(m)
-        self.columns = sorted(cols, reverse=True)
-        self.col_index = {m: j for j, m in enumerate(self.columns)}
+        self.columns, self.col_index = _columns(self.rows)
 
     @property
     def shape(self):
@@ -143,107 +202,72 @@ class MacaulayMatrix:
         known, block = self.split()
         if not block:
             return [], 0
-        if self.ring.q == 2:
-            polys = self._reduce_gf2(known, block)
-        else:
-            polys = self._reduce_general(known, block)
+        polys = _eliminate(self.ring, self.rows, self.columns, self.col_index, known, block)
         return polys, len(block) - len(polys)
 
-    # ------------------------------------------------------------ GF(2)
 
-    def _reduce_gf2(self, known, block):
-        col = self.col_index
-        # the block by columns: bit r of cells[j] is block row r's entry at j
-        cells = [0] * len(self.columns)
-        for r, i in enumerate(block):
-            bit = 1 << r
-            for m, _ in self.rows[i].terms:
-                cells[col[m]] |= bit
-        # adding a known pivot to the rows that hold its head clears its
-        # column and touches only later ones, so ascending order clears all
-        for j in sorted(known):
-            hit = cells[j]
-            if hit:
-                for m, _ in self.rows[known[j]].terms:
-                    cells[col[m]] ^= hit
-        # the block by rows again, for its own elimination
-        packed = [0] * len(block)
-        for j, c in enumerate(cells):
-            bit = 1 << j
-            while c:
-                low = c & -c
-                packed[low.bit_length() - 1] |= bit
-                c ^= low
-        pivots = {}  # lowest bit -> the block row that has it
-        mask = 0  # the union of the pivots' lowest bits
-        for row in packed:
-            row = _clear(row, pivots, mask)
-            if row:
-                low = row & -row
-                pivots[low] = row
-                mask |= low
-        # back substitution, last column first
-        found = sorted(pivots)
-        done = 0
-        for low in reversed(found):
-            pivots[low] = _clear(pivots[low], pivots, done)
-            done |= low
-        return [self._bits_to_poly(pivots[low]) for low in found]
+def _eliminate(ring: PolyRing, rows, columns, col, known: dict, block) -> list:
+    """The RREF of the ``block`` rows after clearing them on the ``known``
+    pivots' columns, monic and by descending leading monomial.
 
-    def _bits_to_poly(self, bits: int) -> Polynomial:
-        terms = []
-        while bits:
-            low = bits & -bits
-            terms.append((self.columns[low.bit_length() - 1], 1))
-            bits ^= low
-        return Polynomial(self.ring, tuple(terms))
+    ``columns`` are the rows' monomials, largest first, and ``col`` maps
+    each to its column; ``known`` maps a column to the index of the row whose
+    head it is. Known pivots are used as they are and never reduced.
+    """
+    if ring.q == 2:
+        return _eliminate_gf2(ring, rows, columns, col, known, block)
+    return _eliminate_general(ring, rows, columns, col, known, block)
 
-    # ------------------------------------------------------------ GF(q>2)
 
-    def _reduce_general(self, known, block):
-        q = self.ring.q
-        inv = self.ring.field.inv
-        col = self.col_index
-        # a - b*c with entries in [0, q) must fit int64; beyond that, Python ints
-        dtype = np.int64 if (q - 1) ** 2 + q < 2**63 else object
-        a = np.zeros((len(block), len(self.columns)), dtype=dtype)
-        for r, i in enumerate(block):
-            for m, c in self.rows[i].terms:
-                a[r, col[m]] = c
-        free = np.ones(len(block), dtype=bool)  # not yet a block pivot
-        pivots = []  # block rows, by ascending pivot column
-        for j in range(len(self.columns)):
-            hit = np.flatnonzero(a[:, j])
-            if hit.size == 0:
-                continue
-            i = known.get(j)
-            if i is not None:
-                # subtract a[hit, j] times the known pivot, made monic here
-                terms = self.rows[i].terms
-                head_inv = inv(terms[0][1])
-                vals = np.array([c * head_inv % q for _, c in terms], dtype=dtype)
-                cells = np.ix_(hit, [col[m] for m, _ in terms])
-                a[cells] = (a[cells] - np.outer(a[hit, j], vals)) % q
-                continue
-            # otherwise the first free block row with an entry here pivots,
-            # and is eliminated from every other block row
-            cand = hit[free[hit]]
-            if cand.size == 0:
-                continue
-            piv = int(cand[0])
-            free[piv] = False
-            pivots.append(piv)
-            a[piv] = a[piv] * inv(int(a[piv, j])) % q
-            hit = hit[hit != piv]
-            if hit.size:
-                a[hit] = (a[hit] - np.outer(a[hit, j], a[piv])) % q
-        polys = []
-        for r in pivots:
-            row = a[r]
-            nz = np.flatnonzero(row)
-            terms = tuple((self.columns[int(k)], int(row[k])) for k in nz)
-            polys.append(Polynomial(self.ring, terms))
-        return polys
+# ---------------------------------------------------------------- GF(2)
+
+
+def _eliminate_gf2(ring, rows, columns, col, known, block) -> list:
+    # the block by columns: bit r of cells[j] is block row r's entry at j
+    cells = [0] * len(columns)
+    for r, i in enumerate(block):
+        bit = 1 << r
+        for m, _ in rows[i].terms:
+            cells[col[m]] |= bit
+    # adding a known pivot to the rows that hold its head clears its
+    # column and touches only later ones, so ascending order clears all
+    for j in sorted(known):
+        hit = cells[j]
+        if hit:
+            for m, _ in rows[known[j]].terms:
+                cells[col[m]] ^= hit
+    # the block by rows again, for its own elimination
+    packed = [0] * len(block)
+    for j, c in enumerate(cells):
+        bit = 1 << j
+        while c:
+            low = c & -c
+            packed[low.bit_length() - 1] |= bit
+            c ^= low
+    pivots = {}  # lowest bit -> the block row that has it
+    mask = 0  # the union of the pivots' lowest bits
+    for row in packed:
+        row = _clear(row, pivots, mask)
+        if row:
+            low = row & -row
+            pivots[low] = row
+            mask |= low
+    # back substitution, last column first
+    found = sorted(pivots)
+    done = 0
+    for low in reversed(found):
+        pivots[low] = _clear(pivots[low], pivots, done)
+        done |= low
+    return [_bits_to_poly(ring, columns, pivots[low]) for low in found]
+
+
+def _bits_to_poly(ring, columns, bits: int) -> Polynomial:
+    terms = []
+    while bits:
+        low = bits & -bits
+        terms.append((columns[low.bit_length() - 1], 1))
+        bits ^= low
+    return Polynomial(ring, tuple(terms))
 
 
 def _clear(row: int, pivots: dict, mask: int) -> int:
@@ -255,6 +279,54 @@ def _clear(row: int, pivots: dict, mask: int) -> int:
         row ^= pivots[hit & -hit]
         hit = row & mask
     return row
+
+
+# ---------------------------------------------------------------- GF(q>2)
+
+
+def _eliminate_general(ring, rows, columns, col, known, block) -> list:
+    q = ring.q
+    inv = ring.field.inv
+    # a - b*c with entries in [0, q) must fit int64; beyond that, Python ints
+    dtype = np.int64 if (q - 1) ** 2 + q < 2**63 else object
+    a = np.zeros((len(block), len(columns)), dtype=dtype)
+    for r, i in enumerate(block):
+        for m, c in rows[i].terms:
+            a[r, col[m]] = c
+    free = np.ones(len(block), dtype=bool)  # not yet a block pivot
+    pivots = []  # block rows, by ascending pivot column
+    for j in range(len(columns)):
+        hit = np.flatnonzero(a[:, j])
+        if hit.size == 0:
+            continue
+        i = known.get(j)
+        if i is not None:
+            # subtract a[hit, j] times the known pivot, made monic here
+            terms = rows[i].terms
+            head_inv = inv(terms[0][1])
+            vals = np.array([c * head_inv % q for _, c in terms], dtype=dtype)
+            cells = np.ix_(hit, [col[m] for m, _ in terms])
+            a[cells] = (a[cells] - np.outer(a[hit, j], vals)) % q
+            continue
+        # otherwise the first free block row with an entry here pivots,
+        # and is eliminated from every other block row
+        cand = hit[free[hit]]
+        if cand.size == 0:
+            continue
+        piv = int(cand[0])
+        free[piv] = False
+        pivots.append(piv)
+        a[piv] = a[piv] * inv(int(a[piv, j])) % q
+        hit = hit[hit != piv]
+        if hit.size:
+            a[hit] = (a[hit] - np.outer(a[hit, j], a[piv])) % q
+    polys = []
+    for r in pivots:
+        row = a[r]
+        nz = np.flatnonzero(row)
+        terms = tuple((columns[int(k)], int(row[k])) for k in nz)
+        polys.append(Polynomial(ring, terms))
+    return polys
 
 
 def f4_round(state: RunState) -> RoundTrace:
@@ -281,8 +353,3 @@ def f4_round(state: RunState) -> RoundTrace:
             zero_rows=zero_rows,
         ),
     )
-
-
-def f4_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:
-    """The matrix engine: ``run_rounds`` with one F4 batch per round."""
-    return run_rounds(RunState(config, tracer), polys, f4_round)

@@ -15,12 +15,11 @@ read.
 
 from __future__ import annotations
 
-# perfbench/spans.py wraps f4_core and buchberger_core by name in this module
-from .buchberger import buchberger_core  # noqa: F401
 from .engine import EngineConfig, EngineReport, RoundTrace, Status, adjoin_field_equations
-from .f4 import f4_core, f4_round  # noqa: F401
+from .f4 import f4_round
 from .poly import normal_form, substitute
-from .runner import RunState
+# perfbench/spans.py wraps f4_core and buchberger_core by name in this module
+from .runner import RunState, buchberger_core, f4_core  # noqa: F401
 from .trace import TraceWriter
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import operator
 
-from .errors import MonomialOverflowError
+from .errors import InvalidSettingError, MonomialOverflowError
 
 ORDERS = ("lex", "grevlex")
 
@@ -64,7 +64,9 @@ class MonomialCodec:
 
     def __init__(self, n: int, q: int, order: str):
         if order not in ORDERS:
-            raise ValueError(f"unknown monomial order {order!r} (expected lex or grevlex)")
+            raise InvalidSettingError(
+                f"unknown monomial order {order!r} (expected lex or grevlex)"
+            )
         w = q.bit_length() + n.bit_length() + 8
         half = 1 << (w - 1)
         self.n, self.q, self.order, self.width = n, q, order, w
@@ -100,9 +102,11 @@ class MonomialCodec:
         """The packed form of an exponent sequence (index 0 = x_1)."""
         exps = tuple(exps)
         if len(exps) != self.n:
-            raise ValueError(f"monomial {exps} has {len(exps)} exponents, ring has {self.n}")
+            raise InvalidSettingError(
+                f"monomial {exps} has {len(exps)} exponents, ring has {self.n}"
+            )
         if min(exps) < 0:
-            raise ValueError(f"negative exponent in {exps}")
+            raise InvalidSettingError(f"negative exponent in {exps}")
         d = sum(exps)
         if d > self.limit:
             raise MonomialOverflowError(

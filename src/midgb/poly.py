@@ -15,7 +15,7 @@ import heapq
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .errors import MixedRingsError, ZeroInputError, ZeroPolynomialError
+from .errors import InvalidSettingError, MixedRingsError, ZeroInputError, ZeroPolynomialError
 from .gf import PrimeField
 from .monomials import ORDERS, MonomialCodec
 
@@ -32,14 +32,16 @@ class PolyRing:
         self.field = PrimeField(q)
         names = list(names)
         if not names:
-            raise ValueError("a ring needs at least one variable")
+            raise InvalidSettingError("a ring needs at least one variable")
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in {names}")
+            raise InvalidSettingError(f"duplicate variable names in {names}")
         for nm in names:
             if not nm or not isinstance(nm, str):
-                raise ValueError(f"bad variable name {nm!r}")
+                raise InvalidSettingError(f"bad variable name {nm!r}")
         if order not in ORDERS:
-            raise ValueError(f"unknown monomial order {order!r} (expected lex or grevlex)")
+            raise InvalidSettingError(
+                f"unknown monomial order {order!r} (expected lex or grevlex)"
+            )
         self.names = tuple(names)
         self.n = len(names)
         self.order = order
@@ -459,6 +461,10 @@ def interreduce(polys: Iterable[Polynomial]) -> list:
     Each pass reduces every member in turn by the others: slot k holds this
     pass's result for member k < i and last pass's version for k > i, and a
     dropped member leaves its slot empty.
+
+    Of the engines, only ``midsolve.renew`` calls it, on survivors of a
+    substitution that are not a Groebner basis. A completed basis goes
+    through ``f4.reduced_basis`` instead, which returns the same list.
     """
     work = [p.monic() for p in polys if not p.is_zero]
     if not work:

@@ -1,4 +1,5 @@
-"""The run state shared by all three engines, and the batch engines' run loop.
+"""The run state shared by all three engines, the batch engines' run loop,
+and the entry points of the two batch engines.
 
 A RunState owns the basis (a plain list in insertion order), the pair
 queue, the solved-variable map and the trace; the engines supply a
@@ -9,10 +10,14 @@ modes: the batch engines screen every freshly reduced batch and, once the
 queue drains, the completed basis; the incremental engine screens only each
 completed intermediate basis. Everything here is deterministic: fixed
 iteration orders, no set iteration.
+
+This module imports the round functions of ``f4`` and ``buchberger``, and
+``f4.reduced_basis`` for completed bases; neither imports it back.
 """
 
 from __future__ import annotations
 
+from .buchberger import buchberger_round
 from .engine import (
     EngineConfig,
     EngineReport,
@@ -25,12 +30,13 @@ from .engine import (
     update,
 )
 from .errors import ConflictingRootsError
+from .f4 import f4_round, reduced_basis
 from .midsolve import (
     find_unique_root_polys,
     inconsistency_check,
     renew,
 )
-from .poly import FirstDivisor, field_reduce, interreduce, is_field_polynomial, normal_form
+from .poly import FirstDivisor, field_reduce, is_field_polynomial, normal_form
 from .trace import TraceWriter
 
 
@@ -246,14 +252,18 @@ class RunState:
         self.tracer.round(payload)
 
     def completion(self) -> bool:
-        """Queue is empty: interreduce and screen the completed basis.
+        """Queue is empty: reduce and screen the completed basis.
 
+        With the queue empty the basis is a Groebner basis, after a renew
+        too (the pair criteria then pruned every pair of the rebuilt basis),
+        so ``f4.reduced_basis`` replaces it by its reduced basis in one
+        matrix; that is the unique list ``interreduce`` would return.
         Repeats while screening finds something. True once the run is done:
         nothing more is found, or it is inconsistent. False when a renew
         left pairs to process.
         """
         while True:
-            self.basis = interreduce(self.basis)
+            self.basis = reduced_basis(self.basis, self.ring, self.field_active)
             if not self.screening:
                 return True
             if inconsistency_check(self.basis):
@@ -268,7 +278,7 @@ class RunState:
     def finish(self, status: Status) -> EngineReport:
         if status is Status.INCONSISTENT:
             basis = [self.ring.one]
-        else:  # interreduced by completion(), or the RoundLimit snapshot
+        else:  # the reduced basis from completion(), or the RoundLimit snapshot
             basis = list(self.basis)
         report = EngineReport(
             status=status,
@@ -311,3 +321,13 @@ def run_rounds(state: RunState, polys, round_fn) -> EngineReport:
         state.round_no += 1
         state.record_round(round_fn(state))
     return state.finish(state.outcome() or Status.GROEBNER_BASIS)
+
+
+def f4_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:
+    """The matrix engine: ``run_rounds`` with one F4 batch per round."""
+    return run_rounds(RunState(config, tracer), polys, f4_round)
+
+
+def buchberger_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:
+    """The pair engine: ``run_rounds`` with one critical pair per round."""
+    return run_rounds(RunState(config, tracer), polys, buchberger_round)

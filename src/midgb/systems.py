@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import MidgbError, ParseError
+from .errors import InvalidSettingError, ParseError
 from .poly import PolyRing
 
 
@@ -32,6 +32,17 @@ _TOKEN = re.compile(
 )
 
 
+def _literal(text: str, line_no: int, col: int) -> int:
+    """The value of a digit run; one past CPython's integer-string limit
+    raises ParseError at its column instead of a bare ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(
+            line_no, col, f"integer literal of {len(text)} digits is too long"
+        ) from None
+
+
 def _tokenize(line: str, line_no: int) -> list:
     """(kind, value, 1-based column) triples, kind int/name/the symbol, closed
     by the sentinel ("end", None, len(line) + 1)."""
@@ -42,7 +53,7 @@ def _tokenize(line: str, line_no: int) -> list:
             raise ParseError(line_no, col, f"unexpected character {text!r}")
         if kind == "symbol":
             kind = text
-        toks.append((kind, int(text) if kind == "int" else text, col))
+        toks.append((kind, _literal(text, line_no, col) if kind == "int" else text, col))
     toks.append(("end", None, len(line) + 1))
     return toks
 
@@ -102,7 +113,7 @@ def parse_system(text: str, order: str = "grevlex"):
             parts = line.split()
             if len(parts) != 2 or parts[0] != "field" or not re.fullmatch("[0-9]+", parts[1]):
                 raise ParseError(line_no, 1, "expected 'field <prime>'")
-            q = int(parts[1])
+            q = _literal(parts[1], line_no, re.search("[0-9]", line).start() + 1)
             stage = 1
         elif stage == 1:
             words = list(re.finditer(r"\S+", line))
@@ -112,11 +123,9 @@ def parse_system(text: str, order: str = "grevlex"):
                 if not re.fullmatch(_NAME, w.group()):
                     raise ParseError(line_no, w.start() + 1, f"bad variable name {w.group()!r}")
             names = [w.group() for w in words[1:]]
-            try:
+            try:  # a non-prime or too large field keeps its own type
                 ring = PolyRing(q, names, order)
-            except MidgbError:
-                raise  # a non-prime or too large field keeps its own type
-            except ValueError as exc:
+            except InvalidSettingError as exc:
                 raise ParseError(line_no, 1, str(exc)) from None
             var_index = {nm: i for i, nm in enumerate(names)}
             stage = 2

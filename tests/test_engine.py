@@ -14,7 +14,13 @@ from midgb import (
     normal_form,
 )
 from midgb.engine import CriticalPair, PairQueue, degree_monitor, update
-from midgb.errors import BoundViolationError, EmptyQueueError, ZeroInputError
+from midgb.errors import (
+    BoundViolationError,
+    EmptyQueueError,
+    InvalidSettingError,
+    MidgbError,
+    ZeroInputError,
+)
 from midgb.f4 import symbolic_preprocess
 
 
@@ -240,6 +246,17 @@ def test_engine_config_validation(ring):
     with pytest.raises(TooLargeError):
         EngineConfig(big)
     EngineConfig(big, adjoin_field_eqs=False)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"engine": "f5"}, {"max_rounds": 0}],
+    ids=["unknown-engine", "max-rounds-below-one"],
+)
+def test_engine_config_out_of_range_raises_typed_error(ring, options):
+    with pytest.raises(InvalidSettingError) as ei:
+        EngineConfig(ring, **options)
+    assert isinstance(ei.value, MidgbError) and isinstance(ei.value, ValueError)
 
 
 def test_status_values():

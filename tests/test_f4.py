@@ -1,6 +1,7 @@
 """Symbolic preprocessing, the Macaulay matrix, and the batch engine."""
 
 import heapq
+import itertools
 import random
 from collections import Counter
 
@@ -15,12 +16,13 @@ from midgb import (
     normal_form,
     s_polynomial,
 )
-from midgb import f4
+from midgb import f4, runner
 from midgb.bench import random_system
 from midgb.engine import CriticalPair, degree_monitor
 from midgb.errors import EmptyBatchError
-from midgb.f4 import MacaulayMatrix, symbolic_preprocess
+from midgb.f4 import MacaulayMatrix, reduced_basis, symbolic_preprocess
 from midgb.poly import FirstDivisor, Polynomial, field_term_mul
+from test_golden_traces import corpus_runs
 
 
 def lookup(lms, ring):
@@ -353,3 +355,92 @@ def test_f4_is_exact_for_primes_past_int64(seed):
     for f in F:
         assert normal_form(f, basis).is_zero
     assert interreduce(basis) == interreduce(out["buchberger"].basis)
+
+
+# ------------------------------------------------------------- completion kernel
+
+
+@pytest.fixture
+def kernel_checked(monkeypatch):
+    """Check every ``RunState.completion`` reduction against ``interreduce``.
+
+    Each call's result must equal ``interreduce`` of the same list, and each
+    reducer row the kernel makes must keep its head m = quot * LM(g), also
+    when folding changed it. Yields a Counter of what the calls covered.
+    """
+    kernel, multiple = f4.reduced_basis, f4._multiple
+    seen = Counter()
+    depth = []
+
+    def reducer(g, quot, field_active, folds):
+        row = multiple(g, quot, field_active, folds)
+        if depth:
+            assert row.terms and row.lm() == g.ring.codec.mul(g.lm(), quot)
+            seen["reducers"] += 1
+            seen["folded"] += row != g.term_mul(quot, g.ring.field.inv(g.lc()))
+        return row
+
+    def checked(basis, ring, field_active=True):
+        depth.append(ring)
+        try:
+            got = kernel(basis, ring, field_active)
+        finally:
+            depth.pop()
+        assert got == interreduce(basis)
+        lms = [g.lm() for g in basis]
+        seen["calls"] += 1
+        seen["empty"] += not basis
+        seen["unit"] += ring.one in basis
+        seen["shared_lm"] += len(set(lms)) < len(lms)
+        seen["dense_unfolded"] += ring.q > 2 and not field_active
+        return got
+
+    monkeypatch.setattr(f4, "_multiple", reducer)
+    monkeypatch.setattr(runner, "reduced_basis", checked)
+    return seen
+
+
+def test_reduced_basis_of_a_groebner_basis():
+    ring = PolyRing(3, ["x", "y"], "lex")
+    x, y = ring.variable(0), ring.variable(1)
+    one = ring.one
+    # a Groebner basis of <x + y + 1, y^2 + 1>, with a redundant member and
+    # a reducible tail
+    basis = [x * y + y * y + y, x + y * y + y + ring.constant(2), y * y + one]
+    assert [str(p) for p in reduced_basis(basis, ring, False)] == ["y^2 + 1", "x + y + 1"]
+    assert reduced_basis(basis, ring, False) == interreduce(basis)
+    assert reduced_basis([], ring) == [] == interreduce([])
+
+
+def test_completion_kernel_equals_interreduce_over_the_trace_corpus(kernel_checked):
+    for group in (2, 3, 5, 7, "families"):
+        for ring, polys, engine, ms, fe in corpus_runs(group):
+            groebner_basis(polys, EngineConfig(
+                ring, engine=engine, middle_solving=ms, adjoin_field_eqs=fe
+            ))
+    seen = kernel_checked
+    assert seen["calls"] > 360 and seen["folded"] and seen["dense_unfolded"], seen
+    assert seen["empty"], seen  # a settled screen leaves the empty basis
+
+
+def test_completion_kernel_edge_cases(kernel_checked):
+    seen = kernel_checked
+    ring = PolyRing(3, ["x", "y", "z"], "grevlex")
+    x, y, z = (ring.variable(i) for i in range(3))
+    for engine in ("f4", "buchberger", "incremental"):
+        # a basis that holds 1 when middle solving is off
+        rep = groebner_basis([x * y + ring.one, ring.one],
+                             EngineConfig(ring, engine=engine, middle_solving=False))
+        assert rep.basis == [ring.one]
+        # raw inputs that share a leading monomial
+        groebner_basis([x * y + z, x * y + y, y * z + x],
+                       EngineConfig(ring, engine=engine, middle_solving=False))
+    assert seen["unit"] and seen["shared_lm"], seen
+    # lex without field equations over GF(5) and GF(7): the dense path, unfolded
+    folded = seen["folded"]
+    for q, seed in itertools.product((5, 7), range(3)):
+        lex = PolyRing(q, ["x1", "x2", "x3"], "lex")
+        polys = random_system(lex, 4, 2, random.Random(seed), max_terms=4)
+        for engine in ("f4", "buchberger", "incremental"):
+            groebner_basis(polys, EngineConfig(lex, engine=engine, adjoin_field_eqs=False))
+    assert seen["dense_unfolded"] >= 18 and seen["folded"] == folded, seen

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from midgb import MonomialOverflowError
+from midgb.errors import InvalidSettingError, MidgbError
 from midgb.monomials import MonomialCodec
 
 
@@ -225,3 +226,18 @@ def test_out_of_range_exponent_raises_typed_error(case):
         k.var(0, k.limit + 1)
     with pytest.raises(ValueError):
         k.pack((-1,) + a[1:])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MonomialCodec(3, 2, "revlex"),
+        lambda: MonomialCodec(3, 2, "grevlex").pack((1, 0)),
+        lambda: MonomialCodec(3, 2, "lex").pack((1, -1, 0)),
+    ],
+    ids=["unknown-order", "wrong-arity", "negative-exponent"],
+)
+def test_codec_settings_out_of_range_raise_typed_error(make):
+    with pytest.raises(InvalidSettingError) as ei:
+        make()
+    assert isinstance(ei.value, MidgbError) and isinstance(ei.value, ValueError)

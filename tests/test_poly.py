@@ -21,7 +21,7 @@ from midgb import (
 )
 from midgb.api import ENGINES
 from midgb.bench import solutions_from_lex_basis
-from midgb.errors import MixedRingsError, ZeroInputError
+from midgb.errors import InvalidSettingError, MidgbError, MixedRingsError, ZeroInputError
 from midgb.poly import (
     FirstDivisor,
     _reduce_by,
@@ -56,6 +56,15 @@ def test_ring_construction_and_vars(r7):
     assert str(x * y + r7.one) == "x*y + 1"
     assert r7.zero.is_zero
     assert r7.constant(9) == r7.constant(2)
+
+
+@pytest.mark.parametrize(
+    "names", [[], ["x", "y", "x"]], ids=["no-variables", "duplicate-names"]
+)
+def test_ring_settings_out_of_range_raise_typed_error(names):
+    with pytest.raises(InvalidSettingError) as ei:
+        PolyRing(7, names, "grevlex")
+    assert isinstance(ei.value, MidgbError) and isinstance(ei.value, ValueError)
 
 
 def test_poly_canonicalizes_terms(r7):

@@ -105,6 +105,25 @@ def test_header_and_exponent_errors_carry_positions(text, line, column, message)
     assert str(ei.value).endswith(message)
 
 
+LONG = "1" * 5000  # past CPython's 4,300-digit integer-string limit
+
+
+@pytest.mark.parametrize(
+    "text,line,column",
+    [
+        (f"field 2\nvars x\nx + {LONG}*x\n", 3, 5),
+        (f"field 2\nvars x\nx^{LONG}\n", 3, 3),
+        (f"field  {LONG}\nvars x\n", 1, 8),
+    ],
+    ids=["coefficient", "exponent", "field-line"],
+)
+def test_overlong_integer_literals_raise_parse_error(text, line, column):
+    with pytest.raises(ParseError) as ei:
+        parse_system(text)
+    assert (ei.value.line, ei.value.column) == (line, column)
+    assert str(ei.value).endswith("integer literal of 5000 digits is too long")
+
+
 # HEAD's character-scanning parser before the token pattern, kept as the
 # reference the body-line parser must reproduce on ASCII input.
 
