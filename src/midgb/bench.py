@@ -198,7 +198,7 @@ def solutions_from_lex_basis(basis, ring: PolyRing, fixed=None) -> set:
             values &= {fixed[i]}
         for a in sorted(values):
             point[i] = a
-            extend(i - 1, point, [substitute(p, i, a) for p in waiting])
+            extend(i - 1, point, [substitute(p, {i: a}) for p in waiting])
 
     extend(n - 1, [0] * n, members)
     return sols

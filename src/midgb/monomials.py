@@ -163,11 +163,6 @@ class MonomialCodec:
         e = (m >> self._pos[i]) & self._slot
         return e if self._sign > 0 else self.limit - e
 
-    def split(self, m: int, i: int):
-        """(e, m / x_i**e) with e the exponent of x_i in m."""
-        e = self.exponent(m, i)
-        return e, m - e * self._units[i]
-
     # The slot-parallel operations below test all exponent slots at once.
     # ``_at_least(t)`` is the constant a with ((m + a) & _eguard) ^ _flip
     # holding the guard bit of every slot whose exponent is at least t.
@@ -200,6 +195,18 @@ class MonomialCodec:
         """Bitmask of the variables occurring in m: bit i is x_i."""
         return sum(1 << i for i, p in enumerate(self._pos)
                    if (m >> p) & self._slot != (self.one >> p) & self._slot)
+
+    def occurs_mask(self, variables) -> int:
+        """The mask k of the exponent slots of ``variables``. ``(m ^ one) & k``
+        holds m's exponents of them in those slots (a grevlex slot keeps
+        C - e, and C is all ones), so it is nonzero iff one of them occurs."""
+        return sum(self.limit << self._pos[i] for i in variables)
+
+    def drop(self, m: int, mask: int) -> int:
+        """m with the exponents of the variables under ``occurs_mask`` set to 0."""
+        x = (m ^ self.one) & mask
+        d = ((x * self._eones) >> self._sumshift) & self._slot  # their total degree
+        return m - self._sign * x - (d << self._dshift)
 
     def exceeds(self, m: int, bound: int) -> bool:
         """True iff some exponent of m is greater than bound."""

@@ -577,19 +577,24 @@ def _folded(ring: PolyRing, terms, folds: dict):
     return _canonical(ring, acc)
 
 
-def substitute(p: Polynomial, var: int, value: int) -> Polynomial:
-    """p with x_var := value."""
-    ring = p.ring
-    q = ring.q
-    split = ring.codec.split
-    value %= q
+def substitute(p: Polynomial, values: dict) -> Polynomial:
+    """p with x_i := values[i] for every variable index i in ``values``.
+    One mask test passes a term free of them, and one drops a term that
+    holds a variable valued 0; only values past 1 need their exponents."""
+    ring, codec = p.ring, p.ring.codec
+    q, one, exponent, drop = ring.q, codec.one, codec.exponent, codec.drop
+    mask = codec.occurs_mask(values)
+    zero = codec.occurs_mask([i for i, v in values.items() if not v % q])
+    powers = [(i, v % q) for i, v in values.items() if v % q > 1]
     acc: dict = {}
     for m, c in p.terms:
-        e, m = split(m, var)
-        if e:
-            c = c * pow(value, e, q) % q
-            if not c:
+        hit = (m ^ one) & mask
+        if hit:
+            if hit & zero:
                 continue
+            for i, v in powers:
+                c = c * pow(v, exponent(m, i), q) % q
+            m = drop(m, mask)
         acc[m] = (acc.get(m, 0) + c) % q
     return _canonical(ring, acc)
 

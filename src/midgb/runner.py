@@ -56,9 +56,6 @@ class RunState:
         self.rounds: list = []
         self.round_no = 0
         self.inconsistent = False
-        # everything ingest_inputs inserted; with the assignments made so
-        # far, these generate the ideal of every basis and pending member
-        self.ingested: list = []
 
     @property
     def basis(self) -> list:
@@ -104,7 +101,6 @@ class RunState:
                 return False
             degree_monitor(f, self.ring, "stored", self.field_active)
             update(self.basis, self.queue, f)
-            self.ingested.append(f)
         return True
 
     def mark_inconsistent(self):
@@ -131,50 +127,37 @@ class RunState:
     def screen(self, source, pending: list):
         """Emit every unique-root assignment found in ``source``.
 
-        Each one is substituted through the basis, the queue and ``pending``
-        (a batch not yet inserted). Returns whether anything was found, and
-        the renewed ``pending``. Every find is followed by a settle, a renew
-        or an inconsistency, so the first value also says whether the basis
-        was rewritten.
-
-        The screen settles without a renew when, after its first emit, its
-        assignments and the earlier ones fix every variable at a point that
-        is a zero of every ingested polynomial: the rest are emitted, and
-        the basis, ``pending`` and the queue become empty. That is exactly
-        where the renews would end. Every basis and pending member lies in
-        the ideal of the ingested polynomials and the earlier x_j - v_j, so
-        it vanishes at the point; each renew substitutes one coordinate, so
-        a survivor that turns constant is 0 and no renew flags
-        inconsistency, and after the last coordinate nothing survives.
+        The first is emitted at once; one renew then substitutes them all
+        through the basis, the queue and ``pending`` (a batch not yet
+        inserted), and the rest are emitted. Where that renew of two or more
+        values meets a nonzero constant, substituted or interreduced, one
+        renew per value is replayed from the saved basis and ``pending``, so
+        the run turns inconsistent at the same emitted value as it would
+        that way (``midsolve.renew``). Returns whether anything was found,
+        and the renewed ``pending``; a find always renews or ends the run.
         """
         try:
             found = find_unique_root_polys(source, self.round_no)
         except ConflictingRootsError:
             self.mark_inconsistent()
             return True, []
-        for i, ev in enumerate(found):
-            if self.inconsistent:
+        if not found:
+            return False, pending
+        self.emit(found[0])
+        res = renew(self.basis, pending, found)
+        replay = len(found) > 1 and (res.inconsistent or inconsistency_check(res.basis))
+        if replay:
+            res = renew(self.basis, pending, found[:1])
+        for ev in found[1:]:
+            if res.inconsistent:
                 break
             self.emit(ev)
-            if i == 0 and self.settles(found):
-                for b in found[1:]:
-                    self.emit(b)
-                self.basis, pending, self.queue = [], [], PairQueue()
-                break
-            res = renew(self.basis, pending, ev)
-            self.basis, pending, self.queue = res.basis, res.pending, res.queue
-            if res.inconsistent:
-                self.mark_inconsistent()
-        return bool(found), pending
-
-    def settles(self, found) -> bool:
-        """Whether the assignments so far and ``found`` fix a common zero."""
-        values = dict(self.assignments)
-        values.update((ev.variable, ev.value) for ev in found)
-        if len(values) != self.ring.n:
-            return False
-        point = [values[i] for i in range(self.ring.n)]
-        return not any(f.evaluate(point) for f in self.ingested)
+            if replay:
+                res = renew(res.basis, res.pending, [ev])
+        self.basis, self.queue = res.basis, res.queue
+        if res.inconsistent:
+            self.mark_inconsistent()
+        return True, res.pending
 
     def absorb(self, batch: list, tr: RoundTrace) -> RoundTrace:
         """End a round: screen a freshly reduced batch, insert it, count it.

@@ -360,8 +360,8 @@ def test_renew_leaves_nothing_to_fold(monkeypatch):
     renew = runner.renew
     checked = []
 
-    def spied(basis, pending, a):
-        res = renew(basis, pending, a)
+    def spied(basis, pending, events):
+        res = renew(basis, pending, events)
         for g in res.basis:
             if is_field_polynomial(g) is None:
                 foldable = g.ring.codec.foldable

@@ -15,6 +15,7 @@ from midgb import (
     field_polynomial,
     groebner_basis,
 )
+from midgb import runner
 from midgb.bench import random_system
 from midgb.engine import PairQueue, RoundTrace, SolveEvent, adjoin_field_equations, update
 from midgb.errors import ConflictingRootsError
@@ -82,7 +83,7 @@ def test_renew_substitutes_and_drops_field_polynomial(r2):
     x, y = r2.variable(0), r2.variable(1)
     for g in (x + r2.one, x * y + y, field_polynomial(r2, 0), field_polynomial(r2, 1)):
         update(basis, queue, g)
-    res = renew(basis, [], SolveEvent(1, 0, 1))
+    res = renew(basis, [], [SolveEvent(1, 0, 1)])
     assert not res.inconsistent
     remaining = [str(p) for p in res.basis]
     # x+1 -> 0, x*y+y -> 0 (y+y), x^2+x -> dropped as the solved field poly
@@ -94,7 +95,7 @@ def test_renew_flags_nonzero_constant(r2):
     x = r2.variable(0)
     update(basis, queue, x + r2.one)
     update(basis, queue, x)
-    res = renew(basis, [], SolveEvent(1, 0, 1))
+    res = renew(basis, [], [SolveEvent(1, 0, 1)])
     assert res.inconsistent
     assert res.basis == []
 
@@ -104,7 +105,7 @@ def test_renew_substitutes_pending(r2):
     x, y = r2.variable(0), r2.variable(1)
     update(basis, queue, x + r2.one)
     pending = [x * y + x + y]
-    res = renew(basis, pending, SolveEvent(2, 0, 1))
+    res = renew(basis, pending, [SolveEvent(2, 0, 1)])
     # y + 1 + y = 1: the pending member becomes a nonzero constant
     assert res.inconsistent
     assert res.pending == []
@@ -203,18 +204,68 @@ def settle_system(q, order, seed, kind):
     return ring, polys
 
 
-def test_settled_screens_run_as_the_renews_would(monkeypatch, tmp_path):
-    """A screen that fixes every variable at a common zero of the inputs
-    settles with no renew; its trace and report equal those of the same run
-    with the check off, where every assignment is renewed in turn."""
-    settles = RunState.settles
-    branches = set()
+def reference_screen(state, source, pending):
+    """``RunState.screen`` with one renew per value, as it was before the
+    joint renew: the reference the joint renew is held to."""
+    try:
+        found = find_unique_root_polys(source, state.round_no)
+    except ConflictingRootsError:
+        state.mark_inconsistent()
+        return True, []
+    for ev in found:
+        if state.inconsistent:
+            break
+        state.emit(ev)
+        res = renew(state.basis, pending, [ev])
+        state.basis, pending, state.queue = res.basis, res.pending, res.queue
+        if res.inconsistent:
+            state.mark_inconsistent()
+    return bool(found), pending
 
-    def counted(state, found):
-        settled = settles(state, found)
-        fixed = {a.variable for a in found} | set(state.assignments)
-        branches.add((len(fixed) == state.ring.n, settled))
-        return settled
+
+def random_system_case(seed):
+    """A random system over GF(q), q in {2, 3, 5, 7}: n to n + 2 quadrics in
+    2-5 variables with a planted zero, and in about half of the cases a
+    quadratic with no root in GF(q), so no zero at all."""
+    rng = random.Random(f"joint-{seed}")
+    q = rng.choice((2, 3, 5, 7))
+    n = rng.randint(2, 5 if q == 2 else 4)
+    ring = PolyRing(q, [f"x{i}" for i in range(1, n + 1)], rng.choice(("grevlex", "lex")))
+    polys = random_system(ring, n + rng.randint(0, 2), 2, rng, max_terms=rng.randint(2, 6))
+    point = [rng.randrange(q) for _ in range(n)]
+    polys = [p - ring.constant(p.evaluate(point)) for p in polys]
+    if rng.random() < 0.5:
+        a, c = ROOTLESS[q]
+        x = ring.variable(rng.randrange(n))
+        polys.insert(rng.randrange(len(polys) + 1), x * x + x.scale(a) + ring.constant(c))
+    engine = rng.choice(("f4", "buchberger", "incremental"))
+    return ring, polys, engine, rng.random() < 0.8
+
+
+def test_joint_renew_runs_as_one_renew_per_value(monkeypatch, tmp_path):
+    """A screen renews once with all its values, and replays a renew per
+    value only where that meets a constant. Over ``settle_system``'s grid
+    and seeded random systems, trace and report equal those of
+    ``reference_screen``."""
+    screen, joint_renew = RunState.screen, runner.renew
+    sizes, reached = [], set()
+
+    def counted_renew(basis, pending, events):
+        sizes.append(len(events))
+        return joint_renew(basis, pending, events)
+
+    def spied_screen(state, source, pending):
+        start = len(sizes)
+        out = screen(state, source, pending)
+        made = sizes[start:]
+        if made and made[0] > 1:
+            if len(made) > 1:
+                reached.add("replay")
+            elif state.all_solved():
+                reached.add("fixes every variable")
+            else:
+                reached.add("several values, consistent")
+        return out
 
     def run(ring, polys, engine, field_eqs, path):
         rep = groebner_basis(polys, EngineConfig(
@@ -223,43 +274,35 @@ def test_settled_screens_run_as_the_renews_would(monkeypatch, tmp_path):
         summary = (rep.status, [str(p) for p in rep.basis], rep.assignments, rep.events)
         return path.read_bytes(), summary
 
-    cases = itertools.product(
-        (2, 3, 5, 7), ("grevlex", "lex"), range(2), ("planted", "unplanted", "rootless"),
-        ("f4", "buchberger", "incremental"), (True, False),
-    )
-    for q, order, seed, kind, engine, field_eqs in cases:
-        ring, polys = settle_system(q, order, seed, kind)
-        monkeypatch.setattr(RunState, "settles", counted)
-        got = run(ring, polys, engine, field_eqs, tmp_path / "settle.trace")
-        monkeypatch.setattr(RunState, "settles", lambda state, found: False)
-        want = run(ring, polys, engine, field_eqs, tmp_path / "renew.trace")
-        assert got == want, (q, order, seed, kind, engine, field_eqs)
-    # both branches ran: a settle, and a fallback with every variable fixed
-    assert {(True, True), (True, False)} <= branches
+    grid = [
+        (*settle_system(q, order, seed, kind), engine, field_eqs)
+        for q, order, seed, kind, engine, field_eqs in itertools.product(
+            (2, 3, 5, 7), ("grevlex", "lex"), range(2), ("planted", "unplanted", "rootless"),
+            ("f4", "buchberger", "incremental"), (True, False),
+        )
+    ]
+    for case in grid + [random_system_case(seed) for seed in range(300)]:
+        monkeypatch.setattr(runner, "renew", counted_renew)
+        monkeypatch.setattr(RunState, "screen", spied_screen)
+        got = run(*case, tmp_path / "joint.trace")
+        monkeypatch.setattr(RunState, "screen", reference_screen)
+        want = run(*case, tmp_path / "reference.trace")
+        assert got == want, case
+    assert reached == {"replay", "fixes every variable", "several values, consistent"}
 
 
-def test_screen_that_fixes_every_variable_off_the_zero_set_falls_back(
-    monkeypatch, tmp_path
-):
+def test_screen_that_fixes_every_variable_off_the_zero_set_falls_back(tmp_path):
     """Over GF(3), y^2 + 1 has no root, and round 1 fixes x = y = 0, which is
-    no zero of it. So the screen renews: x = 0 turns 2xy + 2 into 2 and the
-    run ends Inconsistent before y = 0 is ever emitted."""
+    no zero of it. So the joint renew meets a constant, and the screen
+    replays one renew per value: x = 0 turns 2xy + 2 into 2 and the run
+    ends Inconsistent before y = 0 is ever emitted."""
     ring = PolyRing(3, ["x", "y"], "grevlex")
     polys = [ring.poly({(0, 2): 1, (0, 0): 1}), ring.poly({(1, 1): 2, (0, 0): 2})]
-    settles = RunState.settles
-    checks = []
-
-    def spy(state, found):
-        checks.append(([(a.variable, a.value) for a in found], settles(state, found)))
-        return checks[-1][1]
-
-    monkeypatch.setattr(RunState, "settles", spy)
     path = tmp_path / "run.trace"
     rep = groebner_basis(polys, EngineConfig(ring, trace_path=path))
-    assert checks == [([(0, 0), (1, 0)], False)]
     assert rep.status is Status.INCONSISTENT
     assert rep.assignments == {0: 0}
-    # the trace the renew-only screen wrote
+    # the trace the per-value renews wrote
     assert path.read_text().splitlines() == [
         '{"kind":"solved","round":1,"var":"x","value":0}',
         '{"kind":"inconsistent","round":1,"var":null,"value":null}',

@@ -214,6 +214,11 @@ def test_packed_ops_match_tuple_arithmetic(case):
     assert k.exceeds(pa, bound) == any(e > bound for e in a)
     assert k.support(pa) == sum(1 << i for i, e in enumerate(a) if e)
 
+    chosen = [i for i, e in enumerate(b) if e % 2]  # a subset of the variables
+    mask = k.occurs_mask(chosen)
+    assert bool((pa ^ k.one) & mask) == any(a[i] for i in chosen)
+    assert k.drop(pa, mask) == k.pack([0 if i in chosen else e for i, e in enumerate(a)])
+
 
 @settings(max_examples=100, deadline=None)
 @given(case=packed_cases())

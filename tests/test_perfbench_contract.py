@@ -62,3 +62,18 @@ def test_traced_matrix_counts_are_the_round_records(name):
         "cells": sum(tr.matrix_rows * tr.matrix_cols for tr in rounds),
         "zero_rows": sum(tr.zero_rows for tr in rounds),
     }
+
+
+@pytest.mark.parametrize("name", ["mq-gf2-f4", "eco-gf3-f4"])
+def test_traced_runs_reach_renew_and_interreduce(name):
+    # a layer that a rewrite stops calling reads 0 and shows nothing
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    workload = workloads.WORKLOADS[name]
+    inst = workloads.setup(workload, 1)[0]
+    with spans.patched(spans.layer_patches(tracer)):
+        groebner_basis(inst.polys, EngineConfig(inst.ring, engine=workload.engine))
+    calls = {layer: row["calls"] for layer, row in tracer.summary().items()}
+    assert calls.get("midsolve.renew", 0) > 0
+    assert calls.get("poly.interreduce", 0) > 0
+    assert calls["midsolve.renew"] <= calls["midsolve.find_unique_root_polys"]

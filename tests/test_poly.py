@@ -399,8 +399,32 @@ def test_field_reduce_preserves_values_on_field_points(q, terms):
 
 def test_substitute(r3):
     p = r3.poly({(2, 1): 1, (1, 0): 1, (0, 0): 1})  # x^2*y + x + 1
-    assert substitute(p, 0, 2) == r3.poly({(0, 1): 1, (0, 0): 0})  # 4y+2+1 = y
-    assert substitute(p, 1, 0) == r3.poly({(1, 0): 1, (0, 0): 1})
+    assert substitute(p, {0: 2}) == r3.poly({(0, 1): 1, (0, 0): 0})  # 4y+2+1 = y
+    assert substitute(p, {1: 0}) == r3.poly({(1, 0): 1, (0, 0): 1})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5, 7]),
+    order=st.sampled_from(["lex", "grevlex"]),
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+        st.integers(1, 6),
+        max_size=8,
+    ),
+    values=st.dictionaries(st.integers(0, 2), st.integers(0, 20), max_size=3),
+)
+def test_substitute_with_one_mapping_equals_one_value_at_a_time(q, order, terms, values):
+    ring = PolyRing(q, ["x", "y", "z"], order)
+    p = ring.poly(terms)
+    chained = p
+    for var, value in values.items():
+        chained = substitute(chained, {var: value})
+    got = substitute(p, values)
+    assert got == chained
+    assert not got.support() & set(values)
+    if len(values) == 3:  # a full point: the value of p there
+        assert got == ring.constant(p.evaluate([values[i] for i in range(3)]))
 
 
 def test_univariate_helpers(r3):
