@@ -16,7 +16,7 @@ import numpy as np
 from .engine import Status
 from .errors import InvalidSizeError, OrderNotLexError, TooLargeError
 from .midsolve import inconsistency_check
-from .poly import PolyRing, is_univariate, require_ring, substitute, univariate_roots
+from .poly import PolyRing, is_univariate, require_ring, substitution, univariate_roots
 
 ORACLE_LIMIT = 1 << 24
 
@@ -198,7 +198,8 @@ def solutions_from_lex_basis(basis, ring: PolyRing, fixed=None) -> set:
             values &= {fixed[i]}
         for a in sorted(values):
             point[i] = a
-            extend(i - 1, point, [substitute(p, {i: a}) for p in waiting])
+            substitute = substitution(ring, {i: a})
+            extend(i - 1, point, [substitute(p) for p in waiting])
 
     extend(n - 1, [0] * n, members)
     return sols

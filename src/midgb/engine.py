@@ -49,9 +49,6 @@ class PairQueue:
     def add(self, pair: CriticalPair):
         self.pairs.append(pair)
 
-    def filter_inplace(self, keep):
-        self.pairs = [p for p in self.pairs if keep(p)]
-
     def select(self, batch: bool) -> list:
         """Remove and return the next pair(s) to process.
 
@@ -112,7 +109,7 @@ def update(basis: list, queue: PairQueue, h: Polynomial) -> int:
     if h.is_zero:
         raise ZeroInputError("cannot insert the zero polynomial")
     codec = h.ring.codec
-    lcm, divides, guard = codec.lcm, codec.divides, codec.guard
+    lcm, guard = codec.lcm, codec.guard
     lm_h = h.lm()
     lcms = [lcm(g.lm(), lm_h) for g in basis]
     h_idx = len(basis)
@@ -133,9 +130,11 @@ def update(basis: list, queue: PairQueue, h: Polynomial) -> int:
         s = codec.shift(l)
         rest = [x for x in rest if (x - s) & guard]
 
-    queue.filter_inplace(
-        lambda pr: not divides(lm_h, pr.lcm) or pr.lcm in (lcms[pr.left], lcms[pr.right])
-    )
+    queue.pairs = [
+        pr for pr in queue.pairs
+        if (pr.lcm - shift_h) & guard  # LM(h) does not divide lcm(f, g)
+        or pr.lcm == lcms[pr.left] or pr.lcm == lcms[pr.right]
+    ]
     for g_idx in sorted(partners):
         queue.add(CriticalPair(g_idx, h_idx, lcms[g_idx], codec.degree(lcms[g_idx])))
     return h_idx

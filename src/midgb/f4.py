@@ -5,10 +5,12 @@ monomial multiples needed to reduce the whole batch at once (symbolic
 preprocessing), reduces one matrix, and feeds the rows with new leading
 monomials back into the basis. Rows whose heads the run's reducer lookup
 (``RunState.divisors``) finds reducible are used as known pivots; only the
-others are brought to reduced row echelon form. The fresh rows then end the
-round through ``RunState.absorb``. Batches, not single pairs, are what make
-mid-run solving pay off: a fresh batch is screened for forced variables
-before anything is inserted.
+others are brought to reduced row echelon form, in one walk over the
+columns (over GF(2) the block is held by columns, one int bitmask of rows
+each; see ``MacaulayMatrix``). The fresh rows then end the round through
+``RunState.absorb``. Batches, not single pairs, are what make mid-run
+solving pay off: a fresh batch is screened for forced variables before
+anything is inserted.
 
 ``reduced_basis`` turns a completed basis into its reduced Groebner basis
 with the same closure and the same known-pivot elimination, in one matrix;
@@ -18,6 +20,7 @@ live in ``runner``, which imports this module; nothing here imports it back.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,10 +53,9 @@ def _close(rows: list, seen: set, first, field_active: bool, folds: dict) -> Non
     """
     members = first.members
     for row in rows:
-        for m, _ in row.terms:
-            if m in seen:
-                continue
-            seen.add(m)
+        fresh = [m for m, _ in row.terms if m not in seen]  # a row's terms are distinct
+        seen.update(fresh)
+        for m in fresh:
             i = first.index(m)
             if i is not None:
                 g = members[i]
@@ -145,8 +147,7 @@ def _columns(rows) -> tuple:
     column of each."""
     cols = set()
     for p in rows:
-        for m, _ in p.terms:
-            cols.add(m)
+        cols.update(map(itemgetter(0), p.terms))
     columns = sorted(cols, reverse=True)
     return columns, {m: j for j, m in enumerate(columns)}
 
@@ -160,9 +161,11 @@ class MacaulayMatrix:
     the other rows form the *block*. Known pivots are used as they are and
     never reduced themselves: ``reduce`` clears the block on their columns
     and brings only the block to reduced row echelon form
-    (Faugère–Lachartre). Over GF(2) a row is an int bitmask (bit j = column
-    j), so a row operation is one XOR; other fields hold the block in a
-    dense numpy array.
+    (Faugère–Lachartre). Over GF(2) the block is held by columns, each an
+    int bitmask of the block rows with an entry there (bit r = block row
+    r), so adding a row to all the rows that need it is one XOR per column
+    of that row; other fields hold the block in a dense numpy array. Both
+    eliminate in one walk over the columns, largest monomial first.
     """
 
     def __init__(self, rows, ring: PolyRing, first=None):
@@ -223,62 +226,47 @@ def _eliminate(ring: PolyRing, rows, columns, col, known: dict, block) -> list:
 
 
 def _eliminate_gf2(ring, rows, columns, col, known, block) -> list:
-    # the block by columns: bit r of cells[j] is block row r's entry at j
-    cells = [0] * len(columns)
+    # The block by columns: bit r of cells[j] is block row r's entry at j.
+    # One walk, first column first, as in _eliminate_general: each step adds
+    # a row with no entry before column j to the block rows with one at j,
+    # so a column is final once the walk has passed it.
+    ncols = len(columns)
+    cells = [0] * ncols
     for r, i in enumerate(block):
         bit = 1 << r
         for m, _ in rows[i].terms:
             cells[col[m]] |= bit
-    # adding a known pivot to the rows that hold its head clears its
-    # column and touches only later ones, so ascending order clears all
-    for j in sorted(known):
+    free = (1 << len(block)) - 1  # the block rows that are not pivots yet
+    pivots = []  # (column, row bit), by ascending column
+    for j in range(ncols):
         hit = cells[j]
-        if hit:
-            for m, _ in rows[known[j]].terms:
+        if not hit:
+            continue
+        i = known.get(j)
+        if i is not None:
+            # add the known pivot to every block row with an entry here
+            for m, _ in rows[i].terms:
                 cells[col[m]] ^= hit
-    # the block by rows again, for its own elimination
-    packed = [0] * len(block)
-    for j, c in enumerate(cells):
-        bit = 1 << j
-        while c:
-            low = c & -c
-            packed[low.bit_length() - 1] |= bit
-            c ^= low
-    pivots = {}  # lowest bit -> the block row that has it
-    mask = 0  # the union of the pivots' lowest bits
-    for row in packed:
-        row = _clear(row, pivots, mask)
-        if row:
-            low = row & -row
-            pivots[low] = row
-            mask |= low
-    # back substitution, last column first
-    found = sorted(pivots)
-    done = 0
-    for low in reversed(found):
-        pivots[low] = _clear(pivots[low], pivots, done)
-        done |= low
-    return [_bits_to_poly(ring, columns, pivots[low]) for low in found]
-
-
-def _bits_to_poly(ring, columns, bits: int) -> Polynomial:
-    terms = []
-    while bits:
-        low = bits & -bits
-        terms.append((columns[low.bit_length() - 1], 1))
-        bits ^= low
-    return Polynomial(ring, tuple(terms))
-
-
-def _clear(row: int, pivots: dict, mask: int) -> int:
-    """Over GF(2), clear every bit of ``row`` in ``mask`` with the pivot row
-    whose lowest bit it is, lowest first; a pivot row's other bits are all
-    higher, so one sweep suffices."""
-    hit = row & mask
-    while hit:
-        row ^= pivots[hit & -hit]
-        hit = row & mask
-    return row
+            continue
+        # otherwise the first free block row with an entry here pivots,
+        # and is added to every other block row with one
+        bit = hit & free
+        if not bit:
+            continue
+        bit &= -bit
+        free ^= bit
+        others = hit ^ bit
+        if others:
+            for k in range(j + 1, ncols):
+                if cells[k] & bit:
+                    cells[k] ^= others
+        cells[j] = bit
+        pivots.append((j, bit))
+    # every block row that did not pivot is zero now
+    return [
+        Polynomial(ring, tuple((columns[k], 1) for k in range(j, ncols) if cells[k] & bit))
+        for j, bit in pivots
+    ]
 
 
 # ---------------------------------------------------------------- GF(q>2)

@@ -19,7 +19,7 @@ from .poly import (
     interreduce,
     is_univariate,
     normal_form,
-    substitute,
+    substitution,
 )
 
 
@@ -133,12 +133,15 @@ def renew(
     return RenewResult(new_basis, new_pending, new_queue, inconsistent)
 
 
-def _substitute_all(polys: Iterable[Polynomial], values: dict):
+def _substitute_all(polys: Sequence[Polynomial], values: dict):
     """The nonconstant substitutions of ``values`` into polys, and whether
     one of them became a nonzero constant."""
     out, constant = [], False
+    if not polys:
+        return out, constant
+    substitute = substitution(polys[0].ring, values)
     for p in polys:
-        p = substitute(p, values)
+        p = substitute(p)
         if not p.is_constant:
             out.append(p)
         elif not p.is_zero:

@@ -530,10 +530,12 @@ def field_reduce(p: Polynomial) -> Polynomial:
     in [1, q-1]. Note that this maps the field polynomial x^q - x itself to 0;
     callers that must keep field polynomials intact test for them first.
     """
-    foldable = p.ring.codec.foldable
+    ring = p.ring
+    foldable = ring.codec.foldable
     if not any(foldable(m) for m, _ in p.terms):
         return p
-    return _folded(p.ring, p.terms, {})
+    terms, _ = _fold_products(p, ring.codec.one, 1, {})
+    return Polynomial(ring, terms) if terms else ring.zero
 
 
 def field_term_mul(p: Polynomial, mono, coeff: int, folds=None) -> Polynomial:
@@ -548,55 +550,82 @@ def field_term_mul(p: Polynomial, mono, coeff: int, folds=None) -> Polynomial:
     coeff %= ring.q
     if coeff == 0:
         return ring.zero
-    terms = _products(p, mono, coeff)
-    folded = _folded(ring, terms, {} if folds is None else folds)
-    if folded is not None:
-        if len(terms) != 2 or is_field_polynomial(Polynomial(ring, tuple(terms))) is None:
-            return folded
-    return Polynomial(ring, tuple(terms))
+    terms, moved = _fold_products(p, mono, coeff, {} if folds is None else folds)
+    if moved and len(p.terms) == 2:
+        product = p.term_mul(mono, coeff)
+        if is_field_polynomial(product) is not None:
+            return product
+    return Polynomial(ring, terms) if terms else ring.zero
 
 
-def _folded(ring: PolyRing, terms, folds: dict):
-    """The polynomial of terms with exponents folded by x^q = x, or None
-    when no exponent reaches q. ``folds`` remembers ``codec.fold``."""
-    fold = ring.codec.fold
-    images = []
+def _fold_products(p: Polynomial, mono, coeff: int, folds: dict) -> tuple:
+    """(terms, moved): the canonical terms of coeff * mono * p, for
+    0 < coeff < q, with exponents folded by x^q = x, and whether a fold
+    moved a monomial.
+
+    One pass over p's terms: the product monomial t + shift(mono), its fold
+    from the ``folds`` memo (a miss first checks the product's guard bits,
+    so every memo key is a valid monomial), and the merge of the
+    coefficient. The terms are sorted once at the end, only if a fold moved
+    one; otherwise they are the product's, still distinct and in order.
+    """
+    ring = p.ring
+    q, codec = ring.q, ring.codec
+    s, guard, fold = codec.shift(mono), codec.guard, codec.fold
+    acc: dict = {}
     moved = False
-    for m, _ in terms:
+    for t, c in p.terms:
+        m = t + s
         f = folds.get(m)
         if f is None:
+            if m & guard:
+                codec.mul(t, mono)  # raises MonomialOverflowError
             f = folds[m] = fold(m)
-        images.append(f)
-        moved = moved or f != m
-    if not moved:
-        return None
-    q = ring.q
-    acc: dict = {}
-    for f, (_, c) in zip(images, terms):
-        acc[f] = (acc.get(f, 0) + c) % q
-    return _canonical(ring, acc)
+        if f != m:
+            moved = True
+        c = (acc.get(f, 0) + c * coeff) % q
+        if c:
+            acc[f] = c
+        else:
+            del acc[f]
+    if moved:
+        return tuple(sorted(acc.items(), reverse=True)), True
+    return tuple(acc.items()), False
 
 
 def substitute(p: Polynomial, values: dict) -> Polynomial:
-    """p with x_i := values[i] for every variable index i in ``values``.
-    One mask test passes a term free of them, and one drops a term that
-    holds a variable valued 0; only values past 1 need their exponents."""
-    ring, codec = p.ring, p.ring.codec
+    """p with x_i := values[i] for every variable index i in ``values``."""
+    return substitution(p.ring, values)(p)
+
+
+def substitution(ring: PolyRing, values: dict):
+    """The map p -> ``substitute(p, values)`` over ``ring``, with its masks
+    built once for every polynomial it is given.
+
+    One mask test passes a term free of the mapped variables, and one drops
+    a term that holds a variable valued 0; only values past 1 need their
+    exponents.
+    """
+    codec = ring.codec
     q, one, exponent, drop = ring.q, codec.one, codec.exponent, codec.drop
     mask = codec.occurs_mask(values)
     zero = codec.occurs_mask([i for i, v in values.items() if not v % q])
     powers = [(i, v % q) for i, v in values.items() if v % q > 1]
-    acc: dict = {}
-    for m, c in p.terms:
-        hit = (m ^ one) & mask
-        if hit:
-            if hit & zero:
-                continue
-            for i, v in powers:
-                c = c * pow(v, exponent(m, i), q) % q
-            m = drop(m, mask)
-        acc[m] = (acc.get(m, 0) + c) % q
-    return _canonical(ring, acc)
+
+    def apply(p: Polynomial) -> Polynomial:
+        acc: dict = {}
+        for m, c in p.terms:
+            hit = (m ^ one) & mask
+            if hit:
+                if hit & zero:
+                    continue
+                for i, v in powers:
+                    c = c * pow(v, exponent(m, i), q) % q
+                m = drop(m, mask)
+            acc[m] = (acc.get(m, 0) + c) % q
+        return _canonical(ring, acc)
+
+    return apply
 
 
 def is_univariate(p: Polynomial):

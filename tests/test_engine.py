@@ -138,7 +138,7 @@ def reference_update(basis: list, queue: PairQueue, h) -> int:
             return True
         return False
 
-    queue.filter_inplace(keep_old)
+    queue.pairs = [pr for pr in queue.pairs if keep_old(pr)]
     for pr in survivors:
         queue.add(pr)
     return h_idx

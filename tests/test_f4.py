@@ -266,6 +266,108 @@ def test_split_reduce_matches_reference(q, trial):
     assert zero_rows == ref_zero
 
 
+def reference_eliminate_gf2(ring, rows, columns, col, known, block):
+    """The GF(2) kernel that ``f4._eliminate_gf2`` replaced: clear the block
+    on the known pivots by columns, transpose it to row bitmasks, eliminate
+    row by row and back substitute."""
+    cells = [0] * len(columns)
+    for r, i in enumerate(block):
+        bit = 1 << r
+        for m, _ in rows[i].terms:
+            cells[col[m]] |= bit
+    for j in sorted(known):
+        hit = cells[j]
+        if hit:
+            for m, _ in rows[known[j]].terms:
+                cells[col[m]] ^= hit
+    packed = [0] * len(block)
+    for j, c in enumerate(cells):
+        bit = 1 << j
+        while c:
+            low = c & -c
+            packed[low.bit_length() - 1] |= bit
+            c ^= low
+
+    def clear(row, pivots, mask):
+        hit = row & mask
+        while hit:
+            row ^= pivots[hit & -hit]
+            hit = row & mask
+        return row
+
+    pivots, mask = {}, 0
+    for row in packed:
+        row = clear(row, pivots, mask)
+        if row:
+            low = row & -row
+            pivots[low] = row
+            mask |= low
+    found = sorted(pivots)
+    done = 0
+    for low in reversed(found):
+        pivots[low] = clear(pivots[low], pivots, done)
+        done |= low
+
+    def to_poly(bits):
+        terms = []
+        while bits:
+            low = bits & -bits
+            terms.append((columns[low.bit_length() - 1], 1))
+            bits ^= low
+        return Polynomial(ring, tuple(terms))
+
+    return [to_poly(pivots[low]) for low in found]
+
+
+def gf2_kernels(rows, ring, known_rows=()):
+    """(new, reference) GF(2) eliminations of ``rows``, those at the indices
+    ``known_rows`` taken as known pivots."""
+    columns, col = f4._columns(rows)
+    known = {col[rows[i].lm()]: i for i in known_rows}
+    block = [i for i in range(len(rows)) if i not in known_rows]
+    args = (ring, rows, columns, col, known, block)
+    return f4._eliminate_gf2(*args), reference_eliminate_gf2(*args)
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_gf2_kernel_matches_transpose_reference(trial):
+    rng = random.Random(trial)
+    ring = PolyRing(2, [f"x{i}" for i in range(6)], "grevlex")
+    pool = sorted({ring.codec.pack([rng.randrange(2) for _ in range(6)]) for _ in range(40)})
+    nrows = rng.randrange(1, 60)
+    density = rng.choice((0.05, 0.2, 0.5))
+    rows = []
+    for _ in range(nrows):
+        terms = tuple((m, 1) for m in reversed(pool) if rng.random() < density)
+        rows.append(Polynomial(ring, terms or ((pool[0], 1),)))
+    heads = {}  # distinct heads, as in a split; none in every third trial
+    for i, p in enumerate(rows):
+        if trial % 3 and rng.random() < 0.4:
+            heads.setdefault(p.lm(), i)
+    new, ref = gf2_kernels(rows, ring, sorted(heads.values()))
+    assert new == ref
+    if not heads:  # the whole matrix is the block: its full RREF
+        assert MacaulayMatrix(rows, ring).reduce()[0] == ref
+
+
+def test_gf2_kernel_edge_blocks():
+    ring = PolyRing(2, ["x", "y", "z"], "grevlex")
+    x, y, z = (ring.variable(i) for i in range(3))
+    one = ring.one
+    known = [x * y + z + one, y * z + x, x + one]
+    # no known pivots: the block's own RREF, with a zero row
+    block = [x * y + y, y + z, x * y + z, z + one]
+    new, ref = gf2_kernels(block, ring)
+    assert new == ref == [x * y + one, y + one, z + one]
+    # every block row a sum of known rows: the known pivots clear it all
+    rows = known + [known[0] + known[1], known[1] + known[2], known[0] + known[1] + known[2]]
+    new, ref = gf2_kernels(rows, ring, range(3))
+    assert new == ref == []
+    # one column: one pivot of three equal rows, or none under a known pivot
+    assert gf2_kernels([y, y, y], ring) == ([y], [y])
+    assert gf2_kernels([y, y, y], ring, [0]) == ([], [])
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_matrix_reduce_counts_a_zero_input_row(q):
     ring = PolyRing(q, ["x", "y"], "grevlex")

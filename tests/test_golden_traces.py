@@ -345,6 +345,26 @@ GOLDEN_PREPARED = {
         "ae7153237f69ddc6dc860b1a5260f637f67f11dd6a4ecb418de99494c579dec4",
 }
 
+
+# Larger planted MQ systems, grevlex, whose F4 blocks run to hundreds of rows,
+# so fill-in during elimination reaches the trace.
+# (n, seed, engine, middle_solving) -> SHA-256
+GOLDEN_LARGE_MQ = {
+    (12, 0, "f4", True): "c8788ee1d2f3bef49e0f8602213fac9970a6c2387c9490a350093303e61c8565",
+    (12, 0, "f4", False): "2e95408da0006c2f0ca921ad5541d4ee900600d176e691597d6fa3f09fc5ce6b",
+    (12, 1, "f4", True): "acbe5119d1a4a2c1587278391cbddf8d3c723e085f445fbfff5deeb576b846a6",
+    (12, 1, "f4", False): "46650f1932adaf469c7ed08a962ff00563b204f50115e38ed204b278b78e54ff",
+    (12, 2, "f4", True): "4d6e21d0ff4e78f173f542404612bb18182339efba9bddf45c2089fd32e78c72",
+    (12, 2, "f4", False): "a609d6a9c5a31360efbad9607df728e331286eeb4e6333630bac26ad365cc20f",
+    (8, 0, "incremental", True): "0abb0a1ee2fb043a41ec157ad6ebf1a60b9afd3a7aebcec65a11bf461adc6df1",
+    (8, 0, "incremental", False): "9b15a96d27789a15dc5aeb18c42fb299c33a3fa0301dad343f7097030a89e75e",
+    (8, 1, "incremental", True): "0cc537c833723c70aa0d5aefff44f04aba1a959394bb4d3111fffa8706828eef",
+    (8, 1, "incremental", False): "f765ad56c07d7040c64ec2f2f5c9cb814ff5b8ed92a05069b34dd80b27e04bf7",
+    (8, 2, "incremental", True): "be78fbb6ec5f5429ac6b991b7cd56b46b7734c7d79123fc19480defc9202f011",
+    (8, 2, "incremental", False): "55f6ebe88db378d1169ddd37ee669d6e6ee31aa7c0d3866e33006b507f6fa12d",
+}
+
+
 def trace_digest(system, engine, order, middle_solving, path, **options):
     ring, polys = system()
     if order != ring.order:
@@ -384,6 +404,18 @@ def test_prepared_input_digests_match_golden(label, preparation, tmp_path):
         if got != GOLDEN_PREPARED[(label, preparation, engine, order, ms)]:
             wrong.append((engine, order, ms))
     assert not wrong, f"{label}, {preparation}: trace digest changed for {wrong}"
+
+
+@pytest.mark.parametrize("engine", ["f4", "incremental"])
+def test_large_planted_mq_digests_match_golden(engine, tmp_path):
+    wrong = [
+        (n, seed, ms)
+        for (n, seed, eng, ms), want in GOLDEN_LARGE_MQ.items()
+        if eng == engine
+        and trace_digest(lambda: planted_mq(n, seed), engine, "grevlex", ms,
+                         tmp_path / "run.trace") != want
+    ]
+    assert not wrong, f"{engine}: trace digest changed for {wrong}"
 
 
 def test_split_elimination_equals_full_rref(split_checked, tmp_path):

@@ -490,7 +490,63 @@ def test_field_term_mul_is_the_folded_product(r3):
         # x^(q-1) - 1 times x is x^q - x, which is kept intact
         g = ring.poly({(q - 1, 0): 1, (0, 0): -1})
         assert field_term_mul(g, ring.codec.var(0), 1, folds) == field_polynomial(ring, 0)
-        # the degree limit is checked before any memo lookup
+        # the degree limit is checked on a memo miss, and an overflowing
+        # product is never a memo key
         big = ring.poly({(ring.codec.limit, 0): 1})
         with pytest.raises(MonomialOverflowError):
             field_term_mul(big, ring.codec.var(1), 1, folds)
+
+
+EXPONENTS = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
+
+
+def fold_exponents(p):
+    """``field_reduce`` on exponent tuples: e >= q becomes ((e - 1) mod (q - 1)) + 1."""
+    ring = p.ring
+    q = ring.q
+    acc: dict = {}
+    for m, c in p.terms:
+        e = tuple(x if x < q else (x - 1) % (q - 1) + 1 for x in ring.exponents(m))
+        acc[e] = acc.get(e, 0) + c
+    return ring.poly(acc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5, 7]),
+    order=st.sampled_from(["lex", "grevlex"]),
+    polys=st.lists(
+        st.dictionaries(EXPONENTS, st.integers(1, 6), max_size=6), min_size=1, max_size=4
+    ),
+    products=st.lists(st.tuples(EXPONENTS, st.integers(0, 6)), min_size=1, max_size=5),
+)
+def test_one_pass_field_term_mul_is_field_reduce_of_the_product(q, order, polys, products):
+    ring = PolyRing(q, ["x", "y", "z"], order)
+    codec = ring.codec
+    folds: dict = {}  # one memo across every product of the ring
+    for terms in polys:
+        p = ring.poly(terms)
+        for exps, c in products:
+            m = codec.pack(exps)
+            got = field_term_mul(p, m, c, folds)
+            product = p.term_mul(m, c)
+            if is_field_polynomial(product) is None:
+                assert got == field_reduce(product) == fold_exponents(product)
+            else:
+                assert got == product
+    # a product that is a field polynomial is kept as it is
+    for i in range(3):
+        fp = field_polynomial(ring, i)
+        g = Polynomial(ring, ((codec.var(i, q - 1), 1), (codec.one, q - 1)))  # x^(q-1) - 1
+        assert field_term_mul(g, codec.var(i), 1, folds) == fp
+        assert field_term_mul(fp, codec.one, 1, folds) == fp
+        if q > 2:  # -(x^q - x) is no field polynomial, so it folds to 0
+            assert field_term_mul(fp, codec.one, q - 1, folds) == ring.zero
+    # the guard is checked inside the loop: under lex, x * y is formed and
+    # memoized before y^limit * y overflows
+    lex = PolyRing(q, ["x", "y"], "lex")
+    big = Polynomial(lex, ((lex.codec.var(0), 1), (lex.codec.var(1, lex.codec.limit), 1)))
+    lex_folds: dict = {}
+    with pytest.raises(MonomialOverflowError):
+        field_term_mul(big, lex.codec.var(1), 1, lex_folds)
+    assert list(lex_folds) == [lex.codec.pack((1, 1))]
