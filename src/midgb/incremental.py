@@ -4,7 +4,9 @@ Start from the field equations alone, then feed inputs in one at a time into
 one persistent run state. Each round substitutes the solved values into the
 next input, reduces it against the current basis and inserts the remainder;
 the matrix engine's rounds then drain the pair queue, so the pairs of the
-basis completed so far are never rebuilt.
+basis completed so far are never rebuilt. ``runner.run_rounds`` runs the
+rounds while the run is consistent and inputs remain: a run that has solved
+every variable still reads the rest, which can prove it inconsistent.
 
 This is the paper's incremental way of middle solving: only each completed
 intermediate basis is screened for forced variables (``RunState.completion``),
@@ -15,21 +17,12 @@ read.
 
 from __future__ import annotations
 
-from .engine import EngineConfig, EngineReport, RoundTrace, Status, adjoin_field_equations
+from .engine import EngineConfig, EngineReport, RoundTrace, adjoin_field_equations
 from .f4 import f4_round
 from .poly import normal_form, substitute
 # perfbench/spans.py wraps f4_core and buchberger_core by name in this module
-from .runner import RunState, buchberger_core, f4_core  # noqa: F401
+from .runner import RunState, buchberger_core, f4_core, run_rounds  # noqa: F401
 from .trace import TraceWriter
-
-
-def _complete(state: RunState) -> None:
-    """Drain the pair queue and screen, until the completed basis settles."""
-    while True:
-        while state.queue:
-            f4_round(state)
-        if state.completion():
-            return
 
 
 def incremental_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:
@@ -39,25 +32,19 @@ def incremental_core(polys, config: EngineConfig, tracer: TraceWriter) -> Engine
     if config.adjoin_field_eqs:
         # a reduced basis all by themselves; completion only sorts them
         state.ingest_inputs(adjoin_field_equations([], config.ring))
-        _complete(state)
+        while state.pairs_left():
+            f4_round(state)
 
-    for i, f in enumerate(polys, start=1):
-        if state.inconsistent:
-            break
-        if config.max_rounds is not None and i > config.max_rounds:
-            return state.finish(Status.ROUND_LIMIT)
-        state.round_no = i
+    def read_input(state: RunState) -> RoundTrace:
         before = set(state.basis)
-        f = substitute(f, state.assignments)
-        if state.ingest_inputs([normal_form(f, state.basis, state.divisors)]):
-            _complete(state)
-
+        f = substitute(polys[state.round_no - 1], state.assignments)
+        state.ingest_inputs([normal_form(f, state.basis, state.divisors)])
+        while state.pairs_left():
+            f4_round(state)
         fresh = [p for p in state.basis if p not in before]
-        state.record_round(
-            RoundTrace(
-                round=i,
-                new_polys=len(fresh),
-                max_poly_degree=max((p.degree() for p in fresh), default=0),
-            )
-        )
-    return state.finish(state.outcome() or Status.GROEBNER_BASIS)
+        degree = max((p.degree() for p in fresh), default=0)
+        return RoundTrace(round=state.round_no, new_polys=len(fresh), max_poly_degree=degree)
+
+    return run_rounds(
+        state, read_input, lambda: not state.inconsistent and state.round_no < len(polys)
+    )

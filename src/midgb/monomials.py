@@ -151,10 +151,6 @@ class MonomialCodec:
         r = a - b + self.one
         return None if r & self.guard else r
 
-    def divides(self, a: int, b: int) -> bool:
-        """True iff a | b."""
-        return not (b - a + self.one) & self.guard
-
     def degree(self, m: int) -> int:
         return (m >> self._dshift) & self._slot
 

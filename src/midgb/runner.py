@@ -1,15 +1,18 @@
-"""The run state shared by all three engines, the batch engines' run loop,
-and the entry points of the two batch engines.
+"""The run state shared by all three engines, the one run loop that drives
+them, and the entry points of the two batch engines.
 
-A RunState owns the basis (a plain list in insertion order), the pair
-queue, the solved-variable map and the trace; the engines supply a
-per-round step function that reduces a batch and hands it to
-``RunState.absorb``, which screens, inserts and counts it. Middle solving
-runs through one method, ``RunState.screen``, in one of the paper's two
-modes: the batch engines screen every freshly reduced batch and, once the
-queue drains, the completed basis; the incremental engine screens only each
-completed intermediate basis. Everything here is deterministic: fixed
-iteration orders, no set iteration.
+A RunState owns the basis (a plain list in insertion order), the pair queue,
+the solved-variable map and the trace. Every engine runs in ``run_rounds``
+with its own round function and stop rule. A batch round reduces a batch and
+hands it to ``RunState.absorb``, which screens, inserts and counts it; the
+batch engines stop at a status or when ``RunState.pairs_left`` is false. An
+incremental round reads one input; that engine stops when the run is
+inconsistent or no input is left. Middle solving runs through one method,
+``RunState.screen``, in one of the paper's two modes: the batch engines
+screen every freshly reduced batch and, once the queue drains, the completed
+basis; the incremental engine screens only each completed intermediate
+basis. Everything here is deterministic: fixed iteration orders, no set
+iteration.
 
 This module imports the round functions of ``f4`` and ``buchberger``, and
 ``f4.reduced_basis`` for completed bases; neither imports it back.
@@ -83,12 +86,12 @@ class RunState:
                 return p
         return p.monic()
 
-    def ingest_inputs(self, polys) -> bool:
-        """Insert the raw inputs. False means a constant input ended the run.
+    def ingest_inputs(self, polys):
+        """Insert the raw inputs.
 
         A constant input makes the whole ideal trivial. With solving enabled
-        that is detected immediately; without it the unit is inserted like any
-        member and the run completes to the basis {1}.
+        it marks the run inconsistent and the rest is skipped; without it
+        the unit is inserted like any member and the run completes to {1}.
         """
         for f in polys:
             if f.is_zero:
@@ -98,10 +101,9 @@ class RunState:
                 continue
             if f.is_constant and self.screening:
                 self.mark_inconsistent()
-                return False
+                return
             degree_monitor(f, self.ring, "stored", self.field_active)
             update(self.basis, self.queue, f)
-        return True
 
     def mark_inconsistent(self):
         if not self.inconsistent:
@@ -258,6 +260,10 @@ class RunState:
             if self.queue:
                 return False
 
+    def pairs_left(self) -> bool:
+        """Whether a batch round is due; an empty queue runs ``completion``."""
+        return not self.inconsistent and (bool(self.queue) or not self.completion())
+
     def finish(self, status: Status) -> EngineReport:
         if status is Status.INCONSISTENT:
             basis = [self.ring.one]
@@ -285,20 +291,15 @@ class RunState:
         return report
 
 
-def run_rounds(state: RunState, polys, round_fn) -> EngineReport:
-    """Run a batch engine to termination on its inputs.
+def run_rounds(state: RunState, round_fn, more) -> EngineReport:
+    """The one run loop: ``round_fn`` once per round while ``more()`` holds.
 
-    Adjoins the field equations when they are on, ingests the inputs, then
-    calls ``round_fn`` once per round until the run reaches a status.
+    The only code that counts and records a round, applies ``max_rounds``
+    and ends a run. ``more`` is asked first, so a run that reaches its
+    status in the last allowed round ends with it, not ``RoundLimit``.
     """
-    if state.field_active:
-        polys = adjoin_field_equations(polys, state.ring)
-    state.ingest_inputs(polys)
     max_rounds = state.config.max_rounds
-    while state.outcome() is None:
-        # completion() is False only when its screen left pairs to process
-        if not state.queue and state.completion():
-            break
+    while more():
         if max_rounds is not None and state.round_no >= max_rounds:
             return state.finish(Status.ROUND_LIMIT)
         state.round_no += 1
@@ -306,11 +307,20 @@ def run_rounds(state: RunState, polys, round_fn) -> EngineReport:
     return state.finish(state.outcome() or Status.GROEBNER_BASIS)
 
 
+def _batch_core(polys, config: EngineConfig, tracer: TraceWriter, round_fn) -> EngineReport:
+    """Ingest every input, then ``run_rounds`` until a status or no pairs left."""
+    state = RunState(config, tracer)
+    if state.field_active:
+        polys = adjoin_field_equations(polys, state.ring)
+    state.ingest_inputs(polys)
+    return run_rounds(state, round_fn, lambda: state.outcome() is None and state.pairs_left())
+
+
 def f4_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:
-    """The matrix engine: ``run_rounds`` with one F4 batch per round."""
-    return run_rounds(RunState(config, tracer), polys, f4_round)
+    """The matrix engine: one F4 batch per round."""
+    return _batch_core(polys, config, tracer, f4_round)
 
 
 def buchberger_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:
-    """The pair engine: ``run_rounds`` with one critical pair per round."""
-    return run_rounds(RunState(config, tracer), polys, buchberger_round)
+    """The pair engine: one critical pair per round."""
+    return _batch_core(polys, config, tracer, buchberger_round)

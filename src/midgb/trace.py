@@ -10,34 +10,31 @@ from __future__ import annotations
 import json
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":")) + "\n"
-
-
 class TraceWriter:
-    """Writes trace lines to a file; a None path makes every call a no-op."""
+    """Writes trace lines to a file; a None path makes every call a no-op.
+
+    ``event``, ``round`` and ``terminal`` each write through ``_write`` and
+    never call one another, so a timing wrapper around all three counts
+    every line once.
+    """
 
     def __init__(self, path=None):
         self._fh = open(path, "w", encoding="utf-8") if path is not None else None
 
     def event(self, kind: str, round_no: int, var_name=None, value=None):
-        if self._fh is None:
-            return
-        self._fh.write(
-            _dump({"kind": kind, "round": round_no, "var": var_name, "value": value})
-        )
-        self._fh.flush()
+        self._write({"kind": kind, "round": round_no, "var": var_name, "value": value})
 
     def round(self, payload: dict):
-        if self._fh is None:
-            return
-        self._fh.write(_dump(payload))
-        self._fh.flush()
+        self._write(payload)
 
     def terminal(self, payload: dict):
+        self._write(payload)
+
+    def _write(self, obj: dict):
+        """One line, flushed at once so a killed run keeps it."""
         if self._fh is None:
             return
-        self._fh.write(_dump(payload))
+        self._fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
         self._fh.flush()
 
     def close(self):

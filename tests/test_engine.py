@@ -130,7 +130,7 @@ def reference_update(basis: list, queue: PairQueue, h) -> int:
             survivors.append(CriticalPair(g_idx, h_idx, l, codec.degree(l)))
 
     def keep_old(pr: CriticalPair) -> bool:
-        if not codec.divides(lm_h, pr.lcm):
+        if codec.div(pr.lcm, lm_h) is None:
             return True
         if lcm(basis[pr.left].lm(), lm_h) == pr.lcm:
             return True

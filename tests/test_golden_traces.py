@@ -365,6 +365,40 @@ GOLDEN_LARGE_MQ = {
 }
 
 
+# Runs capped by max_rounds, grevlex with middle solving on. mq6-0 on f4 ends
+# AllVariablesSolved in round 2, exactly at the limit of 2; eco5-gf3 on the
+# incremental engine ends RoundLimit at 3 after an event in round 3; mq6-0 on
+# the incremental engine at 6 has a limit equal to its input count.
+# (system, engine, max_rounds) -> SHA-256
+GOLDEN_ROUND_LIMIT = {
+    ("eco5-gf3", "buchberger", 2):
+        "9f51c2d8c60738a47229827e91d7d8ee100c9b5db0b7c6fda6e34758bbcc9130",
+    ("eco5-gf3", "buchberger", 3):
+        "5a282b1015db2cf7e436c126a99386a8e7887358a56a52196c74f3cfedb4a2ac",
+    ("eco5-gf3", "f4", 2):
+        "bbf7444b0e1e882d914e947eeb958707055b2f0bce509cac0395d97d052f5dfc",
+    ("eco5-gf3", "f4", 3):
+        "dab6e2add9f70f3e49315264aeb227d8ac06d4b7d75cf0f7f86949aef8820c8a",
+    ("eco5-gf3", "incremental", 2):
+        "d95c479c0338725728d8683478b3b46e74dc5bd835ebc6e8e659fed5fdb894bd",
+    ("eco5-gf3", "incremental", 3):
+        "9c144b48cc1eb4c0e21b3938362f181a613cead1e082bf3aab2432ec0e3875d5",
+    ("mq6-0", "buchberger", 2):
+        "fc2c60697a6d706ec5d11b7330dae62a58c12b5c9022e4dfae55f21fb3143a52",
+    ("mq6-0", "buchberger", 3):
+        "77ee9719651ef213ea09fe1633fb89dfb0cbae0518390cbed5c303f0a039e7ab",
+    ("mq6-0", "f4", 2):
+        "a531500525fcfb81f2ca92eff9ca319637a8e3d29bdd38170a5e4400c2e77825",
+    ("mq6-0", "f4", 3):
+        "a531500525fcfb81f2ca92eff9ca319637a8e3d29bdd38170a5e4400c2e77825",
+    ("mq6-0", "incremental", 2):
+        "66021c7578474ea525408a09fd234ccab64d97dee6270775a9477993cc583fdc",
+    ("mq6-0", "incremental", 3):
+        "7ac6c5188709cb51735ba036943d8159efa53b0420de41338098560f1ea65aee",
+    ("mq6-0", "incremental", 6):
+        "395307a660acd52b1c1f9ed23691c871e69f17d0a1ea9953ed5b41f455147459",
+}
+
 def trace_digest(system, engine, order, middle_solving, path, **options):
     ring, polys = system()
     if order != ring.order:
@@ -417,6 +451,15 @@ def test_large_planted_mq_digests_match_golden(engine, tmp_path):
     ]
     assert not wrong, f"{engine}: trace digest changed for {wrong}"
 
+
+def test_round_limited_digests_match_golden(tmp_path):
+    wrong = [
+        (label, engine, limit)
+        for (label, engine, limit), want in GOLDEN_ROUND_LIMIT.items()
+        if trace_digest(SYSTEMS[label], engine, "grevlex", True, tmp_path / "run.trace",
+                        max_rounds=limit) != want
+    ]
+    assert not wrong, f"trace digest changed for {wrong}"
 
 def test_split_elimination_equals_full_rref(split_checked, tmp_path):
     """The golden systems' F4 matrices, in f4 and incremental runs, reduce to

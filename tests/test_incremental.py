@@ -5,7 +5,7 @@ import random
 import pytest
 
 from midgb import EngineConfig, PolyRing, Status, groebner_basis, interreduce
-from midgb import runner
+from midgb import incremental, runner
 from midgb.bench import random_system
 from midgb.engine import update
 
@@ -31,6 +31,48 @@ def test_later_input_contradicts_leaked_assignment():
     # the x=1 event emitted in round 1 survives in the report
     assert [(e.round, e.variable, e.value) for e in rep.events] == [(1, 0, 1)]
     assert [str(p) for p in rep.basis] == ["1"]
+
+
+def test_reads_every_input_after_all_variables_are_solved():
+    ring = PolyRing(2, ["x", "y"], "grevlex")
+    x, y = ring.variable(0), ring.variable(1)
+    cfg = EngineConfig(ring, engine="incremental")
+    rep = groebner_basis([x + ring.one, y, x + y + ring.one], cfg)
+    assert rep.status is Status.ALL_VARIABLES_SOLVED
+    assert [e.round for e in rep.events] == [1, 2]
+    assert rep.total_rounds == 3
+    # the third input, read after both variables are solved, contradicts them
+    rep = groebner_basis([x + ring.one, y, x + y], cfg)
+    assert rep.status is Status.INCONSISTENT
+    assert [tr.inconsistent for tr in rep.rounds] == [False, False, True]
+    # a batch engine stops in the round that solves the last variable
+    rep = groebner_basis([x + ring.one, y, x + y + ring.one], EngineConfig(ring, engine="f4"))
+    assert rep.status is Status.ALL_VARIABLES_SOLVED
+    assert rep.total_rounds == max(e.round for e in rep.events)
+
+
+@pytest.mark.parametrize("max_rounds", [None, 1])
+@pytest.mark.parametrize("engine", ["f4", "buchberger", "incremental"])
+def test_every_engine_runs_in_the_one_run_loop(engine, max_rounds, monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    run_rounds = spy("run_rounds", runner.run_rounds)
+    for module in (runner, incremental):
+        monkeypatch.setattr(module, "run_rounds", run_rounds, raising=False)
+    monkeypatch.setattr(runner.RunState, "finish", spy("finish", runner.RunState.finish))
+    ring = PolyRing(3, ["x", "y", "z"], "grevlex")
+    x, y, z = (ring.variable(i) for i in range(3))
+    F = [x * y + z, y * z + x + ring.one, x * z + y]
+    rep = groebner_basis(F, EngineConfig(ring, engine=engine, max_rounds=max_rounds))
+    assert calls == ["run_rounds", "finish"]
+    if max_rounds is not None:
+        assert rep.status is Status.ROUND_LIMIT
 
 
 def test_round_trace_counts_inputs():

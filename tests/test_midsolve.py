@@ -116,10 +116,10 @@ def test_replacing_the_basis_gives_fresh_reducer_lookups(r2):
     Appends keep them; a renew or a completion that replaces the list gets
     new ones, which answer for the new list."""
     x, y = r2.variable(0), r2.variable(1)
-    divides = r2.codec.divides
+    div = r2.codec.div
 
     def scan(basis, m):
-        return next((i for i, g in enumerate(basis) if divides(g.lm(), m)), None)
+        return next((i for i, g in enumerate(basis) if div(m, g.lm()) is not None), None)
 
     state = RunState(EngineConfig(ring=r2), TraceWriter())
     state.ingest_inputs(adjoin_field_equations([x * y + y], r2))

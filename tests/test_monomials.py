@@ -44,8 +44,8 @@ def test_mul_lcm_div_basics():
     assert c.exponents(c.lcm(a, b)) == (2, 1, 1)
     assert c.div(c.pack((3, 1, 1)), a) == b
     assert c.div(a, b) is None
-    assert c.divides(b, c.pack((1, 2, 0)))
-    assert not c.divides(c.pack((1, 2, 0)), b)
+    assert c.div(c.pack((1, 2, 0)), b) is not None
+    assert c.div(b, c.pack((1, 2, 0))) is None
     assert c.degree(a) == 3
     assert c.pack((0, 0, 0)) == c.one
 
@@ -98,7 +98,7 @@ def test_divisibility_implies_order(a, b):
     for order in ORDERS:
         k = codec(order)
         pa, pb = k.pack(a), k.pack(b)
-        if k.divides(pa, pb):
+        if k.div(pb, pa) is not None:
             assert pa <= pb
 
 
@@ -108,7 +108,7 @@ def test_lcm_is_an_upper_bound(a, b):
         k = codec(order)
         pa, pb = k.pack(a), k.pack(b)
         l = k.lcm(pa, pb)
-        assert k.divides(pa, l) and k.divides(pb, l)
+        assert k.div(l, pa) is not None and k.div(l, pb) is not None
         assert k.div(l, pa) is not None
         # lcm is the least such bound: dividing out either side leaves the other
         assert k.mul(pa, k.div(l, pa)) == l
@@ -126,7 +126,7 @@ def test_mask_never_rejects_a_divisor(a, b):
     for order in ORDERS:
         k = codec(order, 5)
         pa, pb = k.pack(a), k.pack(b)
-        if k.divides(pa, pb):
+        if k.div(pb, pa) is not None:
             assert k.support(pa) & ~k.support(pb) == 0
         assert k.support(k.lcm(pa, pb)) == k.support(pa) | k.support(pb)
 
@@ -196,7 +196,7 @@ def test_packed_ops_match_tuple_arithmetic(case):
             k.mul(pa, pb)
 
     divisible = all(x <= y for x, y in zip(b, a))
-    assert k.divides(pb, pa) == divisible
+    assert (k.div(pa, pb) is not None) == divisible
     quot = k.div(pa, pb)
     if divisible:
         assert k.exponents(quot) == tuple(x - y for x, y in zip(a, b))
