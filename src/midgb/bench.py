@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Status
-from .errors import InvalidSizeError, OrderNotLexError, TooLargeError
+from .errors import InvalidSettingError, TooLargeError
 from .midsolve import inconsistency_check
-from .poly import PolyRing, is_univariate, require_ring, substitution, univariate_roots
+from .poly import PolyRing, require_ring, substitution
 
 ORACLE_LIMIT = 1 << 24
 
@@ -30,11 +30,11 @@ class BenchSpec:
     q: int = 2
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise InvalidSizeError(f"unknown benchmark family {self.family!r}")
-        floor = _FAMILIES[self.family][0]
+        if self.family not in FAMILIES:
+            raise InvalidSettingError(f"unknown benchmark family {self.family!r}")
+        floor = FAMILIES[self.family][0]
         if self.n < floor:
-            raise InvalidSizeError(f"{self.family} needs n >= {floor}, got {self.n}")
+            raise InvalidSettingError(f"{self.family} needs n >= {floor}, got {self.n}")
 
 
 def bench_variables(family: str, n: int) -> list:
@@ -51,7 +51,7 @@ def gen_system(spec: BenchSpec, order: str = "grevlex"):
     """
     ring = PolyRing(spec.q, bench_variables(spec.family, spec.n), order)
     x = [ring.variable(i) for i in range(ring.n)]
-    return ring, _FAMILIES[spec.family][1](ring, x, spec.n)
+    return ring, FAMILIES[spec.family][1](ring, x, spec.n)
 
 
 def _cyclic(ring: PolyRing, x: list, n: int) -> list:
@@ -80,7 +80,7 @@ def _eco(ring: PolyRing, x: list, n: int) -> list:
     ] + [sum(x[:-1], ring.one)]
 
 
-_FAMILIES = {"cyclic": (2, _cyclic), "katsura": (1, _katsura), "eco": (3, _eco)}
+FAMILIES = {"cyclic": (2, _cyclic), "katsura": (1, _katsura), "eco": (3, _eco)}
 
 
 def random_system(ring: PolyRing, m: int, max_degree: int, rng, max_terms: int = 5) -> list:
@@ -154,52 +154,33 @@ def brute_force_solutions(polys, ring: PolyRing) -> set:
 
 
 def solutions_from_lex_basis(basis, ring: PolyRing, fixed=None) -> set:
-    """Enumerate the zero set of a completed lex basis by back-substitution.
+    """Enumerate the zero set of lex basis members by back-substitution.
 
-    Walks variables from least precedence upward; members that have become
-    univariate pin the values, unconstrained variables range over the whole
-    field, and ``fixed`` (mid-run assignments) restricts its variables to the
-    solved value. Exact for any basis; fast when the basis is triangular.
+    Walks variables from least precedence upward and substitutes each value
+    of GF(q), or the one value ``fixed`` (mid-run assignments) gives it, into
+    every member; zero members drop out, and a nonzero constant ends the
+    branch, so a member univariate in the variable prunes its non-roots.
+    Exact for any basis; fast when the basis is triangular.
     """
-    members = [p for p in basis if not p.is_zero]
+    members = list(basis)
     for p in members:
         require_ring(ring, p)
     if ring.order != "lex":
-        raise OrderNotLexError("back-substitution reads lex bases")
-    if inconsistency_check(members):
-        return set()
+        raise InvalidSettingError("back-substitution reads lex bases")
     fixed = dict(fixed or {})
     q, n = ring.q, ring.n
     sols: set = set()
 
     def extend(i, point, polys):
         if i < 0:
-            if all(p.is_zero for p in polys):
-                sols.add(tuple(point))
+            sols.add(tuple(point))
             return
-        constraining = []
-        waiting = []
-        for p in polys:
-            if p.is_zero:
-                continue
-            if p.is_constant:
-                return  # dead branch
-            if is_univariate(p) == i:
-                constraining.append(p)
-            else:
-                waiting.append(p)
-        if constraining:
-            values = univariate_roots(constraining[0], i)
-            for p in constraining[1:]:
-                values &= univariate_roots(p, i)
-        else:
-            values = set(range(q))
-        if i in fixed:
-            values &= {fixed[i]}
-        for a in sorted(values):
-            point[i] = a
+        for a in [fixed[i]] if i in fixed else range(q):
             substitute = substitution(ring, {i: a})
-            extend(i - 1, point, [substitute(p) for p in waiting])
+            rest = [r for r in map(substitute, polys) if not r.is_zero]
+            if not inconsistency_check(rest):
+                point[i] = a
+                extend(i - 1, point, rest)
 
     extend(n - 1, [0] * n, members)
     return sols

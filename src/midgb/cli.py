@@ -10,9 +10,10 @@ import argparse
 import sys
 
 from .api import ENGINES, groebner_basis
-from .bench import BenchSpec, brute_force_solutions, gen_system
+from .bench import FAMILIES, BenchSpec, brute_force_solutions, gen_system
 from .engine import EngineConfig, Status
 from .errors import MidgbError, TooLargeError
+from .monomials import ORDERS
 from .systems import homogenize, parse_system
 
 EXIT_OK = 0
@@ -38,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", metavar="PATH", help="system file to load")
     src.add_argument(
         "--gen",
-        choices=("cyclic", "katsura", "eco"),
+        choices=tuple(FAMILIES),
         help="generate a benchmark family (needs --n)",
     )
     ap.add_argument("--n", type=int, help="size parameter for --gen")
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="field size (default 2 for --gen; must match the file header for --input)",
     )
     ap.add_argument("--engine", choices=tuple(ENGINES), default="f4")
-    ap.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
+    ap.add_argument("--order", choices=ORDERS, default="grevlex")
     ap.add_argument(
         "--middle-solving",
         action=argparse.BooleanOptionalAction,

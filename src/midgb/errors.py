@@ -17,10 +17,6 @@ class ZeroInputError(MidgbError, ValueError):
     """A zero polynomial where a nonzero one is required."""
 
 
-class ZeroPolynomialError(MidgbError, ValueError):
-    """Root search on the zero polynomial."""
-
-
 class MixedRingsError(MidgbError, ValueError):
     """Polynomials from different rings in one operation or run."""
 
@@ -68,11 +64,9 @@ class ConflictingRootsError(MidgbError, ValueError):
 
 class InvalidSettingError(MidgbError, ValueError):
     """A setting outside its supported range: an engine configuration, a
-    ring's variables or order, or a monomial's exponents."""
-
-
-class OrderNotLexError(MidgbError, ValueError):
-    """An operation that requires the lex order got another order."""
+    ring's variables or order, a monomial's exponents, an unknown benchmark
+    family or a size below its floor, or a non-lex basis given to the lex
+    basis reader."""
 
 
 class ParseError(MidgbError, ValueError):
@@ -87,7 +81,3 @@ class ParseError(MidgbError, ValueError):
 class TooLargeError(MidgbError, ValueError):
     """An input too large to handle: a search space too large for exhaustive
     enumeration, or a field too large to adjoin its field equations."""
-
-
-class InvalidSizeError(MidgbError, ValueError):
-    """Benchmark family size parameter out of range."""

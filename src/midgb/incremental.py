@@ -30,10 +30,9 @@ def incremental_core(polys, config: EngineConfig, tracer: TraceWriter) -> Engine
     state = RunState(config, tracer)
     state.batch_screening = False
     if config.adjoin_field_eqs:
-        # a reduced basis all by themselves; completion only sorts them
-        state.ingest_inputs(adjoin_field_equations([], config.ring))
-        while state.pairs_left():
-            f4_round(state)
+        # a reduced basis with pairwise coprime heads, so no pair is queued;
+        # reversed, they are in the ascending order completion would sort
+        state.ingest_inputs(adjoin_field_equations([], config.ring)[::-1])
 
     def read_input(state: RunState) -> RoundTrace:
         before = set(state.basis)

@@ -15,9 +15,9 @@ import heapq
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .errors import InvalidSettingError, MixedRingsError, ZeroInputError, ZeroPolynomialError
+from .errors import InvalidSettingError, MixedRingsError, ZeroInputError
 from .gf import PrimeField
-from .monomials import ORDERS, MonomialCodec
+from .monomials import MonomialCodec
 
 
 class PolyRing:
@@ -38,10 +38,6 @@ class PolyRing:
         for nm in names:
             if not nm or not isinstance(nm, str):
                 raise InvalidSettingError(f"bad variable name {nm!r}")
-        if order not in ORDERS:
-            raise InvalidSettingError(
-                f"unknown monomial order {order!r} (expected lex or grevlex)"
-            )
         self.names = tuple(names)
         self.n = len(names)
         self.order = order
@@ -186,6 +182,8 @@ class Polynomial:
     # ------------------------------------------------------------ arithmetic
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         require_ring(self.ring, other)
         if not self.terms:
             return other
@@ -206,6 +204,8 @@ class Polynomial:
         return Polynomial(self.ring, tuple((m, (-c) % q) for m, c in self.terms))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, c: int) -> "Polynomial":
@@ -641,32 +641,6 @@ def is_univariate(p: Polynomial):
         if seen & (seen - 1):
             return None
     return seen.bit_length() - 1 if seen else None
-
-
-def univariate_coeffs(p: Polynomial, var: int) -> list:
-    """Dense coefficient list c[0..d] with p = sum c[e] * x_var^e."""
-    exponent = p.ring.codec.exponent
-    d = max((exponent(m, var) for m, _ in p.terms), default=0)
-    out = [0] * (d + 1)
-    for m, c in p.terms:
-        out[exponent(m, var)] = c
-    return out
-
-
-def univariate_roots(p: Polynomial, var: int) -> set:
-    """All a in GF(q) with p(x_var = a) = 0, by exhaustive evaluation."""
-    if p.is_zero:
-        raise ZeroPolynomialError("root search on the zero polynomial")
-    q = p.ring.q
-    coeffs = univariate_coeffs(p, var)
-    roots = set()
-    for a in range(q):
-        acc = 0
-        for c in reversed(coeffs):  # Horner
-            acc = (acc * a + c) % q
-        if acc == 0:
-            roots.add(a)
-    return roots
 
 
 def is_field_polynomial(p: Polynomial):

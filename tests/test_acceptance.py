@@ -29,7 +29,7 @@ from midgb import (
 from midgb import runner
 from midgb.bench import random_system
 from midgb.cli import EXIT_ROUND_LIMIT, run_cli
-from midgb.errors import BoundViolationError, OrderNotLexError
+from midgb.errors import BoundViolationError, InvalidSettingError
 from midgb.poly import is_field_polynomial
 from midgb.runner import RunState
 from midgb.systems import format_system, parse_system
@@ -240,7 +240,7 @@ def triangular_shape_check(polys, ring: PolyRing) -> bool:
     Constant members are ignored (the empty-variety case is degenerately true).
     """
     if ring.order != "lex":
-        raise OrderNotLexError("triangular shape is defined for lex bases")
+        raise InvalidSettingError("triangular shape is defined for lex bases")
     supports = [s for s in (p.support() for p in polys) if s]
     if not supports:
         return True
@@ -279,7 +279,7 @@ def test_triangular_shape_vacuous_cases(r2):
 
 def test_triangular_shape_requires_lex():
     g = PolyRing(2, ["x", "y"], "grevlex")
-    with pytest.raises(OrderNotLexError):
+    with pytest.raises(InvalidSettingError):
         triangular_shape_check([g.one], g)
 
 

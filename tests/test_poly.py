@@ -1,6 +1,7 @@
 """Polynomial arithmetic, reduction, and the field-equation helpers."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -30,8 +31,6 @@ from midgb.poly import (
     is_field_polynomial,
     is_univariate,
     substitute,
-    univariate_coeffs,
-    univariate_roots,
 )
 
 
@@ -59,11 +58,13 @@ def test_ring_construction_and_vars(r7):
 
 
 @pytest.mark.parametrize(
-    "names", [[], ["x", "y", "x"]], ids=["no-variables", "duplicate-names"]
+    "names,order",
+    [([], "grevlex"), (["x", "y", "x"], "grevlex"), (["x"], "deglex")],
+    ids=["no-variables", "duplicate-names", "unknown-order"],
 )
-def test_ring_settings_out_of_range_raise_typed_error(names):
+def test_ring_settings_out_of_range_raise_typed_error(names, order):
     with pytest.raises(InvalidSettingError) as ei:
-        PolyRing(7, names, "grevlex")
+        PolyRing(7, names, order)
     assert isinstance(ei.value, MidgbError) and isinstance(ei.value, ValueError)
 
 
@@ -230,6 +231,16 @@ def test_polynomials_of_two_rings_raise(call):
     b = r3.variable(1)  # y over GF(3)
     with pytest.raises(MixedRingsError):
         call(a, b)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_arithmetic_with_a_non_polynomial_raises_type_error(op):
+    """Polynomials do not coerce ints: both operand orders raise TypeError."""
+    x = PolyRing(3, ["x"], "grevlex").variable(0)
+    with pytest.raises(TypeError):
+        op(x, 1)
+    with pytest.raises(TypeError):
+        op(1, x)
 
 
 def test_interreduce_depends_on_input_order():
@@ -430,10 +441,6 @@ def test_substitute_with_one_mapping_equals_one_value_at_a_time(q, order, terms,
 def test_univariate_helpers(r3):
     p = r3.poly({(2, 0): 1, (1, 0): 2, (0, 0): 1})  # x^2 + 2x + 1 = (x+1)^2
     assert is_univariate(p) == 0
-    assert univariate_coeffs(p, 0) == [1, 2, 1]
-    assert univariate_roots(p, 0) == {2}
-    two_roots = r3.poly({(2, 0): 1, (1, 0): 0, (0, 0): 2})  # x^2 + 2 = x^2 - 1
-    assert univariate_roots(two_roots, 0) == {1, 2}
     assert is_univariate(r3.poly({(1, 1): 1})) is None
     assert is_univariate(r3.one) is None
 

@@ -77,6 +77,26 @@ def test_engine_trace_shape(tmp_path):
     assert len(solved) == len(rep.events)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the completion screen runs in run_rounds' stop rule, after the round is recorded",
+)
+def test_round_records_list_every_solved_event(tmp_path):
+    """Every flushed solve line also appears in the record of its round."""
+    ring = PolyRing(2, ["x", "y"], "grevlex")
+    path = tmp_path / "run.jsonl"
+    rep = groebner_basis([ring.variable(1)], EngineConfig(ring, trace_path=str(path)))
+    assert rep.assignments == {1: 0}
+    lines = read_trace(str(path))
+    solved = [
+        (l["round"], {"kind": "solved", "var": l["var"], "value": l["value"]})
+        for l in lines if l.get("kind") == "solved"
+    ]
+    recorded = [(l["round"], e) for l in lines if "pairs_selected" in l for e in l["events"]]
+    assert solved == [(1, {"kind": "solved", "var": "y", "value": 0})]
+    assert all(s in recorded for s in solved)
+
+
 def test_reruns_are_byte_identical(tmp_path):
     ring, F = gen_system(BenchSpec("cyclic", 4), order="lex")
     blobs = []
