@@ -1,7 +1,8 @@
 """Benchmark families, the exhaustive oracle, and solution-set readers.
 
 The generators emit the standard cyclic/katsura/eco systems with coefficients
-reduced mod q. The oracle enumerates all of GF(q)^n with numpy and is kept
+reduced mod q, and planted random quadratic (MQ) systems over GF(2) drawn
+from a seed. The oracle enumerates all of GF(q)^n with numpy and is kept
 deliberately independent of the reduction machinery, so the two can check
 each other.
 """
@@ -9,6 +10,7 @@ each other.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +25,14 @@ ORACLE_LIMIT = 1 << 24
 
 @dataclass(frozen=True)
 class BenchSpec:
-    """A named benchmark instance: family, size parameter, field size."""
+    """A named benchmark instance: family, size parameter, field size, and
+    the seed that planted MQ (family ``mq``, GF(2) only) is drawn from; the
+    other families are fixed systems and take no seed."""
 
     family: str
     n: int
     q: int = 2
+    seed: int = 0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -35,6 +40,10 @@ class BenchSpec:
         floor = FAMILIES[self.family][0]
         if self.n < floor:
             raise InvalidSettingError(f"{self.family} needs n >= {floor}, got {self.n}")
+        if self.family == "mq" and self.q != 2:
+            raise InvalidSettingError(f"planted MQ is over GF(2), got q = {self.q}")
+        if self.family != "mq" and self.seed:
+            raise InvalidSettingError(f"{self.family} is a fixed system; only mq takes a seed")
 
 
 def bench_variables(family: str, n: int) -> list:
@@ -51,10 +60,11 @@ def gen_system(spec: BenchSpec, order: str = "grevlex"):
     """
     ring = PolyRing(spec.q, bench_variables(spec.family, spec.n), order)
     x = [ring.variable(i) for i in range(ring.n)]
-    return ring, FAMILIES[spec.family][1](ring, x, spec.n)
+    return ring, FAMILIES[spec.family][1](ring, x, spec)
 
 
-def _cyclic(ring: PolyRing, x: list, n: int) -> list:
+def _cyclic(ring: PolyRing, x: list, spec: BenchSpec) -> list:
+    n = spec.n
     # e_k = sum over the n cyclic windows of length k, then x1...xn - 1
     xx = x + x  # the windows wrap around
     return [
@@ -63,7 +73,8 @@ def _cyclic(ring: PolyRing, x: list, n: int) -> list:
     ] + [math.prod(x, start=ring.one) - ring.one]
 
 
-def _katsura(ring: PolyRing, u: list, n: int) -> list:
+def _katsura(ring: PolyRing, u: list, spec: BenchSpec) -> list:
+    n = spec.n
     # u_0 + 2(u_1 + ... + u_n) - 1, then sum_i u_|i| u_|k-i| - u_k for k < n
     return [u[0] + sum(u[1:], ring.zero).scale(2) - ring.one] + [
         sum((u[abs(i)] * u[abs(k - i)] for i in range(k - n, n + 1)), ring.zero) - u[k]
@@ -71,7 +82,8 @@ def _katsura(ring: PolyRing, u: list, n: int) -> list:
     ]
 
 
-def _eco(ring: PolyRing, x: list, n: int) -> list:
+def _eco(ring: PolyRing, x: list, spec: BenchSpec) -> list:
+    n = spec.n
     # x_i lives at index i-1; f_k = x_n*(x_k + sum x_i*x_{i+k}) - k for k < n,
     # then x_1 + ... + x_{n-1} + 1
     return [
@@ -80,7 +92,31 @@ def _eco(ring: PolyRing, x: list, n: int) -> list:
     ] + [sum(x[:-1], ring.one)]
 
 
-FAMILIES = {"cyclic": (2, _cyclic), "katsura": (1, _katsura), "eco": (3, _eco)}
+def _mq(ring: PolyRing, x: list, spec: BenchSpec) -> list:
+    # a point first, then n equations: each square-free quadratic x_i*x_j
+    # and each linear x_i (x_i^2 = x_i) with probability 1/2, plus the
+    # constant that makes the point a zero
+    rng = random.Random(spec.seed)
+    n = spec.n
+    point = [rng.randrange(2) for _ in range(n)]
+    polys = []
+    for _ in range(n):
+        p, value = ring.zero, 0
+        for i in range(n):
+            for j in range(i, n):
+                if rng.randrange(2):
+                    p += x[i] if i == j else x[i] * x[j]
+                    value ^= point[i] & point[j]
+        polys.append(p + ring.constant(value))
+    return polys
+
+
+FAMILIES = {
+    "cyclic": (2, _cyclic),
+    "katsura": (1, _katsura),
+    "eco": (3, _eco),
+    "mq": (1, _mq),
+}
 
 
 def random_system(ring: PolyRing, m: int, max_degree: int, rng, max_terms: int = 5) -> list:

@@ -44,6 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--n", type=int, help="size parameter for --gen")
     ap.add_argument(
+        "--seed", type=int, default=0, help="seed of --gen mq, planted MQ over GF(2) (default 0)"
+    )
+    ap.add_argument(
         "--field",
         type=int,
         default=None,
@@ -87,7 +90,7 @@ def _load_system(args):
         if args.n is None:
             raise ValueError("--gen requires --n")
         q = 2 if args.field is None else args.field
-        ring, polys = gen_system(BenchSpec(args.gen, args.n, q), order=args.order)
+        ring, polys = gen_system(BenchSpec(args.gen, args.n, q, args.seed), order=args.order)
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -113,6 +116,8 @@ def _solve_points(report) -> list:
 
 def _print_summary(args, ring, polys, report):
     src = f"{args.gen} n={args.n}" if args.gen else args.input
+    if args.gen == "mq":
+        src += f" seed={args.seed}"
     print(
         f"system: {src} over GF({ring.q}), "
         f"{ring.n} variables, {len(polys)} polynomials"

@@ -42,26 +42,41 @@ def _multiple(g: Polynomial, quot, field_active: bool, folds: dict) -> Polynomia
     return g.term_mul(quot, inv)
 
 
-def _close(rows: list, seen: set, first, field_active: bool, folds: dict) -> None:
+def _close(rows: list, seen: set, first, field_active: bool) -> None:
     """Close ``rows`` downward under reduction by ``first``'s members.
 
     Every monomial of every row that is not in ``seen`` gets a reducer row,
     appended to ``rows``: the multiple of the first member, in ``first``'s
     list order, whose leading monomial divides it. The walk covers the rows
     as they grow, reducer rows included, and adds each monomial it looks up
-    to ``seen``.
+    to ``seen``. A reducer row is made once per ``first`` (``_multiple``,
+    folded through ``first.folds``) and then taken from
+    ``first.rows[field_active]``.
     """
     members = first.members
+    made = first.rows[field_active]
     for row in rows:
         fresh = [m for m, _ in row.terms if m not in seen]  # a row's terms are distinct
         seen.update(fresh)
         for m in fresh:
-            i = first.index(m)
-            if i is not None:
+            reducer = made.get(m)
+            if reducer is None:
+                i = first.index(m)
+                if i is None:
+                    continue
                 g = members[i]
-                reducer = _multiple(g, m - first.reducers[i][0], field_active, folds)  # m / LM(g)
+                reducer = made[m] = _multiple(
+                    g, m - first.reducers[i][0], field_active, first.folds  # m / LM(g)
+                )
                 degree_monitor(reducer, g.ring, "created", field_active)
-                rows.append(reducer)
+            rows.append(reducer)
+
+
+class Rows(list):
+    """A matrix's rows, and ``monomials``: the set of all their monomials,
+    which the closure has gathered, so ``_columns`` need not walk them."""
+
+    __slots__ = ("monomials",)
 
 
 def symbolic_preprocess(
@@ -75,19 +90,23 @@ def symbolic_preprocess(
     reducer row (the first basis member, in insertion order, whose leading
     monomial divides it); row order does not change the matrix's reduced
     rows. Reducers are found by ``first``, a ``FirstDivisor`` over ``basis``
-    that may carry lookups from earlier rounds; without one, a fresh one.
-    Rows are exponent-folded on the spot (field polynomials excepted),
-    through one fold memo per call, so the matrix never grows columns past
-    the per-variable degree cap.
+    that may carry lookups, reducer rows and folds from earlier rounds;
+    without one, a fresh one. Rows are exponent-folded on the spot (field
+    polynomials excepted), through ``first.folds``, so the matrix never
+    grows columns past the per-variable degree cap.
+
+    Returns ``Rows``: a list whose ``monomials`` is the closure's set of
+    every monomial of every row, which ``MacaulayMatrix`` takes as its
+    columns.
     """
     if not pairs:
         raise EmptyBatchError("symbolic preprocessing needs at least one pair")
     if first is None:
         first = FirstDivisor(basis, ring)
     codec = ring.codec
-    folds: dict = {}  # monomial -> folded monomial, for this matrix only
+    folds = first.folds
 
-    rows: list = []
+    rows = Rows()
     seen: set = set()  # pair-row heads and every monomial looked up
     seen_products: set = set()
     for pr in pairs:
@@ -108,7 +127,8 @@ def symbolic_preprocess(
             if row.lm() == pr.lcm:
                 seen.add(row.lm())
 
-    _close(rows, seen, first, field_active, folds)
+    _close(rows, seen, first, field_active)
+    rows.monomials = seen
     return rows
 
 
@@ -136,19 +156,23 @@ def reduced_basis(basis, ring: PolyRing, field_active: bool = True) -> list:
         if first.index(g.lm()) is None:
             kept.append(g)
     rows = list(kept)
-    _close(rows, {g.lm() for g in kept}, first, field_active, {})
-    columns, col = _columns(rows)
+    seen = {g.lm() for g in kept}
+    _close(rows, seen, first, field_active)
+    columns, col = _columns(rows, seen)
     known = {col[rows[i].lm()]: i for i in range(len(kept), len(rows))}
     return _eliminate(ring, rows, columns, col, known, range(len(kept)))[::-1]
 
 
-def _columns(rows) -> tuple:
+def _columns(rows, monomials=None) -> tuple:
     """(columns, col_index): the rows' monomials, largest first, and the
-    column of each."""
-    cols = set()
-    for p in rows:
-        cols.update(map(itemgetter(0), p.terms))
-    columns = sorted(cols, reverse=True)
+    column of each. ``monomials``, when given, must be exactly the set of
+    the rows' monomials, as the closure gathers it, and spares a walk over
+    every term."""
+    if monomials is None:
+        monomials = set()
+        for p in rows:
+            monomials.update(map(itemgetter(0), p.terms))
+    columns = sorted(monomials, reverse=True)
     return columns, {m: j for j, m in enumerate(columns)}
 
 
@@ -166,13 +190,17 @@ class MacaulayMatrix:
     r), so adding a row to all the rows that need it is one XOR per column
     of that row; other fields hold the block in a dense numpy array. Both
     eliminate in one walk over the columns, largest monomial first.
+
+    Rows given as ``Rows`` (from ``symbolic_preprocess``) bring their
+    monomial set, so the columns are sorted from it; other rows are walked.
     """
 
     def __init__(self, rows, ring: PolyRing, first=None):
         self.ring = ring
         self.rows = list(rows)
         self.first = first
-        self.columns, self.col_index = _columns(self.rows)
+        monomials = rows.monomials if isinstance(rows, Rows) else None
+        self.columns, self.col_index = _columns(self.rows, monomials)
 
     @property
     def shape(self):

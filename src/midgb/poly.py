@@ -361,13 +361,24 @@ class FirstDivisor:
     lookups, and then a monomial with no divisor yet is tested only against
     the members appended since; any other change to the list needs a new
     FirstDivisor. Members must be nonzero.
+
+    Two more tables live exactly as long, for the F4 closure
+    (``f4._close``). ``rows[field_active]`` maps a monomial m to its reducer
+    row, (m / LM(g)) * g / LC(g) for its first divisor g, folded when field
+    equations are on; once m has a divisor it keeps it while the list only
+    grows, so the row stays exact, and a monomial with no divisor has no
+    entry. ``folds`` maps a product monomial to its exponent fold (see
+    ``field_term_mul``); it holds only valid monomials, so a product past
+    the limit still misses and raises.
     """
 
-    __slots__ = ("members", "reducers", "_shifts", "_memo", "_guard")
+    __slots__ = ("members", "reducers", "rows", "folds", "_shifts", "_memo", "_guard")
 
     def __init__(self, members: list, ring: PolyRing):
         self.members = members
         self.reducers: list = []  # _reducer(g) of the members seen so far
+        self.rows: dict = {True: {}, False: {}}  # field_active -> {m: reducer row}
+        self.folds: dict = {}
         self._shifts: list = []
         self._memo: dict = {}
         self._guard = ring.codec.guard

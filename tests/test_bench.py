@@ -18,6 +18,8 @@ from midgb import (
 )
 from midgb.bench import random_system, solutions_from_lex_basis
 from midgb.errors import InvalidSettingError
+from test_golden_traces import planted_mq
+from test_perfbench_contract import workloads
 
 
 def test_cyclic_3():
@@ -69,6 +71,31 @@ def test_size_floors(fam, too_small):
 def test_unknown_family_rejected():
     with pytest.raises(InvalidSettingError):
         BenchSpec("coppersmith", 4)
+
+
+@pytest.mark.parametrize("n,seed", [(1, 0), (4, 3), (6, 1), (10, 7), (18, 1)])
+def test_mq_family_equals_the_planted_references(n, seed):
+    """Polynomial for polynomial, the ``mq`` family is the golden traces'
+    ``planted_mq`` and the first instance the benchmark draws from a seed."""
+    ring, F = gen_system(BenchSpec("mq", n, 2, seed=seed))
+    ref_ring, ref = planted_mq(n, seed)
+    _, bench_ring, bench = workloads.planted_mq(n, random.Random(seed), f"mq{n}-0")
+    assert ring == ref_ring == bench_ring
+    assert F == ref == list(bench)
+    lex, F_lex = gen_system(BenchSpec("mq", n, 2, seed=seed), order="lex")
+    assert F_lex == [lex.poly((ring.exponents(m), c) for m, c in p.terms) for p in F]
+
+
+def test_mq_family_settings():
+    assert BenchSpec("mq", 5) == BenchSpec("mq", 5, 2, seed=0)
+    assert gen_system(BenchSpec("mq", 8, seed=1)) != gen_system(BenchSpec("mq", 8, seed=2))
+    for q in (3, 5):
+        with pytest.raises(InvalidSettingError):
+            BenchSpec("mq", 5, q)
+    with pytest.raises(InvalidSettingError):
+        BenchSpec("mq", 0)
+    with pytest.raises(InvalidSettingError):  # the fixed families take no seed
+        BenchSpec("eco", 5, 3, seed=1)
 
 
 def test_gen_system_order_flows_through():

@@ -34,6 +34,15 @@ def test_gen_solved_ok(capsys):
     assert "oracle: ok (unique solution matches exhaustive search)" in out
 
 
+def test_gen_planted_mq_from_a_seed(capsys):
+    assert run_cli(["--gen", "mq", "--n", "8", "--seed", "1", "--oracle-check"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "system: mq n=8 seed=1 over GF(2), 8 variables, 8 polynomials" in out
+    assert "oracle: ok" in out
+    assert run_cli(["--gen", "mq", "--n", "8", "--field", "3"]) == EXIT_ERROR
+    assert run_cli(["--gen", "cyclic", "--n", "4", "--seed", "2"]) == EXIT_ERROR
+
+
 def test_plain_groebner_listing(capsys):
     assert run_cli(["--gen", "cyclic", "--n", "3", "--order", "lex",
                     "--no-middle-solving", "--no-adjoin-field-eqs"]) == EXIT_OK

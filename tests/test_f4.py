@@ -8,9 +8,11 @@ from collections import Counter
 import pytest
 
 from midgb import (
+    BenchSpec,
     EngineConfig,
     PolyRing,
     Status,
+    gen_system,
     groebner_basis,
     interreduce,
     normal_form,
@@ -19,7 +21,7 @@ from midgb import (
 from midgb import f4, runner
 from midgb.bench import random_system
 from midgb.engine import CriticalPair, degree_monitor
-from midgb.errors import EmptyBatchError
+from midgb.errors import EmptyBatchError, MonomialOverflowError
 from midgb.f4 import MacaulayMatrix, reduced_basis, symbolic_preprocess
 from midgb.poly import FirstDivisor, Polynomial, field_term_mul
 from test_golden_traces import corpus_runs
@@ -141,6 +143,125 @@ def test_preprocess_matches_heap_reference(q, field_active, monkeypatch):
         for engine in ("f4", "incremental"):
             groebner_basis(polys, EngineConfig(ring, engine=engine, adjoin_field_eqs=field_active))
     assert count["reordered"] > 0, count
+
+
+# ------------------------------------------------------- the lookup's tables
+
+
+@pytest.fixture
+def table_checked(monkeypatch):
+    """Check every closure's reducer rows against rows made anew.
+
+    After each ``_close`` call, each monomial m it looked up has a row in its
+    lookup's table exactly when m has a first divisor g, and that row equals
+    ``_multiple(g, m / LM(g))`` made with an empty fold memo. The rows the
+    call appended are exactly those table rows. Each monomial
+    set that ``symbolic_preprocess`` hands on must equal the union of its
+    rows' terms. Yields a Counter of rows per (q, field_active, "made" or
+    "served"), served meaning made by an earlier closure of the same lookup.
+    """
+    close, multiple, preprocess = f4._close, f4._multiple, f4.symbolic_preprocess
+    count = Counter()
+
+    def checked_close(rows, seen, first, field_active):
+        table = first.rows[field_active]
+        before, looked, start = set(table), set(seen), len(rows)
+        close(rows, seen, first, field_active)
+        taken = []
+        for m in seen - looked:
+            i = first.index(m)
+            if i is None:
+                assert m not in table
+                continue
+            g = first.members[i]
+            quot = g.ring.codec.div(m, g.lm())
+            assert table[m] == multiple(g, quot, field_active, {})
+            taken.append(id(table[m]))
+            count[g.ring.q, field_active, "served" if m in before else "made"] += 1
+        assert sorted(taken) == sorted(map(id, rows[start:]))
+
+    def checked_preprocess(*args, **kwargs):
+        rows = preprocess(*args, **kwargs)
+        assert rows.monomials == {m for row in rows for m, _ in row.terms}
+        count["preprocessed"] += 1
+        return rows
+
+    monkeypatch.setattr(f4, "_close", checked_close)
+    monkeypatch.setattr(f4, "symbolic_preprocess", checked_preprocess)
+    return count
+
+
+def test_served_reducer_rows_equal_fresh_ones(table_checked):
+    """Seeded f4 and incremental runs over GF(2), GF(3), GF(5) and GF(7),
+    both orders, field equations on and off, and family systems whose
+    lookups live through several rounds."""
+    runs = [run for group in (2, 3, 5, 7) for run in corpus_runs(group)]
+    for (family, n), q, order, fe in itertools.product(
+        (("katsura", 4), ("cyclic", 5)), (2, 5), ("lex", "grevlex"), (True, False)
+    ):
+        for engine in ("f4", "incremental"):
+            runs.append((*gen_system(BenchSpec(family, n, q), order), engine, False, fe))
+    for ring, polys, engine, ms, fe in runs:
+        if engine != "buchberger":
+            groebner_basis(polys, EngineConfig(
+                ring, engine=engine, middle_solving=ms, adjoin_field_eqs=fe
+            ))
+    count = table_checked
+    for q, field_active in itertools.product((2, 3, 5, 7), (True, False)):
+        assert count[q, field_active, "served"] > 0, count
+    assert count["preprocessed"] > 0, count
+
+
+def test_a_monomial_gets_a_row_only_once_it_has_a_divisor():
+    ring = PolyRing(3, ["x", "y"], "grevlex")
+    x, y = ring.variable(0), ring.variable(1)
+    members = [x * x + y]
+    first = FirstDivisor(members, ring)
+    row = x * y * y + y * y + ring.one
+    rows = [row]
+    f4._close(rows, set(), first, False)
+    assert rows == [row] and first.rows == {True: {}, False: {}}
+    members.append(y + ring.one)  # now divides x*y^2, x*y, y^2 and y
+    rows = [row]
+    f4._close(rows, set(), first, False)
+    table = first.rows[False]
+    assert {ring.monomial_str(m): str(r) for m, r in table.items()} == {
+        "x*y^2": "x*y^2 + x*y",
+        "x*y": "x*y + x",
+        "y^2": "y^2 + y",
+        "y": "y + 1",
+    }
+    assert [str(r) for r in rows[1:]] == ["x*y^2 + x*y", "y^2 + y", "x*y + x", "y + 1"]
+    # the same lookup serves the very rows it made
+    again = [row]
+    f4._close(again, set(), first, False)
+    assert all(a is b for a, b in zip(again, rows))
+
+
+def test_rows_made_under_one_field_setting_are_not_served_under_the_other():
+    ring = PolyRing(2, ["x", "y"], "grevlex")
+    x, y = ring.variable(0), ring.variable(1)
+    first = FirstDivisor([x * y + x], ring)
+    m = (x * x * y).lm()
+    folded, unfolded, again = [x * x * y], [x * x * y], [x * x * y]
+    f4._close(folded, set(), first, True)
+    f4._close(unfolded, set(), first, False)
+    f4._close(again, set(), first, True)
+    assert folded[1] == x * y + x  # x*(x*y + x), folded by x^2 = x
+    assert unfolded[1] == x * x * y + x * x
+    assert first.rows[True][m] is folded[1] is again[1]
+    assert first.rows[False][m] is unfolded[1]
+
+
+def test_a_product_past_the_limit_raises_after_earlier_rounds_filled_the_folds():
+    ring = PolyRing(2, ["x", "y"], "lex")
+    lim = ring.codec.limit
+    first = FirstDivisor([ring.poly({(1, 0): 1, (0, lim - 10): 1})], ring)  # x + y^(lim-10)
+    for e in range(1, 11):  # the reducer of x*y^e has the tail y^(lim-10+e)
+        f4._close([ring.poly({(1, e): 1})], set(), first, True)
+    assert len(first.rows[True]) >= 10 and len(first.folds) >= 20
+    with pytest.raises(MonomialOverflowError):
+        f4._close([ring.poly({(1, 11): 1})], set(), first, True)
 
 
 def test_matrix_columns_sorted_descending(lex2):

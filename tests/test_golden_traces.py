@@ -399,6 +399,90 @@ GOLDEN_ROUND_LIMIT = {
         "395307a660acd52b1c1f9ed23691c871e69f17d0a1ea9953ed5b41f455147459",
 }
 
+# Runs in which one reducer lookup (``RunState.divisors``) lives through
+# several F4 rounds, so that reducer rows and folds made in one round are
+# served in later ones: planted MQ under lex on f4 and incremental, and
+# GF(3)/GF(5) families under lex with field equations on and off. Recorded
+# before the lookup kept rows and folds.
+MULTI_ROUND_SYSTEMS = {
+    "mq8-1": lambda: planted_mq(8, 1),
+    "mq9-2": lambda: planted_mq(9, 2),
+    "katsura4-gf5": lambda: gen_system(BenchSpec("katsura", 4, 5)),
+    "katsura5-gf3": lambda: gen_system(BenchSpec("katsura", 5, 3)),
+    "cyclic5-gf5": lambda: gen_system(BenchSpec("cyclic", 5, 5)),
+    "eco6-gf3": lambda: gen_system(BenchSpec("eco", 6, 3)),
+    "eco6-gf5": lambda: gen_system(BenchSpec("eco", 6, 5)),
+}
+
+# (system, engine, order, middle_solving, field_eqs) -> SHA-256
+GOLDEN_MULTI_ROUND = {
+    ("mq8-1", "f4", "lex", True, True):
+        "4b637f0bfd91f0f416ef94315b67a1c70433d0a2984db2edf568c55af738b53c",
+    ("mq8-1", "f4", "lex", False, True):
+        "2bd600534248a0ee2b54afe21d5426d7eadb1a3470fc0485a4708572bb93790f",
+    ("mq8-1", "incremental", "lex", True, True):
+        "e0ad6cb43049669bd2ea5de0d272aa0fa018a139cda5a8440bfba1d1495d785f",
+    ("mq8-1", "incremental", "lex", False, True):
+        "d1f823bb3ab26197dd5e43b263e10b75d238c6845ac50020e4157ebcc59c195c",
+    ("mq9-2", "f4", "lex", True, True):
+        "c6081694d1258efa07c256e6ec53aa90c3f698a5b1c7b67aee4bf67688c76093",
+    ("mq9-2", "f4", "lex", False, True):
+        "ae2f31325cbe2944e91823c557ad460749c375a9a9fdf0f6f24a4122872b9114",
+    ("mq9-2", "incremental", "lex", True, True):
+        "c91816ff1b05f3d760ef2e986af273369d84eff9db69dcc37d690cb978871ae0",
+    ("mq9-2", "incremental", "lex", False, True):
+        "692827c15ef48158e768f5cd7338ebc07cfc30de281a99299b1f1f1266f203f2",
+    ("katsura4-gf5", "f4", "lex", True, True):
+        "ecc8fe0572e3a4c0d0706747ae49e2c1630a25275839401b217fb9c50e48cff3",
+    ("katsura4-gf5", "f4", "lex", True, False):
+        "99aab48948d128bed67fb1bb1caa3c0a751aefb4361a4a0687bdb2525f88d6d4",
+    ("katsura4-gf5", "f4", "lex", False, True):
+        "1b1f7bd2ddda3a81308460d0971d63d63d7958169d4072466e2feedad3f1c773",
+    ("katsura4-gf5", "f4", "lex", False, False):
+        "3007e2f4591270408985257fc01be94a4bfa23de8f930b99d6e9c2d7ff092136",
+    ("cyclic5-gf5", "f4", "lex", True, True):
+        "292564d3d1395a9148001ec3687eb51db58f86ab9c7532ef50f372a4798381eb",
+    ("cyclic5-gf5", "f4", "lex", True, False):
+        "ce7374a7fe2ddba364ceb3104f4ee690f7e2f78649ac5658874731ba4502e958",
+    ("cyclic5-gf5", "f4", "lex", False, True):
+        "18414e9fe59a4426d28c8813ec058de45f3122fab25abc9c26d68f6aa34ebde6",
+    ("cyclic5-gf5", "f4", "lex", False, False):
+        "cd7b402eedd8e00c0ad82de8dc0464151caff02522fc3579f31f8d1e05974cdb",
+    ("eco6-gf3", "f4", "lex", True, True):
+        "853f0f7c7d4ee5aa339d4c3012d66f3f4b34009236a778d80e487bae50340fb5",
+    ("eco6-gf3", "f4", "lex", True, False):
+        "84d2881e210ccc28ed0b54c04a8cfcefd699d993584a924eb3afb91e612f049b",
+    ("eco6-gf3", "f4", "lex", False, True):
+        "47d89dc4fa6dfa0e50086f99f57db43431e6399589df1b8c6927b72a96145da5",
+    ("eco6-gf3", "f4", "lex", False, False):
+        "b5f8c62189b01f3bc3289ef724742a2740d9e1219b12b94473cb00bee620aa95",
+    ("katsura5-gf3", "f4", "lex", True, True):
+        "3a6476835de8d1864bbdbc2308b9b83f8f4f2d01033eabadc3cbe53d67c900f4",
+    ("katsura5-gf3", "f4", "lex", True, False):
+        "826007930e75b421495dba9e6c12d5f1e3aeb30ceabf77d1288f70f304e64b8f",
+    ("katsura5-gf3", "f4", "lex", False, True):
+        "9853f5018bb1073ce001b63f9ad5cb59d43479f8b99738e7835a413e9bcd9685",
+    ("katsura5-gf3", "f4", "lex", False, False):
+        "e7c44f53706b08b587c668b64a8d5dd5bfd5b1c8b3d3578dd79de452583600cc",
+    ("eco6-gf5", "f4", "lex", True, True):
+        "c8ea1b546f44aee1c3498be0fe35dc70b087c3eb67699d1e304a86e01b57a181",
+    ("eco6-gf5", "f4", "lex", True, False):
+        "207335f75ca02774a13efd9128d17f3bea3379ad7f31c776f4376564da3de779",
+    ("eco6-gf5", "f4", "lex", False, True):
+        "8670c16834d87a43d2079bb03b3c6ec4798cbbebec8d445bbf0bb96768100796",
+    ("eco6-gf5", "f4", "lex", False, False):
+        "74431204c521ec2693849700f4d3796a995326ddac3976b6c5485431bc4b8fd6",
+    ("katsura4-gf5", "incremental", "lex", True, True):
+        "4b8a12198747aa20e0fbef6d7d39e7a33d9cf18f6d5e7528accf2db32aa37cfe",
+    ("katsura4-gf5", "incremental", "lex", True, False):
+        "8cd7f3c3ea928bf22a1be51444058af9cf7630f8bc8888e3a00c4213c93da84f",
+    ("cyclic5-gf5", "incremental", "lex", True, True):
+        "19e18049f276908e2df094dbe262f87391e73f540b0f2013d4edaa4cf73cde78",
+    ("cyclic5-gf5", "incremental", "lex", True, False):
+        "23e8b000066b5200b7b0da4abb82d91449736418a344bc610ce820a0ed273e9f",
+}
+
+
 def trace_digest(system, engine, order, middle_solving, path, **options):
     ring, polys = system()
     if order != ring.order:
@@ -460,6 +544,19 @@ def test_round_limited_digests_match_golden(tmp_path):
                         max_rounds=limit) != want
     ]
     assert not wrong, f"trace digest changed for {wrong}"
+
+
+@pytest.mark.parametrize("label", sorted(MULTI_ROUND_SYSTEMS))
+def test_multi_round_digests_match_golden(label, tmp_path):
+    wrong = [
+        (engine, order, ms, fe)
+        for (system, engine, order, ms, fe), want in GOLDEN_MULTI_ROUND.items()
+        if system == label
+        and trace_digest(MULTI_ROUND_SYSTEMS[label], engine, order, ms, tmp_path / "run.trace",
+                         adjoin_field_eqs=fe) != want
+    ]
+    assert not wrong, f"{label}: trace digest changed for {wrong}"
+
 
 def test_split_elimination_equals_full_rref(split_checked, tmp_path):
     """The golden systems' F4 matrices, in f4 and incremental runs, reduce to

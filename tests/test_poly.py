@@ -472,6 +472,33 @@ def test_monomials_past_the_degree_limit_raise_typed_error():
         normal_form(ring.variable(0) * y, [g])
 
 
+def test_a_filled_fold_table_still_raises_past_the_limit():
+    """The lookup's fold table holds only valid monomials, so once earlier
+    products have filled it a product past the limit misses and raises."""
+    ring = PolyRing(2, ["x", "y"], "lex")
+    lim = ring.codec.limit
+    g = ring.poly({(1, 0): 1, (0, lim - 10): 1})  # x + y^(lim-10)
+    first = FirstDivisor([g], ring)
+    for e in range(1, 11):  # up to y^lim, the last valid tail
+        field_term_mul(g, ring.codec.var(1, e), 1, first.folds)
+    assert len(first.folds) == 20
+    for e in (11, 12, 40):
+        with pytest.raises(MonomialOverflowError):
+            field_term_mul(g, ring.codec.var(1, e), 1, first.folds)
+        # the product's head x*y^e was valid and is kept; its tail was not
+        assert ring.codec.var(0) + ring.codec.shift(ring.codec.var(1, e)) in first.folds
+    assert not any(m & ring.codec.guard for m in first.folds)
+
+
+def test_first_divisor_keeps_reducer_rows_per_setting(r2):
+    """A fresh lookup has one empty row table per field-equation setting,
+    and an empty fold table; ``_close`` fills them (see ``test_f4``)."""
+    first = FirstDivisor([r2.variable(0)], r2)
+    assert first.rows == {True: {}, False: {}}
+    assert first.rows[True] is not first.rows[False]
+    assert first.folds == {}
+
+
 def test_field_term_mul_is_the_folded_product(r3):
     f = r3.poly({(2, 1): 1, (1, 0): 2, (0, 0): 1})
     for exps in ((0, 0), (1, 0), (2, 2)):

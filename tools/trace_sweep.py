@@ -1,11 +1,16 @@
-"""Seeded trace sweep: one SHA-256 over the trace bytes of 14,400 runs.
+"""Seeded trace sweep: SHA-256 digests over the trace bytes of two groups of runs.
 
-Runs 150 seeded random quadric systems (``bench.random_system``, q in
-{2, 3, 5, 7}, 2-4 variables) under both monomial orders, all three engines,
-middle solving and field equations each on and off, and ``max_rounds`` in
-{None, 1, 2, 3}. It prints the run count, the count per status, and the
-digest. A change that must keep traces byte-identical gives the same digest
-as its parent. The solver is imported from this checkout's ``src``:
+The first group is 14,400 runs: 150 seeded random quadric systems
+(``bench.random_system``, q in {2, 3, 5, 7}, 2-4 variables) under both
+monomial orders, all three engines, middle solving and field equations each
+on and off, and ``max_rounds`` in {None, 1, 2, 3}. The second holds systems
+whose runs go through several F4 rounds under one reducer lookup: small
+cyclic, katsura and eco systems over q in {2, 3, 5} with field equations on
+and off, and planted 6-8-variable GF(2) quadrics with them on, under both
+orders, all three engines, and middle solving on and off. For each group it
+prints the run count, the count per status, and the digest. A change that
+must keep traces byte-identical gives the same digests as its parent. The
+solver is imported from this checkout's ``src``:
 
     python tools/trace_sweep.py
 """
@@ -22,12 +27,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from midgb import EngineConfig, PolyRing, groebner_basis  # noqa: E402
+from midgb import BenchSpec, EngineConfig, PolyRing, gen_system, groebner_basis  # noqa: E402
 from midgb.api import ENGINES  # noqa: E402
 from midgb.bench import random_system  # noqa: E402
 from midgb.monomials import ORDERS  # noqa: E402
 
 SYSTEMS = 150
+FAMILY_SPECS = [
+    BenchSpec(family, n, q)
+    for q in (2, 3, 5)
+    for family, n in (("cyclic", 4), ("cyclic", 5), ("katsura", 3), ("katsura", 4), ("eco", 4))
+]
+QUADRIC_SIZES = (6, 6, 7, 7, 8, 8)
 
 
 def systems():
@@ -40,31 +51,69 @@ def systems():
         yield q, [f"x{i}" for i in range(n)], rng.randint(2, n + 1), rng.randrange(2**32)
 
 
-def main() -> int:
+def random_runs():
+    """(ring, polys, config options) of every run of the first group."""
+    for (q, names, m, seed), order in itertools.product(systems(), ORDERS):
+        ring = PolyRing(q, names, order)
+        polys = random_system(ring, m, 2, random.Random(seed))
+        for engine, solving, field_eqs, max_rounds in itertools.product(
+            ENGINES, (True, False), (True, False), (None, 1, 2, 3)
+        ):
+            yield ring, polys, dict(
+                engine=engine,
+                middle_solving=solving,
+                adjoin_field_eqs=field_eqs,
+                max_rounds=max_rounds,
+            )
+
+
+def quadrics(order):
+    """n + 1 dense random quadrics in n variables over GF(2), each shifted
+    by a constant so that a point drawn after them is a common zero."""
+    rng = random.Random(20260419)
+    for n in QUADRIC_SIZES:
+        ring = PolyRing(2, [f"x{i}" for i in range(n)], order)
+        polys = random_system(ring, n + 1, 2, rng, max_terms=2 * n)
+        point = [rng.randrange(2) for _ in range(n)]
+        yield ring, [p - ring.constant(p.evaluate(point)) for p in polys]
+
+
+def multi_round_runs():
+    """(ring, polys, config options) of every run of the second group. The
+    quadrics run with field equations only: without them an 8-variable one
+    takes minutes."""
+    for order in ORDERS:
+        inputs = [(*gen_system(spec, order), (True, False)) for spec in FAMILY_SPECS]
+        inputs += [(ring, polys, (True,)) for ring, polys in quadrics(order)]
+        for ring, polys, field_modes in inputs:
+            for engine, solving, field_eqs in itertools.product(
+                ENGINES, (True, False), field_modes
+            ):
+                yield ring, polys, dict(
+                    engine=engine, middle_solving=solving, adjoin_field_eqs=field_eqs
+                )
+
+
+def sweep(label: str, runs, path: Path) -> None:
+    """Run every (ring, polys, options) of ``runs`` with a trace at ``path``,
+    and print the group's run count, statuses and digest."""
     digest = hashlib.sha256()
     statuses: Counter = Counter()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "run.jsonl"
-        for (q, names, m, seed), order in itertools.product(systems(), ORDERS):
-            ring = PolyRing(q, names, order)
-            polys = random_system(ring, m, 2, random.Random(seed))
-            for engine, solving, field_eqs, max_rounds in itertools.product(
-                ENGINES, (True, False), (True, False), (None, 1, 2, 3)
-            ):
-                config = EngineConfig(
-                    ring,
-                    engine=engine,
-                    middle_solving=solving,
-                    adjoin_field_eqs=field_eqs,
-                    max_rounds=max_rounds,
-                    trace_path=path,
-                )
-                statuses[groebner_basis(polys, config).status.value] += 1
-                digest.update(path.read_bytes())
-    print(f"runs: {sum(statuses.values())}")
+    for ring, polys, options in runs:
+        config = EngineConfig(ring, trace_path=path, **options)
+        statuses[groebner_basis(polys, config).status.value] += 1
+        digest.update(path.read_bytes())
+    print(f"{label}: {sum(statuses.values())} runs")
     for status, count in sorted(statuses.items()):
         print(f"  {status}: {count}")
-    print(f"sha256: {digest.hexdigest()}")
+    print(f"  sha256: {digest.hexdigest()}")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.jsonl"
+        sweep("random quadrics", random_runs(), path)
+        sweep("multi-round systems", multi_round_runs(), path)
     return 0
 
 
