@@ -1,8 +1,8 @@
 """Shared engine core: critical pairs, pair queue, field equations, update
 criteria and the degree monitor.
 
-Both basis engines (pair-at-a-time and matrix-batch) and the incremental frame
-are built on these pieces.
+All three engines are built on these pieces. Their rounds and entry points
+live in ``runner``, where ``RunState.store`` is the one caller of ``update``.
 """
 
 from __future__ import annotations

@@ -1,36 +1,31 @@
-"""Matrix-batch basis engine, and the one-matrix reduced basis.
+"""Matrix kernels: symbolic preprocessing, the split Macaulay matrix and its
+elimination, and the one-matrix reduced basis.
 
-Each round takes every critical pair of minimal degree, gathers all the
-monomial multiples needed to reduce the whole batch at once (symbolic
-preprocessing), reduces one matrix, and feeds the rows with new leading
-monomials back into the basis. Rows whose heads the run's reducer lookup
-(``RunState.divisors``) finds reducible are used as known pivots; only the
-others are brought to reduced row echelon form, in one walk over the
-columns (over GF(2) the block is held by columns, one int bitmask of rows
-each; see ``MacaulayMatrix``). The fresh rows then end the round through
-``RunState.absorb``. Batches, not single pairs, are what make mid-run
-solving pay off: a fresh batch is screened for forced variables before
-anything is inserted.
+``symbolic_preprocess`` gathers, for a batch of critical pairs, all the
+monomial multiples needed to reduce the whole batch at once, and
+``MacaulayMatrix`` reduces them in one matrix. Rows whose heads the run's
+reducer lookup (a ``poly.FirstDivisor``) finds reducible are used as known
+pivots; only the others are brought to reduced row echelon form, in one walk
+over the columns (over GF(2) the block is held by columns, one int bitmask of
+rows each; see ``MacaulayMatrix``). ``reduced_basis`` turns a completed basis
+into its reduced Groebner basis with the same closure and the same
+known-pivot elimination, in one matrix.
 
-``reduced_basis`` turns a completed basis into its reduced Groebner basis
-with the same closure and the same known-pivot elimination, in one matrix;
-``RunState.completion`` uses it on every engine. The engines' entry points
-live in ``runner``, which imports this module; nothing here imports it back.
+The matrix engine's round, ``runner.f4_round``, calls these kernels as
+``f4.symbolic_preprocess`` and ``f4.MacaulayMatrix``, and
+``RunState.completion`` calls ``reduced_basis`` on every engine. Nothing here
+knows the run state, and nothing here imports ``runner``.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .engine import RoundTrace, degree_monitor
+from .engine import degree_monitor
 from .errors import EmptyBatchError
-from .poly import FirstDivisor, Polynomial, PolyRing, field_term_mul
-
-if TYPE_CHECKING:
-    from .runner import RunState
+from .poly import FirstDivisor, Polynomial, PolyRing, field_term_mul, is_field_polynomial
 
 
 def _multiple(g: Polynomial, quot, field_active: bool, folds: dict) -> Polynomial:
@@ -93,7 +88,9 @@ def symbolic_preprocess(
     that may carry lookups, reducer rows and folds from earlier rounds;
     without one, a fresh one. Rows are exponent-folded on the spot (field
     polynomials excepted), through ``first.folds``, so the matrix never
-    grows columns past the per-variable degree cap.
+    grows columns past the per-variable degree cap. With field equations on,
+    a pair side whose member is a field polynomial x^q - x and whose
+    quotient is not 1 is skipped: its product folds to zero.
 
     Returns ``Rows``: a list whose ``monomials`` is the closure's set of
     every monomial of every row, which ``MacaulayMatrix`` takes as its
@@ -104,7 +101,7 @@ def symbolic_preprocess(
     if first is None:
         first = FirstDivisor(basis, ring)
     codec = ring.codec
-    folds = first.folds
+    one, folds = codec.one, first.folds
 
     rows = Rows()
     seen: set = set()  # pair-row heads and every monomial looked up
@@ -113,13 +110,15 @@ def symbolic_preprocess(
         for idx in (pr.left, pr.right):
             g = basis[idx]
             quot = codec.div(pr.lcm, g.lm())
+            if field_active and quot != one and is_field_polynomial(g) is not None:
+                continue  # m * (x^q - x) folds to 0 for every m != 1
             key = (idx, quot)
             if key in seen_products:
                 continue
             seen_products.add(key)
             row = _multiple(g, quot, field_active, folds)
             if row.is_zero:
-                continue  # a field-polynomial multiple; nothing to cancel
+                continue  # other products fold to 0 too, e.g. x * (xy + y) over GF(2)
             degree_monitor(row, ring, "created", field_active)
             rows.append(row)
             # a head that folding moved below the lcm is NOT covered by this
@@ -343,29 +342,3 @@ def _eliminate_general(ring, rows, columns, col, known, block) -> list:
         terms = tuple((columns[int(k)], int(row[k])) for k in nz)
         polys.append(Polynomial(ring, terms))
     return polys
-
-
-def f4_round(state: RunState) -> RoundTrace:
-    """One batch: select, preprocess, row reduce, then ``RunState.absorb``.
-
-    Every basis-divisible column got a reducer row, so it is a pivot column
-    and no reduced row has a basis-reducible monomial: the rows are already
-    in normal form against the basis.
-    """
-    pairs = state.queue.select(batch=True)
-    rows = symbolic_preprocess(
-        pairs, state.basis, state.ring, field_active=state.field_active, first=state.divisors
-    )
-    matrix = MacaulayMatrix(rows, state.ring, state.divisors)
-    nrows, ncols = matrix.shape
-    reduced, zero_rows = matrix.reduce()
-    return state.absorb(
-        reduced,
-        RoundTrace(
-            round=state.round_no,
-            pairs_selected=len(pairs),
-            matrix_rows=nrows,
-            matrix_cols=ncols,
-            zero_rows=zero_rows,
-        ),
-    )

@@ -2,11 +2,12 @@
 
 Start from the field equations alone, then feed inputs in one at a time into
 one persistent run state. Each round substitutes the solved values into the
-next input, reduces it against the current basis and inserts the remainder;
-the matrix engine's rounds then drain the pair queue, so the pairs of the
-basis completed so far are never rebuilt. ``runner.run_rounds`` runs the
-rounds while the run is consistent and inputs remain: a run that has solved
-every variable still reads the rest, which can prove it inconsistent.
+next input, reduces it against the current basis and stores the remainder
+(``RunState.ingest_inputs``); the matrix engine's rounds, ``runner.f4_round``,
+then drain the pair queue, so the pairs of the basis completed so far are
+never rebuilt. ``runner.run_rounds`` runs the rounds while the run is
+consistent and inputs remain: a run that has solved every variable still
+reads the rest, which can prove it inconsistent.
 
 This is the paper's incremental way of middle solving: only each completed
 intermediate basis is screened for forced variables (``RunState.completion``),
@@ -18,10 +19,9 @@ read.
 from __future__ import annotations
 
 from .engine import EngineConfig, EngineReport, RoundTrace, adjoin_field_equations
-from .f4 import f4_round
 from .poly import normal_form, substitute
 # perfbench/spans.py wraps f4_core and buchberger_core by name in this module
-from .runner import RunState, buchberger_core, f4_core, run_rounds  # noqa: F401
+from .runner import RunState, buchberger_core, f4_core, f4_round, run_rounds  # noqa: F401
 from .trace import TraceWriter
 
 

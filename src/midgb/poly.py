@@ -171,14 +171,6 @@ class Polynomial:
             return codec.degree(self.terms[0][0])
         return max(map(codec.degree, (m for m, _ in self.terms)))
 
-    def support(self) -> set:
-        """Indices of variables that occur."""
-        mask = 0
-        support = self.ring.codec.support
-        for m, _ in self.terms:
-            mask |= support(m)
-        return {i for i in range(self.ring.n) if mask >> i & 1}
-
     # ------------------------------------------------------------ arithmetic
 
     def __add__(self, other: "Polynomial") -> "Polynomial":

@@ -1,26 +1,30 @@
 """The run state shared by all three engines, the one run loop that drives
-them, and the entry points of the two batch engines.
+them, and the rounds and entry points of the two batch engines.
 
 A RunState owns the basis (a plain list in insertion order), the pair queue,
 the solved-variable map and the trace. Every engine runs in ``run_rounds``
 with its own round function and stop rule. A batch round reduces a batch and
 hands it to ``RunState.absorb``, which screens, inserts and counts it; the
-batch engines stop at a status or when ``RunState.pairs_left`` is false. An
-incremental round reads one input; that engine stops when the run is
-inconsistent or no input is left. Middle solving runs through one method,
-``RunState.screen``, in one of the paper's two modes: the batch engines
-screen every freshly reduced batch and, once the queue drains, the completed
-basis; the incremental engine screens only each completed intermediate
-basis. Everything here is deterministic: fixed iteration orders, no set
-iteration.
+batch engines stop at a status or when ``RunState.pairs_left`` is false. The
+two batch rounds differ only in how they reduce: ``f4_round`` takes every
+critical pair of minimal degree and reduces them in one matrix with the
+kernels of ``f4``; ``buchberger_round`` takes one pair and reduces its
+S-polynomial fully against the basis. An incremental round reads one input;
+that engine stops when the run is inconsistent or no input is left. Middle
+solving runs through one method, ``RunState.screen``, in one of the paper's
+two modes: the batch engines screen every freshly reduced batch and, once
+the queue drains, the completed basis; the incremental engine screens only
+each completed intermediate basis. Everything here is deterministic: fixed
+iteration orders, no set iteration.
 
-This module imports the round functions of ``f4`` and ``buchberger``, and
-``f4.reduced_basis`` for completed bases; neither imports it back.
+This module calls the matrix kernels as ``f4.symbolic_preprocess`` and
+``f4.MacaulayMatrix``, and ``reduced_basis`` from ``f4`` on completed bases;
+``f4`` does not import it back.
 """
 
 from __future__ import annotations
 
-from .buchberger import buchberger_round
+from . import f4
 from .engine import (
     EngineConfig,
     EngineReport,
@@ -33,13 +37,13 @@ from .engine import (
     update,
 )
 from .errors import ConflictingRootsError
-from .f4 import f4_round, reduced_basis
+from .f4 import reduced_basis
 from .midsolve import (
     find_unique_root_polys,
     inconsistency_check,
     renew,
 )
-from .poly import FirstDivisor, field_reduce, is_field_polynomial, normal_form
+from .poly import FirstDivisor, field_reduce, is_field_polynomial, normal_form, s_polynomial
 from .trace import TraceWriter
 
 
@@ -87,23 +91,29 @@ class RunState:
         return p.monic()
 
     def ingest_inputs(self, polys):
-        """Insert the raw inputs.
+        """Make the raw inputs canonical and store them.
 
         A constant input makes the whole ideal trivial. With solving enabled
         it marks the run inconsistent and the rest is skipped; without it
-        the unit is inserted like any member and the run completes to {1}.
+        the unit is stored like any member and the run completes to {1}.
         """
-        for f in polys:
-            if f.is_zero:
-                continue
-            f = self.canon(f)
-            if f.is_zero:
-                continue
-            if f.is_constant and self.screening:
+        for f in map(self.canon, polys):
+            if self.screening and f.is_constant and not f.is_zero:
                 self.mark_inconsistent()
                 return
-            degree_monitor(f, self.ring, "stored", self.field_active)
-            update(self.basis, self.queue, f)
+            self.store(f)
+
+    def store(self, h):
+        """Append a canonical h to the basis and pair it, unless it is zero.
+
+        The one step that adds a basis member, and the only caller of
+        ``engine.update``. Returns h, or None when it is zero.
+        """
+        if h.is_zero:
+            return None
+        degree_monitor(h, self.ring, "stored", self.field_active)
+        update(self.basis, self.queue, h)
+        return h
 
     def mark_inconsistent(self):
         if not self.inconsistent:
@@ -189,26 +199,20 @@ class RunState:
         return tr
 
     def insert_new(self, h, stale: bool):
-        """Insert a candidate if it does not reduce to zero.
+        """Store a candidate of a batch unless it reduces to zero.
 
-        h was fully reduced against the basis, and ``stale`` says whether a
-        screen has rewritten the basis since. Members inserted since then
-        came earlier in the same batch, which runs in descending
-        leading-monomial order; a larger leading monomial divides none of
-        h's monomials. So h is reduced again only when it is stale.
+        h arrives canonical and fully reduced against the basis, and
+        ``stale`` says whether a screen has rewritten the basis since.
+        Members inserted since then came earlier in the same batch, which
+        runs in descending leading-monomial order; a larger leading monomial
+        divides none of h's monomials. So only a stale h is reduced again,
+        and made canonical again.
 
         Returns the polynomial as stored, or None when it reduced away.
         """
         if stale:
-            h = normal_form(h, self.basis, self.divisors)
-            if h.is_zero:
-                return None
-        h = self.canon(h)
-        if h.is_zero:
-            return None
-        degree_monitor(h, self.ring, "stored", self.field_active)
-        update(self.basis, self.queue, h)
-        return h
+            h = self.canon(normal_form(h, self.basis, self.divisors))
+        return self.store(h)
 
     def record_round(self, tr: RoundTrace):
         tr.events = [e for e in self.events if e.round == tr.round]
@@ -316,9 +320,49 @@ def _batch_core(polys, config: EngineConfig, tracer: TraceWriter, round_fn) -> E
     return run_rounds(state, round_fn, lambda: state.outcome() is None and state.pairs_left())
 
 
+def f4_round(state: RunState) -> RoundTrace:
+    """One batch: select, preprocess, row reduce, then ``RunState.absorb``.
+
+    Every basis-divisible column got a reducer row, so it is a pivot column
+    and no reduced row has a basis-reducible monomial: the rows are already
+    in normal form against the basis, and monic and folded, so canonical.
+    """
+    pairs = state.queue.select(batch=True)
+    rows = f4.symbolic_preprocess(
+        pairs, state.basis, state.ring, field_active=state.field_active, first=state.divisors
+    )
+    matrix = f4.MacaulayMatrix(rows, state.ring, state.divisors)
+    nrows, ncols = matrix.shape
+    reduced, zero_rows = matrix.reduce()
+    return state.absorb(
+        reduced,
+        RoundTrace(
+            round=state.round_no,
+            pairs_selected=len(pairs),
+            matrix_rows=nrows,
+            matrix_cols=ncols,
+            zero_rows=zero_rows,
+        ),
+    )
+
+
 def f4_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:
     """The matrix engine: one F4 batch per round."""
     return _batch_core(polys, config, tracer, f4_round)
+
+
+def buchberger_round(state: RunState) -> RoundTrace:
+    """One pair: S-polynomial, full reduction, then ``RunState.absorb``."""
+    (pr,) = state.queue.select(batch=False)
+    s = state.canon(s_polynomial(state.basis[pr.left], state.basis[pr.right]))
+    batch = []
+    if not s.is_zero:
+        degree_monitor(s, state.ring, "created", state.field_active)
+        # folding and scaling an irreducible remainder keep it irreducible
+        h = state.canon(normal_form(s, state.basis, state.divisors))
+        if not h.is_zero:
+            batch = [h]
+    return state.absorb(batch, RoundTrace(round=state.round_no, pairs_selected=1))
 
 
 def buchberger_core(polys, config: EngineConfig, tracer: TraceWriter) -> EngineReport:

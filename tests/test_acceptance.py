@@ -230,6 +230,14 @@ def test_criterion_7_incremental_agreement():
     print(f"criterion 7 PASS: incremental matches f4 on {len(CORPUS)} systems")
 
 
+def support(p) -> set:
+    """Indices of the variables that occur in p."""
+    mask = 0
+    for m, _ in p.terms:
+        mask |= p.ring.codec.support(m)
+    return {i for i in range(p.ring.n) if mask >> i & 1}
+
+
 def triangular_shape_check(polys, ring: PolyRing) -> bool:
     """Check the staircase variable structure of a completed lex basis.
 
@@ -241,7 +249,7 @@ def triangular_shape_check(polys, ring: PolyRing) -> bool:
     """
     if ring.order != "lex":
         raise InvalidSettingError("triangular shape is defined for lex bases")
-    supports = [s for s in (p.support() for p in polys) if s]
+    supports = [s for s in map(support, polys) if s]
     if not supports:
         return True
     covered: set = set()

@@ -8,9 +8,11 @@ whose runs go through several F4 rounds under one reducer lookup: small
 cyclic, katsura and eco systems over q in {2, 3, 5} with field equations on
 and off, and planted 6-8-variable GF(2) quadrics with them on, under both
 orders, all three engines, and middle solving on and off. For each group it
-prints the run count, the count per status, and the digest. A change that
-must keep traces byte-identical gives the same digests as its parent. The
-solver is imported from this checkout's ``src``:
+prints the run count, the count per status, the digest, and whether the
+digest matches the one recorded in ``RECORDED``; it exits 1 if either
+differs. A change that must keep traces byte-identical leaves both digests
+as recorded; a change that alters traces on purpose records the new ones.
+The solver is imported from this checkout's ``src``:
 
     python tools/trace_sweep.py
 """
@@ -39,6 +41,12 @@ FAMILY_SPECS = [
     for family, n in (("cyclic", 4), ("cyclic", 5), ("katsura", 3), ("katsura", 4), ("eco", 4))
 ]
 QUADRIC_SIZES = (6, 6, 7, 7, 8, 8)
+
+# group label -> the SHA-256 this checkout's traces must give
+RECORDED = {
+    "random quadrics": "816c7d148106e3333c2a1af0b31431958d76761c44e6f81ef38934d69c605997",
+    "multi-round systems": "46e66d00aa4c32c5ceaf69a823b1e66e53d0b0788fa3f4647b5d2580cb2bc3d9",
+}
 
 
 def systems():
@@ -94,9 +102,10 @@ def multi_round_runs():
                 )
 
 
-def sweep(label: str, runs, path: Path) -> None:
+def sweep(label: str, runs, path: Path) -> bool:
     """Run every (ring, polys, options) of ``runs`` with a trace at ``path``,
-    and print the group's run count, statuses and digest."""
+    print the group's run count, statuses and digest, and return whether the
+    digest is the one recorded for ``label``."""
     digest = hashlib.sha256()
     statuses: Counter = Counter()
     for ring, polys, options in runs:
@@ -106,15 +115,21 @@ def sweep(label: str, runs, path: Path) -> None:
     print(f"{label}: {sum(statuses.values())} runs")
     for status, count in sorted(statuses.items()):
         print(f"  {status}: {count}")
-    print(f"  sha256: {digest.hexdigest()}")
+    got = digest.hexdigest()
+    print(f"  sha256: {got}")
+    same = got == RECORDED[label]
+    print("  matches the recorded digest" if same else f"  DIFFERS from {RECORDED[label]}")
+    return same
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.jsonl"
-        sweep("random quadrics", random_runs(), path)
-        sweep("multi-round systems", multi_round_runs(), path)
-    return 0
+        same = [
+            sweep("random quadrics", random_runs(), path),
+            sweep("multi-round systems", multi_round_runs(), path),
+        ]
+    return 0 if all(same) else 1
 
 
 if __name__ == "__main__":
