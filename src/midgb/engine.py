@@ -94,7 +94,7 @@ def update(basis: list, queue: PairQueue, h: Polynomial) -> int:
     the basis stays valid through this append.
 
     Pair bookkeeping is Gebauer-Moller style. With l_g = lcm(LM(g), LM(h))
-    computed once for each earlier member g:
+    computed for every earlier member g in one pass (``MonomialCodec.lcms``):
       * only minimal lcms pair: l_g is dropped when another l_f properly
         divides it. In every admissible order a proper divisor comes before
         its multiple, so the least lcm not yet dropped is minimal; the sweep
@@ -109,9 +109,9 @@ def update(basis: list, queue: PairQueue, h: Polynomial) -> int:
     if h.is_zero:
         raise ZeroInputError("cannot insert the zero polynomial")
     codec = h.ring.codec
-    lcm, guard = codec.lcm, codec.guard
+    guard = codec.guard
     lm_h = h.lm()
-    lcms = [lcm(g.lm(), lm_h) for g in basis]
+    lcms = codec.lcms([g.lm() for g in basis], lm_h)
     h_idx = len(basis)
     basis.append(h)
 
@@ -151,10 +151,10 @@ def degree_monitor(p: Polynomial, ring: PolyRing, stage: str, active: bool = Tru
     if not active or p.is_zero:
         return
     n, q = ring.n, ring.q
-    created_cap = n * (q - 1) + 1
     if stage == "created":
-        if p.degree() > created_cap:
-            raise BoundViolationError("created", p, created_cap)
+        cap = created_cap(ring)
+        if p.degree() > cap:
+            raise BoundViolationError("created", p, cap)
     elif stage == "stored":
         if ring.codec.exceeds(p.lm(), q):
             raise BoundViolationError("stored", p, q)
@@ -162,6 +162,11 @@ def degree_monitor(p: Polynomial, ring: PolyRing, stage: str, active: bool = Tru
             raise BoundViolationError("stored", p, n * (q - 1))
     else:
         raise ValueError(f"unknown monitor stage {stage!r}")
+
+
+def created_cap(ring: PolyRing) -> int:
+    """The created-stage degree bound of ``degree_monitor``: n(q-1) + 1."""
+    return ring.n * (ring.q - 1) + 1
 
 
 # ---------------------------------------------------------------- run types

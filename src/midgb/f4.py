@@ -23,14 +23,22 @@ from operator import itemgetter
 
 import numpy as np
 
-from .engine import degree_monitor
+from .engine import created_cap, degree_monitor
 from .errors import EmptyBatchError
-from .poly import FirstDivisor, Polynomial, PolyRing, field_term_mul, is_field_polynomial
+from .poly import FirstDivisor, Polynomial, PolyRing, field_term_mul
 
 
 def _multiple(g: Polynomial, quot, field_active: bool, folds: dict) -> Polynomial:
     """(quot / LC(g)) * g, exponent-folded through ``folds`` when field
-    equations are on, unless the product is a field polynomial."""
+    equations are on, unless the product is a field polynomial.
+
+    A quotient of 1 gives g itself, which is exact only for a canonical g:
+    monic, and folded unless it is a field polynomial. The kernels here take
+    multiples of basis members only, and a run stores every member canonical
+    (``runner.RunState.store``).
+    """
+    if quot == g.ring.codec.one:
+        return g
     inv = g.ring.field.inv(g.lc())
     if field_active:
         return field_term_mul(g, quot, inv, folds)
@@ -46,7 +54,8 @@ def _close(rows: list, seen: set, first, field_active: bool) -> None:
     as they grow, reducer rows included, and adds each monomial it looks up
     to ``seen``. A reducer row is made once per ``first`` (``_multiple``,
     folded through ``first.folds``) and then taken from
-    ``first.rows[field_active]``.
+    ``first.rows[field_active]``. The caller checks the degree bound of the
+    rows made (``_check_created``).
     """
     members = first.members
     made = first.rows[field_active]
@@ -63,8 +72,27 @@ def _close(rows: list, seen: set, first, field_active: bool) -> None:
                 reducer = made[m] = _multiple(
                     g, m - first.reducers[i][0], field_active, first.folds  # m / LM(g)
                 )
-                degree_monitor(reducer, g.ring, "created", field_active)
             rows.append(reducer)
+
+
+def _check_created(rows, start: int, monomials, ring: PolyRing, field_active: bool) -> None:
+    """``degree_monitor(row, ring, "created")`` for every row of ``rows[start:]``,
+    checked once for the whole matrix on its highest degree.
+
+    ``monomials`` holds every monomial of the rows. Only when one of them is
+    past the bound are the rows walked, in the order they were made, so the
+    first row past it raises the same error as a check when it was made.
+    """
+    if not field_active or not monomials:
+        return
+    codec = ring.codec
+    if codec.graded:  # the largest column has the highest degree
+        top = codec.degree(max(monomials))
+    else:
+        top = max(map(codec.degree, monomials))
+    if top > created_cap(ring):
+        for row in rows[start:]:
+            degree_monitor(row, ring, "created")
 
 
 class Rows(list):
@@ -77,7 +105,8 @@ class Rows(list):
 def symbolic_preprocess(
     pairs, basis, ring: PolyRing, *, field_active: bool = True, first=None
 ) -> list:
-    """Collect every row the batch's one matrix needs.
+    """Collect every row the batch's one matrix needs; ``basis`` holds
+    canonical members, as a run's basis does (see ``_multiple``).
 
     Seeds the row list with the two monomial multiples that cancel each
     pair's leading terms, then closes downward (``_close``): every monomial
@@ -89,8 +118,10 @@ def symbolic_preprocess(
     without one, a fresh one. Rows are exponent-folded on the spot (field
     polynomials excepted), through ``first.folds``, so the matrix never
     grows columns past the per-variable degree cap. With field equations on,
-    a pair side whose member is a field polynomial x^q - x and whose
-    quotient is not 1 is skipped: its product folds to zero.
+    a pair side whose member is a field polynomial x^q - x (one of
+    ``first.field_members()``) and whose quotient is not 1 is skipped: its
+    product folds to zero. The created-row degree bound is checked once, on
+    the finished matrix (``_check_created``).
 
     Returns ``Rows``: a list whose ``monomials`` is the closure's set of
     every monomial of every row, which ``MacaulayMatrix`` takes as its
@@ -101,7 +132,7 @@ def symbolic_preprocess(
     if first is None:
         first = FirstDivisor(basis, ring)
     codec = ring.codec
-    one, folds = codec.one, first.folds
+    one, folds, fields = codec.one, first.folds, first.field_members()
 
     rows = Rows()
     seen: set = set()  # pair-row heads and every monomial looked up
@@ -110,7 +141,7 @@ def symbolic_preprocess(
         for idx in (pr.left, pr.right):
             g = basis[idx]
             quot = codec.div(pr.lcm, g.lm())
-            if field_active and quot != one and is_field_polynomial(g) is not None:
+            if field_active and quot != one and idx in fields:
                 continue  # m * (x^q - x) folds to 0 for every m != 1
             key = (idx, quot)
             if key in seen_products:
@@ -119,7 +150,6 @@ def symbolic_preprocess(
             row = _multiple(g, quot, field_active, folds)
             if row.is_zero:
                 continue  # other products fold to 0 too, e.g. x * (xy + y) over GF(2)
-            degree_monitor(row, ring, "created", field_active)
             rows.append(row)
             # a head that folding moved below the lcm is NOT covered by this
             # row's parent, so it is left for the closure to give a reducer
@@ -127,20 +157,30 @@ def symbolic_preprocess(
                 seen.add(row.lm())
 
     _close(rows, seen, first, field_active)
+    _check_created(rows, 0, seen, ring, field_active)
     rows.monomials = seen
     return rows
 
 
-def reduced_basis(basis, ring: PolyRing, field_active: bool = True) -> list:
-    """The reduced Groebner basis of ``basis``, which must be a Groebner basis.
+def reduced_basis(basis, ring: PolyRing, field_active: bool = True, first=None) -> list:
+    """The reduced Groebner basis of ``basis``, which must be a Groebner basis
+    of canonical members (see ``_multiple``).
 
     Equal to ``interreduce(basis)``: a Groebner basis has exactly one reduced
     basis, monic and sorted ascending by leading monomial. It is built as F4
     builds one, in a single matrix. The first member of each minimal leading
     monomial is kept; ``_close`` gives every other monomial of the kept rows,
-    and of the rows it adds, a reducer row from the first kept divisor
-    (folded when field equations are on); the reducer rows are the known
-    pivots and the kept rows the block, whose RREF is the answer.
+    and of the rows it adds, a reducer row (folded when field equations are
+    on); the reducer rows are the known pivots and the kept rows the block,
+    whose RREF is the answer.
+
+    The reducer rows come from ``first``, a ``FirstDivisor`` over ``basis``
+    such as the run's lookup with the rows and folds it already holds, or
+    without one from the first kept divisor. Any choice gives the same
+    answer: every reducer row is a multiple of a member with head m, so
+    each RREF row is a kept member minus members of the ideal, with the
+    kept head and no other monomial that a basis head divides. Over a
+    Groebner basis that is the unique reduced basis member of that head.
 
     A folded reducer row keeps its head m, so it is a pivot at m. With field
     equations on, no member has an exponent past q - 1 except in the head
@@ -149,14 +189,15 @@ def reduced_basis(basis, ring: PolyRing, field_active: bool = True) -> list:
     all exponents at most q - 1, and a fold moves only monomials that have
     one past q - 1, each to a proper divisor, which is smaller than m.
     """
-    first = FirstDivisor([], ring)
-    kept = first.members
+    heads = FirstDivisor([], ring)
+    kept = heads.members
     for g in sorted(basis, key=Polynomial.lm):  # stable: the first of equal heads
-        if first.index(g.lm()) is None:
+        if heads.index(g.lm()) is None:
             kept.append(g)
     rows = list(kept)
     seen = {g.lm() for g in kept}
-    _close(rows, seen, first, field_active)
+    _close(rows, seen, heads if first is None else first, field_active)
+    _check_created(rows, len(kept), seen, ring, field_active)
     columns, col = _columns(rows, seen)
     known = {col[rows[i].lm()]: i for i in range(len(kept), len(rows))}
     return _eliminate(ring, rows, columns, col, known, range(len(kept)))[::-1]

@@ -187,6 +187,35 @@ class MonomialCodec:
             )
         return x + (d << self._dshift)
 
+    def lcms(self, ms, b: int) -> list:
+        """``[self.lcm(a, b) for a in ms]`` in one pass, raising where
+        ``lcm`` raises.
+
+        With t all ones in the slots where a's slot is at least b's, the
+        larger exponent's slot is ``b ^ ((a ^ b) & t)`` under lex, and
+        ``a ^ ((a ^ b) & t)`` under grevlex (slots C - e). The sum of the
+        exponents then takes one multiply, as in ``lcm``.
+        """
+        em, g, h = self._emask, self._eguard, self.width - 1
+        one, sign, eones, ss, slot = self.one, self._sign, self._eones, self._sumshift, self._slot
+        ds = self._dshift
+        sb = b & em
+        keep_a = 0 if sign > 0 else -1  # where t is clear: lex takes b's slot, grevlex a's
+        keep_b = sb & ~keep_a
+        xs, top = [], 0
+        for a in ms:
+            sa = a & em
+            ge = ((sa | g) - sb) & g  # guard bit where a's slot >= b's
+            x = ((sa & keep_a) | keep_b) ^ ((sa ^ sb) & (ge - (ge >> h)))
+            d = ((sign * (x - one) * eones) >> ss) & slot
+            if d > top:
+                top = d
+            xs.append(x + (d << ds))
+        if top > self.limit:
+            for a in ms:
+                self.lcm(a, b)  # raises MonomialOverflowError
+        return xs
+
     def support(self, m: int) -> int:
         """Bitmask of the variables occurring in m: bit i is x_i."""
         return sum(1 << i for i, p in enumerate(self._pos)

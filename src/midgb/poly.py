@@ -352,28 +352,46 @@ class FirstDivisor:
     first divisor or None). The member list may grow by appends between
     lookups, and then a monomial with no divisor yet is tested only against
     the members appended since; any other change to the list needs a new
-    FirstDivisor. Members must be nonzero.
+    FirstDivisor. Members must be nonzero. ``field_members()`` gives the
+    indices of the members that are field polynomials x^q - x, each member
+    tested once.
 
-    Two more tables live exactly as long, for the F4 closure
-    (``f4._close``). ``rows[field_active]`` maps a monomial m to its reducer
+    Two more tables serve the F4 closure (``f4._close``). ``rows[field_active]``
+    lives exactly as long as the lookup: it maps a monomial m to its reducer
     row, (m / LM(g)) * g / LC(g) for its first divisor g, folded when field
     equations are on; once m has a divisor it keeps it while the list only
     grows, so the row stays exact, and a monomial with no divisor has no
     entry. ``folds`` maps a product monomial to its exponent fold (see
-    ``field_term_mul``); it holds only valid monomials, so a product past
-    the limit still misses and raises.
+    ``field_term_mul``). A fold depends on the ring alone, so a caller may
+    pass one table to every lookup of a run (``runner.RunState`` does);
+    without one, the lookup starts its own. It holds only valid monomials,
+    so a product past the limit still misses and raises.
     """
 
-    __slots__ = ("members", "reducers", "rows", "folds", "_shifts", "_memo", "_guard")
+    __slots__ = (
+        "members", "reducers", "rows", "folds", "_fields", "_tested", "_shifts", "_memo",
+        "_guard",
+    )
 
-    def __init__(self, members: list, ring: PolyRing):
+    def __init__(self, members: list, ring: PolyRing, folds=None):
         self.members = members
         self.reducers: list = []  # _reducer(g) of the members seen so far
         self.rows: dict = {True: {}, False: {}}  # field_active -> {m: reducer row}
-        self.folds: dict = {}
+        self.folds: dict = {} if folds is None else folds
+        self._fields: set = set()  # the field polynomials among members[:_tested]
+        self._tested = 0
         self._shifts: list = []
         self._memo: dict = {}
         self._guard = ring.codec.guard
+
+    def field_members(self) -> set:
+        """The indices of the members that are field polynomials."""
+        members = self.members
+        for i in range(self._tested, len(members)):
+            if is_field_polynomial(members[i]) is not None:
+                self._fields.add(i)
+        self._tested = len(members)
+        return self._fields
 
     def index(self, m):
         """The index of the first member whose leading monomial divides m, or None."""
@@ -568,10 +586,19 @@ def _fold_products(p: Polynomial, mono, coeff: int, folds: dict) -> tuple:
 
     One pass over p's terms: the product monomial t + shift(mono), its fold
     from the ``folds`` memo (a miss first checks the product's guard bits,
-    so every memo key is a valid monomial), and the merge of the
-    coefficient. The terms are sorted once at the end, only if a fold moved
-    one; otherwise they are the product's, still distinct and in order.
+    so every memo key is a valid monomial), and the merge of the term. The
+    terms are sorted once at the end, only if a fold moved one; otherwise
+    they are the product's, still distinct and in order. Over GF(2) every
+    coefficient is 1 and two equal terms cancel, so ``_fold_gf2`` merges by
+    membership alone; ``_fold_general`` does the coefficient arithmetic of
+    every field, GF(2) included.
     """
+    if p.ring.q == 2:
+        return _fold_gf2(p, mono, folds)
+    return _fold_general(p, mono, coeff, folds)
+
+
+def _fold_general(p: Polynomial, mono, coeff: int, folds: dict) -> tuple:
     ring = p.ring
     q, codec = ring.q, ring.codec
     s, guard, fold = codec.shift(mono), codec.guard, codec.fold
@@ -594,6 +621,31 @@ def _fold_products(p: Polynomial, mono, coeff: int, folds: dict) -> tuple:
     if moved:
         return tuple(sorted(acc.items(), reverse=True)), True
     return tuple(acc.items()), False
+
+
+def _fold_gf2(p: Polynomial, mono, folds: dict) -> tuple:
+    codec = p.ring.codec
+    s = codec.shift(mono)
+    get = folds.get
+    odd: set = set()  # the folded monomials met an odd number of times
+    add, remove = odd.add, odd.remove
+    moved = False
+    for t, _ in p.terms:
+        m = t + s
+        f = get(m)
+        if f is None:
+            if m & codec.guard:
+                codec.mul(t, mono)  # raises MonomialOverflowError
+            f = folds[m] = codec.fold(m)
+        if f != m:
+            moved = True
+        if f in odd:
+            remove(f)
+        else:
+            add(f)
+    if moved:
+        return tuple([(f, 1) for f in sorted(odd, reverse=True)]), True
+    return tuple([(t + s, 1) for t, _ in p.terms]), False
 
 
 def substitute(p: Polynomial, values: dict) -> Polynomial:

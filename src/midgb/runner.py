@@ -48,6 +48,14 @@ from .trace import TraceWriter
 
 
 class RunState:
+    """One run: its basis, pair queue, solved values and trace.
+
+    ``divisors`` is the reducer lookup over the current basis, with the
+    reducer rows it has made; it is replaced with the basis. ``folds``, the
+    exponent-fold table, depends on the ring alone, so every lookup of the
+    run shares it, and with it every product the kernels form.
+    """
+
     def __init__(self, config: EngineConfig, tracer: TraceWriter):
         self.ring = config.ring
         self.config = config
@@ -56,6 +64,7 @@ class RunState:
         # the incremental engine turns this off: it screens completed bases only
         self.batch_screening = config.middle_solving
         self.tracer = tracer
+        self.folds: dict = {}
         self.basis = []
         self.queue = PairQueue()
         self.assignments: dict = {}
@@ -73,10 +82,11 @@ class RunState:
         """Replace the basis, and with it the reducer lookups over it.
 
         ``engine.update`` only appends, which ``divisors`` follows; any other
-        change to the basis must assign a new list here.
+        change to the basis must assign a new list here. The new lookup
+        keeps the run's fold table.
         """
         self._basis = members
-        self.divisors = FirstDivisor(members, self.ring)
+        self.divisors = FirstDivisor(members, self.ring, self.folds)
 
     # ------------------------------------------------------------ helpers
 
@@ -246,13 +256,15 @@ class RunState:
         With the queue empty the basis is a Groebner basis, after a renew
         too (the pair criteria then pruned every pair of the rebuilt basis),
         so ``f4.reduced_basis`` replaces it by its reduced basis in one
-        matrix; that is the unique list ``interreduce`` would return.
+        matrix; that is the unique list ``interreduce`` would return. Its
+        reducer rows come from the run's lookup, so rows that the rounds
+        since the last change of basis made are not formed again.
         Repeats while screening finds something. True once the run is done:
         nothing more is found, or it is inconsistent. False when a renew
         left pairs to process.
         """
         while True:
-            self.basis = reduced_basis(self.basis, self.ring, self.field_active)
+            self.basis = reduced_basis(self.basis, self.ring, self.field_active, self.divisors)
             if not self.screening:
                 return True
             if inconsistency_check(self.basis):

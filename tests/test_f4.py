@@ -21,7 +21,7 @@ from midgb import (
 from midgb import f4, runner
 from midgb.bench import random_system
 from midgb.engine import CriticalPair, degree_monitor
-from midgb.errors import EmptyBatchError, MonomialOverflowError
+from midgb.errors import BoundViolationError, EmptyBatchError, MonomialOverflowError
 from midgb.f4 import MacaulayMatrix, reduced_basis, symbolic_preprocess
 from midgb.poly import FirstDivisor, Polynomial, field_term_mul
 from test_golden_traces import corpus_runs
@@ -262,6 +262,88 @@ def test_a_product_past_the_limit_raises_after_earlier_rounds_filled_the_folds()
     assert len(first.rows[True]) >= 10 and len(first.folds) >= 20
     with pytest.raises(MonomialOverflowError):
         f4._close([ring.poly({(1, 11): 1})], set(), first, True)
+
+
+# ------------------------------------------------------- the created-row bound
+
+
+def bound_errors(monkeypatch, kernel):
+    """(raised, per_row): the ``BoundViolationError`` that ``kernel()`` raises,
+    and the one that checking each row when it is made would raise, that is
+    the first ``_multiple`` result past the created bound, found with the
+    once-per-matrix check turned off."""
+    made = []
+    multiple = f4._multiple
+
+    def spied(*args):
+        made.append(multiple(*args))
+        return made[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(f4, "_multiple", spied)
+        mp.setattr(f4, "_check_created", lambda *args: None)
+        kernel()
+    per_row = None
+    for row in made:
+        try:
+            degree_monitor(row, row.ring, "created")
+        except BoundViolationError as exc:
+            per_row = exc
+            break
+    with pytest.raises(BoundViolationError) as raised:
+        kernel()
+    return raised.value, per_row
+
+
+def over_degree(ring, *exponents):
+    """A monic member that no canonical form allows, made with the trusted
+    constructor: its terms in the order given, unfolded."""
+    return Polynomial(ring, tuple((ring.codec.pack(e), 1) for e in exponents))
+
+
+def test_the_created_bound_fires_on_pair_rows(monkeypatch):
+    ring = PolyRing(2, ["x", "y", "z"], "grevlex")  # created bound 4
+    h = ring.poly({(1, 1, 0): 1, (0, 0, 0): 1})  # x*y + 1
+    k = ring.poly({(0, 1, 1): 1, (1, 0, 0): 1})  # y*z + x
+    g = over_degree(ring, (2, 2, 1), (1, 0, 0))  # x^2*y^2*z + x, a pair row as it is
+    g2 = over_degree(ring, (2, 1, 2), (0, 1, 0))  # x^2*y*z^2 + y, made after g
+    basis = [h, k, g, g2]
+    pairs = [make_pair(h, k, 0, 1), make_pair(h, g, 0, 2), make_pair(h, g2, 0, 3)]
+    raised, per_row = bound_errors(
+        monkeypatch, lambda: symbolic_preprocess(pairs, basis, ring)
+    )
+    assert per_row.poly is g
+    assert (raised.stage, raised.poly, raised.limit) == ("created", g, 4)
+    assert str(raised) == str(per_row)
+
+
+def test_the_created_bound_fires_on_closure_rows(monkeypatch):
+    ring = PolyRing(3, ["x", "y"], "lex")  # created bound 5
+    a = ring.poly({(1, 1): 1, (1, 0): 1})  # x*y + x
+    b = ring.poly({(0, 2): 1, (0, 0): 1})  # y^2 + 1
+    g = over_degree(ring, (1, 0), (0, 7))  # x + y^7, the reducer row of x
+    basis = [a, b, g]
+    raised, per_row = bound_errors(
+        monkeypatch, lambda: symbolic_preprocess([make_pair(a, b)], basis, ring)
+    )
+    assert per_row.poly is g
+    assert (raised.stage, raised.poly, raised.limit) == ("created", g, 5)
+    assert str(raised) == str(per_row)
+
+
+def test_the_created_bound_fires_on_completion_rows(monkeypatch):
+    ring = PolyRing(2, ["x", "y", "z"], "lex")  # created bound 4
+    g = over_degree(ring, (1, 0, 1), (0, 7, 0))  # x*z + y^7
+    kept = ring.poly({(1, 1, 0): 1, (1, 0, 1): 1})  # x*y + x*z
+    z = ring.variable(2)
+    basis = [g, kept, z]  # z divides g's head, so g is not kept
+    # the run's lookup takes g, the first divisor of x*z, as its reducer row
+    raised, per_row = bound_errors(
+        monkeypatch, lambda: reduced_basis(basis, ring, True, FirstDivisor(basis, ring))
+    )
+    assert per_row.poly is g
+    assert (raised.stage, raised.poly, raised.limit) == ("created", g, 4)
+    assert str(raised) == str(per_row)
 
 
 def test_matrix_columns_sorted_descending(lex2):
@@ -587,11 +669,14 @@ def test_f4_is_exact_for_primes_past_int64(seed):
 def kernel_checked(monkeypatch):
     """Check every ``RunState.completion`` reduction against ``interreduce``.
 
-    Each call's result must equal ``interreduce`` of the same list, and each
-    reducer row the kernel makes must keep its head m = quot * LM(g), also
-    when folding changed it. Yields a Counter of what the calls covered.
+    Each call's result must equal ``interreduce`` of the same list, and
+    ``reduced_basis`` over a fresh lookup, and each reducer row the kernel
+    makes must keep its head m = quot * LM(g), also when folding changed it.
+    Yields a Counter of what the calls covered: among it the reducer rows
+    served from the run's table ("served") and the quotient-1 rows that are
+    the member itself ("member_rows").
     """
-    kernel, multiple = f4.reduced_basis, f4._multiple
+    kernel, multiple, close = f4.reduced_basis, f4._multiple, f4._close
     seen = Counter()
     depth = []
 
@@ -601,15 +686,25 @@ def kernel_checked(monkeypatch):
             assert row.terms and row.lm() == g.ring.codec.mul(g.lm(), quot)
             seen["reducers"] += 1
             seen["folded"] += row != g.term_mul(quot, g.ring.field.inv(g.lc()))
+            seen["member_rows"] += row is g
         return row
 
-    def checked(basis, ring, field_active=True):
+    def spied_close(rows, looked, first, field_active):
+        if not depth:
+            return close(rows, looked, first, field_active)
+        table = {id(r) for r in first.rows[field_active].values()}
+        start = len(rows)
+        close(rows, looked, first, field_active)
+        seen["served"] += sum(id(r) in table for r in rows[start:])
+
+    def checked(basis, ring, field_active=True, first=None):
         depth.append(ring)
         try:
-            got = kernel(basis, ring, field_active)
+            got = kernel(basis, ring, field_active, first)
         finally:
             depth.pop()
         assert got == interreduce(basis)
+        assert got == kernel(basis, ring, field_active)
         lms = [g.lm() for g in basis]
         seen["calls"] += 1
         seen["empty"] += not basis
@@ -619,6 +714,7 @@ def kernel_checked(monkeypatch):
         return got
 
     monkeypatch.setattr(f4, "_multiple", reducer)
+    monkeypatch.setattr(f4, "_close", spied_close)
     monkeypatch.setattr(runner, "reduced_basis", checked)
     return seen
 
@@ -644,6 +740,7 @@ def test_completion_kernel_equals_interreduce_over_the_trace_corpus(kernel_check
     seen = kernel_checked
     assert seen["calls"] > 360 and seen["folded"] and seen["dense_unfolded"], seen
     assert seen["empty"], seen  # a settled screen leaves the empty basis
+    assert seen["served"] > 0 and seen["member_rows"] > 0, seen
 
 
 def test_completion_kernel_edge_cases(kernel_checked):

@@ -220,6 +220,52 @@ def test_packed_ops_match_tuple_arithmetic(case):
     assert k.drop(pa, mask) == k.pack([0 if i in chosen else e for i, e in enumerate(a)])
 
 
+@st.composite
+def lcm_batches(draw):
+    """A codec, a list of monomials and one more. Each monomial has small
+    exponents and may have one large one, up to the limit, so that some
+    lcms are past it."""
+    n = draw(st.integers(1, 12))
+    q = draw(st.sampled_from([2, 3, 5, 8589934609]))
+    k = MonomialCodec(n, q, draw(st.sampled_from(ORDERS)))
+    small = st.tuples(*[st.integers(0, 3)] * n)
+    large = st.tuples(st.integers(0, n - 1), st.sampled_from([0, 2 * q + 1, k.limit - 3 * n]))
+
+    def mono():
+        e = list(draw(small))
+        i, extra = draw(large)
+        e[i] += extra
+        return k.pack(e)
+
+    return k, [mono() for _ in range(draw(st.integers(0, 8)))], mono()
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=lcm_batches())
+def test_batched_lcms_equal_lcm_one_by_one(batch):
+    k, ms, b = batch
+    try:
+        want = [k.lcm(a, b) for a in ms]
+    except MonomialOverflowError:
+        with pytest.raises(MonomialOverflowError):
+            k.lcms(ms, b)
+    else:
+        assert k.lcms(ms, b) == want
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_batched_lcms_raise_on_the_lcm_past_the_limit(order):
+    k = codec(order, n=2)
+    top = k.var(0, k.limit)
+    ms = [k.var(0), k.var(1), top, k.one]
+    assert k.lcms(ms, k.var(0, 2)) == [k.lcm(a, k.var(0, 2)) for a in ms]
+    with pytest.raises(MonomialOverflowError):
+        k.lcm(top, k.var(1))
+    with pytest.raises(MonomialOverflowError):
+        k.lcms(ms, k.var(1))
+    assert k.lcms([], k.var(1)) == []
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=packed_cases())
 def test_out_of_range_exponent_raises_typed_error(case):

@@ -20,6 +20,7 @@ from midgb import (
     normal_form,
     s_polynomial,
 )
+from midgb import poly
 from midgb.api import ENGINES
 from midgb.bench import solutions_from_lex_basis
 from midgb.errors import InvalidSettingError, MidgbError, MixedRingsError, ZeroInputError
@@ -592,3 +593,66 @@ def test_one_pass_field_term_mul_is_field_reduce_of_the_product(q, order, polys,
     with pytest.raises(MonomialOverflowError):
         field_term_mul(big, lex.codec.var(1), 1, lex_folds)
     assert list(lex_folds) == [lex.codec.pack((1, 1))]
+
+
+def on_both_gf2_paths(monkeypatch, call):
+    """``call(0)`` as it runs, and ``call(1)`` with the GF(2) products
+    (``poly._fold_gf2``) made by the coefficient path. Each result is the
+    value returned or the type of the exception raised."""
+
+    def run(path):
+        try:
+            return call(path)
+        except MonomialOverflowError as exc:
+            return type(exc)
+
+    got = run(0)
+    with monkeypatch.context() as mp:
+        mp.setattr(poly, "_fold_gf2", lambda p, mono, folds: poly._fold_general(p, mono, 1, folds))
+        want = run(1)
+    return got, want
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_gf2_products_equal_the_coefficient_path(order, monkeypatch):
+    """Over GF(2) ``field_term_mul`` and ``field_reduce`` merge folded terms
+    by membership. Seeded products give the same terms and fill the same
+    fold table as the coefficient path, where terms cancel, where a 2-term
+    product is a field polynomial, and past the degree limit."""
+    ring = PolyRing(2, ["x", "y", "z"], order)
+    codec = ring.codec
+    rng = random.Random(order)
+    tables: tuple = ({}, {})  # one fold table per path
+    cancelled = 0
+    for _ in range(300):
+        p = ring.poly(
+            {tuple(rng.randrange(4) for _ in range(3)): 1 for _ in range(rng.randrange(1, 7))}
+        )
+        m = codec.pack(tuple(rng.randrange(3) for _ in range(3)))
+        got, want = on_both_gf2_paths(monkeypatch, lambda k: field_term_mul(p, m, 1, tables[k]))
+        assert got.terms == want.terms
+        cancelled += len(got.terms) < len(p.terms)
+        got, want = on_both_gf2_paths(monkeypatch, lambda k: field_reduce(p))
+        assert got.terms == want.terms == fold_exponents(p).terms
+    assert cancelled > 30
+    assert tables[0] == tables[1]
+
+    # (x + 1) * x = x^2 + x is kept as the field polynomial
+    x1 = ring.variable(0) + ring.one
+    got, want = on_both_gf2_paths(monkeypatch, lambda k: field_term_mul(x1, codec.var(0), 1))
+    assert got == want == field_polynomial(ring, 0)
+    # (x^2 + x) * y folds to 0 on both paths
+    fp = field_polynomial(ring, 0)
+    got, want = on_both_gf2_paths(monkeypatch, lambda k: field_term_mul(fp, codec.var(1), 1))
+    assert got == want == ring.zero
+
+    # past the limit both raise, after memoizing the same valid product
+    big = Polynomial(ring, ((codec.var(0), 1), (codec.var(1, codec.limit), 1)))
+    if codec.graded:
+        big = Polynomial(ring, big.terms[::-1])
+    tables = ({}, {})
+    got, want = on_both_gf2_paths(
+        monkeypatch, lambda k: field_term_mul(big, codec.var(1), 1, tables[k])
+    )
+    assert got is want is MonomialOverflowError
+    assert tables[0] == tables[1]
