@@ -87,6 +87,8 @@ def adjoin_field_equations(polys, ring: PolyRing) -> list:
 def update(basis: list, queue: PairQueue, h: Polynomial) -> int:
     """Append h to the basis and maintain the pair queue.
 
+    Its one caller is ``runner.RunState.store``, which stores inputs, batch
+    members and the members a renew returns alike.
     Two members may share a leading monomial only when raw inputs collide.
     Reducers are looked up as the first member, in list order, whose leading
     monomial divides a monomial (``poly.FirstDivisor``, and ``interreduce``'s

@@ -4,6 +4,11 @@ Whenever a freshly reduced batch contains a univariate polynomial with exactly
 one root in GF(q), that variable's value is forced for every common zero. The
 engines emit the assignment immediately (so partial information survives a
 killed run), substitute it everywhere, and keep going on the smaller system.
+
+This module is the algebra of that step alone: finding the forced values
+(``find_unique_root_polys``) and substituting and interreducing
+(``renew``). The run's bookkeeping, solve events, the pair queue and the
+storing of renewed members, is ``runner.RunState.screen``'s.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .engine import PairQueue, SolveEvent, update
 from .errors import ConflictingRootsError
 from .poly import (
     Polynomial,
@@ -54,11 +58,11 @@ def _unique_root(p: Polynomial, var: int):
     return -g.terms[1][1] % ring.q if len(g.terms) == 2 else 0  # g = x - root
 
 
-def find_unique_root_polys(batch: Iterable[Polynomial], round_no: int = 0):
+def find_unique_root_polys(batch: Iterable[Polynomial]) -> dict:
     """Scan a batch for univariate members with exactly one root in GF(q).
 
-    Returns one ``SolveEvent`` in round ``round_no`` per forced variable, in
-    the order the batch first forces them. Polynomials with zero roots or
+    Returns ``{variable: value}``, one entry per forced variable, in the
+    order the batch first forces them. Polynomials with zero roots or
     two-plus roots are skipped. With field equations on, a member with no
     root in GF(q) later reduces the basis to a constant, which the
     inconsistency check catches; with them off it may stay in the basis,
@@ -76,33 +80,32 @@ def find_unique_root_polys(batch: Iterable[Polynomial], round_no: int = 0):
         val = _unique_root(p, var)
         if val is None:
             continue
-        prev = found.get(var)
-        if prev is None:
-            found[var] = SolveEvent(round_no, var, val)
-        elif prev.value != val:
+        prev = found.setdefault(var, val)
+        if prev != val:
             raise ConflictingRootsError(var)
-    return list(found.values())
+    return found
 
 
 @dataclass
 class RenewResult:
     basis: list
     pending: list
-    queue: PairQueue
     inconsistent: bool
 
 
 def renew(
-    basis: Sequence[Polynomial], pending: Sequence[Polynomial], events: Sequence[SolveEvent]
+    basis: Sequence[Polynomial], pending: Sequence[Polynomial], values: dict
 ) -> RenewResult:
-    """Substitute solved variables everywhere and rebuild the bookkeeping.
+    """Substitute solved values everywhere and interreduce the basis.
 
-    Basis and pending members are substituted alike, all values in one
-    pass (``_substitute_all``): zeros drop out, among them the solved
-    variables' field polynomials (by Fermat), and a member turned nonzero
-    constant flags inconsistency. Otherwise the basis survivors are
-    interreduced once and the pair queue is rebuilt by re-running update
-    insertion in order. The pending batch (or inputs) is not interreduced.
+    ``values`` maps variables to their values. Basis and pending members
+    are substituted alike, all values in one pass (``_substitute_all``):
+    zeros drop out, among them the solved variables' field polynomials (by
+    Fermat), and a member turned nonzero constant flags inconsistency, with
+    an empty basis. Otherwise the basis survivors are interreduced once and
+    returned in that order, canonical and not yet paired: the caller stores
+    them (``RunState.store``). The pending batch (or inputs) is not
+    interreduced.
 
     No exponent folding is needed after the interreduce. With field
     equations adjoined, members are stored folded, and every unsolved
@@ -121,16 +124,11 @@ def renew(
     every variable at a zero of every member are exact: all that per-value
     renews derive vanishes there too, so both end empty.
     """
-    values = {ev.variable: ev.value for ev in events}
     survivors, basis_constant = _substitute_all(basis, values)
     new_pending, pending_constant = _substitute_all(pending, values)
     inconsistent = basis_constant or pending_constant
-    new_basis: list = []
-    new_queue = PairQueue()
-    if not inconsistent:
-        for g in interreduce(survivors):
-            update(new_basis, new_queue, g)
-    return RenewResult(new_basis, new_pending, new_queue, inconsistent)
+    new_basis = [] if inconsistent else interreduce(survivors)
+    return RenewResult(new_basis, new_pending, inconsistent)
 
 
 def _substitute_all(polys: Sequence[Polynomial], values: dict):

@@ -169,51 +169,36 @@ class MonomialCodec:
         return t * self._eones  # slot holds C - e: e >= t iff C - e + t <= C
 
     def lcm(self, a: int, b: int) -> int:
-        em, g, h = self._emask, self._eguard, self.width - 1
-        sa, sb = a & em, b & em
-        ge = ((sa | g) - sb) & g  # guard bit where a's slot >= b's
-        take_a = ge - (ge >> h)
-        if self._sign < 0:  # slots hold C - e: the larger exponent is the smaller slot
-            take_a = ~take_a
-        x = (sa & take_a) | (sb & ~take_a)
-        # every partial sum of exponents is at most deg a + deg b < 2**w,
-        # so no slot of this product carries into the sum slot
-        plain = self._sign * (x - self.one)
-        d = ((plain * self._eones) >> self._sumshift) & self._slot
-        if d > self.limit:
-            raise MonomialOverflowError(
-                f"lcm of {self.exponents(a)} and {self.exponents(b)} is past "
-                f"this ring's limit {self.limit}"
-            )
-        return x + (d << self._dshift)
+        return self.lcms((a,), b)[0]
 
     def lcms(self, ms, b: int) -> list:
-        """``[self.lcm(a, b) for a in ms]`` in one pass, raising where
-        ``lcm`` raises.
+        """The lcm of each monomial of ms with b, in one pass, raising
+        ``MonomialOverflowError`` at the first lcm past the limit.
 
         With t all ones in the slots where a's slot is at least b's, the
         larger exponent's slot is ``b ^ ((a ^ b) & t)`` under lex, and
-        ``a ^ ((a ^ b) & t)`` under grevlex (slots C - e). The sum of the
-        exponents then takes one multiply, as in ``lcm``.
+        ``a ^ ((a ^ b) & t)`` under grevlex (slots C - e). Every partial sum
+        of exponents is at most deg a + deg b < 2**w, so the sum of the
+        exponents takes one multiply into the sum slot without a carry.
         """
         em, g, h = self._emask, self._eguard, self.width - 1
         one, sign, eones, ss, slot = self.one, self._sign, self._eones, self._sumshift, self._slot
-        ds = self._dshift
+        ds, limit = self._dshift, self.limit
         sb = b & em
         keep_a = 0 if sign > 0 else -1  # where t is clear: lex takes b's slot, grevlex a's
         keep_b = sb & ~keep_a
-        xs, top = [], 0
+        xs = []
         for a in ms:
             sa = a & em
             ge = ((sa | g) - sb) & g  # guard bit where a's slot >= b's
             x = ((sa & keep_a) | keep_b) ^ ((sa ^ sb) & (ge - (ge >> h)))
             d = ((sign * (x - one) * eones) >> ss) & slot
-            if d > top:
-                top = d
+            if d > limit:
+                raise MonomialOverflowError(
+                    f"lcm of {self.exponents(a)} and {self.exponents(b)} is past "
+                    f"this ring's limit {limit}"
+                )
             xs.append(x + (d << ds))
-        if top > self.limit:
-            for a in ms:
-                self.lcm(a, b)  # raises MonomialOverflowError
         return xs
 
     def support(self, m: int) -> int:

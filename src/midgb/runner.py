@@ -14,8 +14,10 @@ that engine stops when the run is inconsistent or no input is left. Middle
 solving runs through one method, ``RunState.screen``, in one of the paper's
 two modes: the batch engines screen every freshly reduced batch and, once
 the queue drains, the completed basis; the incremental engine screens only
-each completed intermediate basis. Everything here is deterministic: fixed
-iteration orders, no set iteration.
+each completed intermediate basis. ``midsolve`` does the algebra of a
+screen; the screen makes its solve events (``RunState.emit``) and stores
+the renewed members through ``RunState.store``, like every other member.
+Everything here is deterministic: fixed iteration orders, no set iteration.
 
 This module calls the matrix kernels as ``f4.symbolic_preprocess`` and
 ``f4.MacaulayMatrix``, and ``reduced_basis`` from ``f4`` on completed bases;
@@ -133,10 +135,13 @@ class RunState:
     def all_solved(self) -> bool:
         return len(self.assignments) == self.ring.n
 
-    def emit(self, ev: SolveEvent):
-        self.events.append(ev)
-        self.assignments[ev.variable] = ev.value
-        self.tracer.event("solved", ev.round, self.ring.names[ev.variable], ev.value)
+    def emit(self, variable: int, value: int):
+        """Record x_variable = value as a solve event of the current round.
+
+        The one place that makes a ``SolveEvent``."""
+        self.events.append(SolveEvent(self.round_no, variable, value))
+        self.assignments[variable] = value
+        self.tracer.event("solved", self.round_no, self.ring.names[variable], value)
 
     def outcome(self):
         """The status a run has reached early or at completion, if any."""
@@ -150,33 +155,39 @@ class RunState:
         """Emit every unique-root assignment found in ``source``.
 
         The first is emitted at once; one renew then substitutes them all
-        through the basis, the queue and ``pending`` (a batch not yet
-        inserted), and the rest are emitted. Where that renew of two or more
-        values meets a nonzero constant, substituted or interreduced, one
-        renew per value is replayed from the saved basis and ``pending``, so
-        the run turns inconsistent at the same emitted value as it would
-        that way (``midsolve.renew``). Returns whether anything was found,
-        and the renewed ``pending``; a find always renews or ends the run.
+        through the basis and ``pending`` (a batch not yet inserted), and
+        the rest are emitted. Where that renew of two or more values meets a
+        nonzero constant, substituted or interreduced, one renew per value
+        is replayed from the saved basis and ``pending``, so the run turns
+        inconsistent at the same emitted value as it would that way
+        (``midsolve.renew``). Last, the basis starts again empty with an
+        empty pair queue, and each renewed member is stored in the order
+        renew returned them, so it is paired once and checked against the
+        stored-degree bound. Returns whether anything was found, and the
+        renewed ``pending``; a find always renews or ends the run.
         """
         try:
-            found = find_unique_root_polys(source, self.round_no)
+            found = find_unique_root_polys(source)
         except ConflictingRootsError:
             self.mark_inconsistent()
             return True, []
         if not found:
             return False, pending
-        self.emit(found[0])
+        values = list(found.items())
+        self.emit(*values[0])
         res = renew(self.basis, pending, found)
-        replay = len(found) > 1 and (res.inconsistent or inconsistency_check(res.basis))
+        replay = len(values) > 1 and (res.inconsistent or inconsistency_check(res.basis))
         if replay:
-            res = renew(self.basis, pending, found[:1])
-        for ev in found[1:]:
+            res = renew(self.basis, pending, dict(values[:1]))
+        for variable, value in values[1:]:
             if res.inconsistent:
                 break
-            self.emit(ev)
+            self.emit(variable, value)
             if replay:
-                res = renew(res.basis, res.pending, [ev])
-        self.basis, self.queue = res.basis, res.queue
+                res = renew(res.basis, res.pending, {variable: value})
+        self.basis, self.queue = [], PairQueue()
+        for g in res.basis:
+            self.store(g)
         if res.inconsistent:
             self.mark_inconsistent()
         return True, res.pending

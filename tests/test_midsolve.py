@@ -36,32 +36,31 @@ def r3():
 
 def test_unique_root_found_gf2(r2):
     x = r2.variable(0)
-    found = find_unique_root_polys([x + r2.one], round_no=3)
-    assert found == [SolveEvent(round=3, variable=0, value=1)]
-    assert find_unique_root_polys([x]) == [SolveEvent(0, 0, 0)]
+    assert find_unique_root_polys([x + r2.one]) == {0: 1}
+    assert find_unique_root_polys([x]) == {0: 0}
 
 
 def test_two_root_polys_are_skipped(r2):
     # x^2 + x vanishes on all of GF(2): no information
     p = r2.poly({(2, 0): 1, (1, 0): 1})
-    assert find_unique_root_polys([p]) == []
+    assert find_unique_root_polys([p]) == {}
 
 
 def test_rootless_polys_are_skipped(r3):
     # x^2 + 1 has no root over GF(3)
     p = r3.poly({(2, 0): 1, (0, 0): 1})
-    assert find_unique_root_polys([p]) == []
+    assert find_unique_root_polys([p]) == {}
 
 
 def test_double_root_counts_once(r3):
     # (x+1)^2 = x^2 + 2x + 1 forces x = 2
     p = r3.poly({(2, 0): 1, (1, 0): 2, (0, 0): 1})
-    assert find_unique_root_polys([p]) == [SolveEvent(0, 0, 2)]
+    assert find_unique_root_polys([p]) == {0: 2}
 
 
 def test_multivariate_and_zero_members_ignored(r2):
     xy = r2.poly({(1, 1): 1, (0, 0): 1})
-    assert find_unique_root_polys([r2.zero, xy, r2.one]) == []
+    assert find_unique_root_polys([r2.zero, xy, r2.one]) == {}
 
 
 def test_conflicting_roots_raise(r3):
@@ -73,16 +72,13 @@ def test_conflicting_roots_raise(r3):
 
 def test_same_value_twice_is_fine(r2):
     x = r2.variable(0)
-    found = find_unique_root_polys([x, x.scale(1)])
-    assert found == [SolveEvent(0, 0, 0)]
+    assert find_unique_root_polys([x, x.scale(1)]) == {0: 0}
 
 
 def test_renew_substitutes_and_drops_field_polynomial(r2):
-    basis, queue = [], PairQueue()
     x, y = r2.variable(0), r2.variable(1)
-    for g in (x + r2.one, x * y + y, field_polynomial(r2, 0), field_polynomial(r2, 1)):
-        update(basis, queue, g)
-    res = renew(basis, [], [SolveEvent(1, 0, 1)])
+    basis = [x + r2.one, x * y + y, field_polynomial(r2, 0), field_polynomial(r2, 1)]
+    res = renew(basis, [], {0: 1})
     assert not res.inconsistent
     remaining = [str(p) for p in res.basis]
     # x+1 -> 0, x*y+y -> 0 (y+y), x^2+x -> dropped as the solved field poly
@@ -90,21 +86,16 @@ def test_renew_substitutes_and_drops_field_polynomial(r2):
 
 
 def test_renew_flags_nonzero_constant(r2):
-    basis, queue = [], PairQueue()
     x = r2.variable(0)
-    update(basis, queue, x + r2.one)
-    update(basis, queue, x)
-    res = renew(basis, [], [SolveEvent(1, 0, 1)])
+    res = renew([x + r2.one, x], [], {0: 1})
     assert res.inconsistent
     assert res.basis == []
 
 
 def test_renew_substitutes_pending(r2):
-    basis, queue = [], PairQueue()
     x, y = r2.variable(0), r2.variable(1)
-    update(basis, queue, x + r2.one)
     pending = [x * y + x + y]
-    res = renew(basis, pending, [SolveEvent(2, 0, 1)])
+    res = renew([x + r2.one], pending, {0: 1})
     # y + 1 + y = 1: the pending member becomes a nonzero constant
     assert res.inconsistent
     assert res.pending == []
@@ -205,18 +196,21 @@ def settle_system(q, order, seed, kind):
 
 def reference_screen(state, source, pending):
     """``RunState.screen`` with one renew per value, as it was before the
-    joint renew: the reference the joint renew is held to."""
+    joint renew: the reference the joint renew is held to. Each renewed
+    basis is paired afresh through ``RunState.store``."""
     try:
-        found = find_unique_root_polys(source, state.round_no)
+        found = find_unique_root_polys(source)
     except ConflictingRootsError:
         state.mark_inconsistent()
         return True, []
-    for ev in found:
+    for variable, value in found.items():
         if state.inconsistent:
             break
-        state.emit(ev)
-        res = renew(state.basis, pending, [ev])
-        state.basis, pending, state.queue = res.basis, res.pending, res.queue
+        state.emit(variable, value)
+        res = renew(state.basis, pending, {variable: value})
+        state.basis, state.queue, pending = [], PairQueue(), res.pending
+        for g in res.basis:
+            state.store(g)
         if res.inconsistent:
             state.mark_inconsistent()
     return bool(found), pending
@@ -249,9 +243,9 @@ def test_joint_renew_runs_as_one_renew_per_value(monkeypatch, tmp_path):
     screen, joint_renew = RunState.screen, runner.renew
     sizes, reached = [], set()
 
-    def counted_renew(basis, pending, events):
-        sizes.append(len(events))
-        return joint_renew(basis, pending, events)
+    def counted_renew(basis, pending, values):
+        sizes.append(len(values))
+        return joint_renew(basis, pending, values)
 
     def spied_screen(state, source, pending):
         start = len(sizes)
@@ -379,5 +373,5 @@ def test_unique_root_agrees_with_exhaustive_search(q, order, var, coeffs):
     if p.is_zero or p.is_constant:
         return
     roots = [a for a in range(q) if p.evaluate((a, 0) if var == 0 else (0, a)) == 0]
-    want = [SolveEvent(0, var, min(roots))] if len(roots) == 1 else []
+    want = {var: roots[0]} if len(roots) == 1 else {}
     assert find_unique_root_polys([p]) == want

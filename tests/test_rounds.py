@@ -1,12 +1,16 @@
 """What the batch rounds hand on: the candidates that reach
-``RunState.insert_new``, and the pair sides that symbolic preprocessing
-passes over."""
+``RunState.insert_new``, the pair sides that symbolic preprocessing passes
+over, and the one step through which every basis member is stored."""
 
+import importlib
 import itertools
+import pkgutil
+import sys
 from collections import Counter
 
+import midgb
 from midgb import EngineConfig, groebner_basis
-from midgb import f4
+from midgb import engine, f4, runner
 from midgb.runner import RunState
 from test_golden_traces import seeded_system
 
@@ -89,3 +93,59 @@ def test_skipped_pair_sides_fold_to_zero(monkeypatch):
     monkeypatch.setattr(f4, "symbolic_preprocess", checked)
     run_all()
     assert set(count) == {2, 3, 5, 7}, count
+
+
+def test_store_is_the_one_caller_of_update(monkeypatch):
+    """``engine.update`` is called from ``RunState.store`` alone, and no
+    module of the package but ``engine`` and ``runner`` binds it."""
+    update = engine.update
+    binders = [
+        info.name
+        for info in pkgutil.iter_modules(midgb.__path__)
+        if info.name != "__main__"
+        and any(v is update for v in vars(importlib.import_module(f"midgb.{info.name}")).values())
+    ]
+    assert sorted(binders) == ["engine", "runner"]
+    callers = Counter()
+
+    def spied(basis, queue, h):
+        callers[sys._getframe(1).f_code] += 1
+        return update(basis, queue, h)
+
+    monkeypatch.setattr(runner, "update", spied)
+    run_all()
+    assert set(callers) == {RunState.store.__code__}, callers
+
+
+def test_renewed_members_pass_the_stored_degree_monitor(monkeypatch):
+    """A screen that renews stores each renewed member, in renew's order,
+    through ``degree_monitor(..., "stored", ...)``, and the basis is those
+    members alone."""
+    screen, renew, monitor = RunState.screen, runner.renew, runner.degree_monitor
+    renewed, stored = [], []
+    count = Counter()
+
+    def spied_renew(*args):
+        res = renew(*args)
+        renewed.append(res.basis)
+        return res
+
+    def spied_monitor(p, ring, stage, active=True):
+        if stage == "stored":
+            stored.append(p)
+        return monitor(p, ring, stage, active)
+
+    def spied_screen(state, source, pending):
+        renewed.clear()
+        stored.clear()
+        out = screen(state, source, pending)
+        if renewed:
+            assert stored == renewed[-1] == state.basis
+            count[state.field_active] += len(stored)
+        return out
+
+    monkeypatch.setattr(runner, "renew", spied_renew)
+    monkeypatch.setattr(runner, "degree_monitor", spied_monitor)
+    monkeypatch.setattr(RunState, "screen", spied_screen)
+    run_all()
+    assert count[True] and count[False], count
