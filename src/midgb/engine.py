@@ -222,8 +222,14 @@ class EngineConfig:
     def __post_init__(self):
         if self.engine not in ("buchberger", "f4", "incremental"):
             raise InvalidSettingError(f"unknown engine {self.engine!r}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise InvalidSettingError("max_rounds must be at least 1")
+        rounds = self.max_rounds
+        if rounds is not None and (
+            isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 1
+        ):
+            raise InvalidSettingError(f"max_rounds must be None or an int >= 1, got {rounds!r}")
+        for name in ("middle_solving", "adjoin_field_eqs", "reverse_inputs"):
+            if not isinstance(getattr(self, name), bool):
+                raise InvalidSettingError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.adjoin_field_eqs and self.ring.q > MAX_FIELD_EQ_Q:
             raise TooLargeError(
                 f"field equations need q <= {MAX_FIELD_EQ_Q}, got q = {self.ring.q}"

@@ -193,7 +193,7 @@ class Polynomial:
 
     def __neg__(self) -> "Polynomial":
         q = self.ring.q
-        return Polynomial(self.ring, tuple((m, (-c) % q) for m, c in self.terms))
+        return Polynomial(self.ring, tuple([(m, (-c) % q) for m, c in self.terms]))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -207,7 +207,7 @@ class Polynomial:
             return self.ring.zero
         if c == 1:
             return self
-        return Polynomial(self.ring, tuple((m, (k * c) % q) for m, k in self.terms))
+        return Polynomial(self.ring, tuple([(m, (k * c) % q) for m, k in self.terms]))
 
     def term_mul(self, mono, coeff: int = 1) -> "Polynomial":
         """Multiply by a single term. Term order is preserved, so no re-sort."""
@@ -217,8 +217,8 @@ class Polynomial:
             return self.ring.zero
         codec = self.ring.codec
         s = codec.shift(mono)
-        # a list first: tuple() of a generator grows and shrinks its tuple,
-        # which raised the tracemalloc peak of a cyclic-6 buchberger pass by 17%
+        # a list first, as in scale and __neg__: tuple() of a generator grows and
+        # shrinks its tuple, which raised cyclic-6 buchberger's tracemalloc peak 17%
         terms = [(m + s, (c * coeff) % q) for m, c in self.terms]
         guard = codec.guard
         for m, _ in terms:
@@ -326,7 +326,7 @@ def normal_form(p: Polynomial, reducers: Sequence[Polynomial], first=None) -> Po
             if g.is_zero:
                 raise ZeroInputError("zero polynomial in reducer list")
             require_ring(p.ring, g)
-        first = FirstDivisor(reducers, p.ring)
+        first = FirstDivisor(reducers, p.ring, False)  # it forms no rows
     return _reduce_by(p, first)
 
 
@@ -347,27 +347,31 @@ class FirstDivisor:
     indices of the members that are field polynomials x^q - x, each member
     tested once.
 
-    Two more tables serve the F4 closure (``f4._close``). ``rows[field_active]``
-    lives exactly as long as the lookup: it maps a monomial m to its reducer
-    row, (m / LM(g)) * g / LC(g) for its first divisor g, folded when field
-    equations are on; once m has a divisor it keeps it while the list only
-    grows, so the row stays exact, and a monomial with no divisor has no
-    entry. ``folds`` maps a product monomial to its exponent fold (see
-    ``field_term_mul``). A fold depends on the ring alone, so a caller may
-    pass one table to every lookup of a run (``runner.RunState`` does);
-    without one, the lookup starts its own. It holds only valid monomials,
-    so a product past the limit still misses and raises.
+    The lookup is also the whole context of the F4 kernels (``f4``): it
+    keeps the ``ring`` and ``field_active``, whether the run adjoins field
+    equations, and two tables. ``rows`` lives exactly as long as the lookup:
+    it maps a monomial m to its reducer row, (m / LM(g)) * g / LC(g) for its
+    first divisor g, folded when field equations are on; once m has a
+    divisor it keeps it while the list only grows, so the row stays exact,
+    and a monomial with no divisor has no entry. ``folds`` maps a product
+    monomial to its exponent fold (see ``field_term_mul``). A fold depends
+    on the ring alone, so a caller may pass one table to every lookup of a
+    run (``runner.RunState`` does); without one, the lookup starts its own.
+    It holds only valid monomials, so a product past the limit still misses
+    and raises.
     """
 
     __slots__ = (
-        "members", "reducers", "rows", "folds", "_fields", "_tested", "_shifts", "_memo",
-        "_guard",
+        "members", "ring", "field_active", "reducers", "rows", "folds", "_fields", "_tested",
+        "_shifts", "_memo", "_guard",
     )
 
-    def __init__(self, members: list, ring: PolyRing, folds=None):
+    def __init__(self, members: list, ring: PolyRing, field_active: bool, folds=None):
         self.members = members
+        self.ring = ring
+        self.field_active = field_active
         self.reducers: list = []  # _reducer(g) of the members seen so far
-        self.rows: dict = {True: {}, False: {}}  # field_active -> {m: reducer row}
+        self.rows: dict = {}  # m -> reducer row
         self.folds: dict = {} if folds is None else folds
         self._fields: set = set()  # the field polynomials among members[:_tested]
         self._tested = 0

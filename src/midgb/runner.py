@@ -20,8 +20,9 @@ the renewed members through ``RunState.store``, like every other member.
 Everything here is deterministic: fixed iteration orders, no set iteration.
 
 This module calls the matrix kernels as ``f4.symbolic_preprocess`` and
-``f4.MacaulayMatrix``, and ``reduced_basis`` from ``f4`` on completed bases;
-``f4`` does not import it back.
+``f4.MacaulayMatrix``, and ``reduced_basis`` from ``f4`` on completed bases,
+each with the run's reducer lookup, ``RunState.divisors``, as their one
+context; ``f4`` does not import it back.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ class RunState:
     """One run: its basis, pair queue, solved values and trace.
 
     ``divisors`` is the reducer lookup over the current basis, with the
-    reducer rows it has made; it is replaced with the basis. ``folds``, the
-    exponent-fold table, depends on the ring alone, so every lookup of the
-    run shares it, and with it every product the kernels form.
+    run's ring and field-equation setting and the reducer rows it has made;
+    it is replaced with the basis, and it is all the ``f4`` kernels take.
+    ``folds``, the exponent-fold table, depends on the ring alone, so every
+    lookup of the run shares it, and with it every product the kernels form.
     """
 
     def __init__(self, config: EngineConfig, tracer: TraceWriter):
@@ -88,7 +90,7 @@ class RunState:
         keeps the run's fold table.
         """
         self._basis = members
-        self.divisors = FirstDivisor(members, self.ring, self.folds)
+        self.divisors = FirstDivisor(members, self.ring, self.field_active, self.folds)
 
     # ------------------------------------------------------------ helpers
 
@@ -275,7 +277,7 @@ class RunState:
         left pairs to process.
         """
         while True:
-            self.basis = reduced_basis(self.basis, self.ring, self.field_active, self.divisors)
+            self.basis = reduced_basis(self.divisors)
             if not self.screening:
                 return True
             if inconsistency_check(self.basis):
@@ -351,10 +353,8 @@ def f4_round(state: RunState) -> RoundTrace:
     in normal form against the basis, and monic and folded, so canonical.
     """
     pairs = state.queue.select(batch=True)
-    rows = f4.symbolic_preprocess(
-        pairs, state.basis, state.ring, field_active=state.field_active, first=state.divisors
-    )
-    matrix = f4.MacaulayMatrix(rows, state.ring, state.divisors)
+    rows = f4.symbolic_preprocess(pairs, state.divisors)
+    matrix = f4.MacaulayMatrix(rows, state.divisors)
     nrows, ncols = matrix.shape
     reduced, zero_rows = matrix.reduce()
     return state.absorb(

@@ -3,6 +3,7 @@
 import pytest
 
 from midgb import f4
+from midgb.poly import FirstDivisor
 
 
 @pytest.fixture
@@ -10,7 +11,7 @@ def split_checked(monkeypatch):
     """Make every F4 round check its split elimination against the full one.
 
     Each round's ``MacaulayMatrix.reduce`` result must equal the full RREF of
-    the same rows (the matrix built with no lookup) with the rows whose
+    the same rows (the matrix built with an empty lookup) with the rows whose
     leading monomial a basis leading monomial divides left out, and its
     zero-row count must equal the full one. The basis is the lookup's
     member list, read here by a plain scan. Yields the set of field sizes q
@@ -21,9 +22,10 @@ def split_checked(monkeypatch):
     split = set()
 
     class Checked(full_matrix):
-        def __init__(self, rows, ring, first):
-            super().__init__(rows, ring, first)
-            self.basis_exponents = [ring.exponents(g.lm()) for g in first.members]
+        def __init__(self, rows, first):
+            super().__init__(rows, first)
+            self.ring = first.ring
+            self.basis_exponents = [self.ring.exponents(g.lm()) for g in first.members]
 
         def reducible(self, p):
             e = self.ring.exponents(p.lm())
@@ -31,7 +33,8 @@ def split_checked(monkeypatch):
 
         def reduce(self):
             polys, zero_rows = super().reduce()
-            full, full_zero = full_matrix(self.rows, self.ring).reduce()
+            empty = FirstDivisor([], self.ring, self.first.field_active)
+            full, full_zero = full_matrix(self.rows, empty).reduce()
             assert polys == [p for p in full if not self.reducible(p)]
             assert zero_rows == full_zero
             known, block = self.split()

@@ -10,6 +10,7 @@ import pytest
 import midgb
 from midgb import EngineConfig, PolyRing
 from midgb.api import ENGINES
+from midgb.errors import InvalidSettingError
 
 ROOT = Path(__file__).resolve().parent.parent
 INIT = Path(midgb.__file__)
@@ -68,3 +69,31 @@ def test_every_engine_is_a_valid_config():
         assert EngineConfig(ring, engine=name).engine == name
     with pytest.raises(ValueError):
         EngineConfig(ring, engine="nonesuch")
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("max_rounds", 1.5),
+        ("max_rounds", "2"),
+        ("max_rounds", True),
+        ("middle_solving", "no"),
+        ("middle_solving", 1),
+        ("adjoin_field_eqs", None),
+        ("reverse_inputs", "yes"),
+    ],
+)
+def test_malformed_config_values_raise_typed_error(name, value):
+    with pytest.raises(InvalidSettingError):
+        EngineConfig(PolyRing(2, ["x"], "lex"), **{name: value})
+
+
+def test_well_formed_config_values_are_kept():
+    ring = PolyRing(2, ["x"], "lex")
+    cfg = EngineConfig(
+        ring, max_rounds=2, middle_solving=False, adjoin_field_eqs=False, reverse_inputs=True
+    )
+    assert (cfg.max_rounds, cfg.middle_solving, cfg.adjoin_field_eqs, cfg.reverse_inputs) == (
+        2, False, False, True
+    )
+    assert EngineConfig(ring, max_rounds=None).max_rounds is None

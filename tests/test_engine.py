@@ -22,6 +22,7 @@ from midgb.errors import (
     ZeroInputError,
 )
 from midgb.f4 import symbolic_preprocess
+from midgb.poly import FirstDivisor
 
 
 @pytest.fixture
@@ -193,7 +194,7 @@ def test_shared_leading_monomial_reduces_with_earlier_member(ring):
     g1 = ring.poly({(2, 0, 0): 1, (1, 1, 0): 1})  # x^2 + x*y
     g2 = ring.poly({(2, 0, 0): 1, (0, 0, 1): 1})  # x^2 + z
     pair = CriticalPair(0, 1, ring.codec.pack((2, 0, 0)), 2)
-    rows = symbolic_preprocess([pair], [g1, g2, p1, p2], ring, field_active=False)
+    rows = symbolic_preprocess([pair], FirstDivisor([g1, g2, p1, p2], ring, False))
     assert rows == [g1, g2, p1]
 
 

@@ -28,8 +28,9 @@ from test_golden_traces import corpus_runs
 
 
 def lookup(lms, ring):
-    """A reducer lookup over one monomial member per leading monomial."""
-    return FirstDivisor([Polynomial(ring, ((m, 1),)) for m in lms], ring)
+    """A reducer lookup over one monomial member per leading monomial; with
+    no monomials, the empty lookup under which a matrix is all block."""
+    return FirstDivisor([Polynomial(ring, ((m, 1),)) for m in lms], ring, False)
 
 
 def make_pair(f, g, left=0, right=1):
@@ -45,14 +46,13 @@ def lex2():
 
 def test_preprocess_requires_pairs(lex2):
     with pytest.raises(EmptyBatchError):
-        symbolic_preprocess([], [], lex2)
+        symbolic_preprocess([], lookup([], lex2))
 
 
 def test_preprocess_collects_reducer_closure(lex2):
     f = lex2.poly({(1, 1): 1, (0, 0): 1})  # x*y + 1
     g = lex2.poly({(0, 2): 1, (0, 1): 1})  # y^2 + y
-    rows = symbolic_preprocess([make_pair(f, g)], [f, g], lex2,
-                               field_active=False)
+    rows = symbolic_preprocess([make_pair(f, g)], FirstDivisor([f, g], lex2, False))
     # half-products y*f and x*g, plus 1*f covering the tail monomial x*y
     assert [str(r) for r in rows] == ["x*y^2 + y", "x*y^2 + x*y", "x*y + 1"]
     cols = {lex2.exponents(m) for r in rows for m, _ in r.terms}
@@ -65,15 +65,14 @@ def test_preprocess_folds_rows_and_recovers_moved_heads(lex2):
     # closure must still hunt a reducer for it
     f = lex2.poly({(1, 1): 1, (0, 0): 1})
     g = lex2.poly({(0, 2): 1, (0, 1): 1})
-    rows = symbolic_preprocess([make_pair(f, g)], [f, g], lex2,
-                               field_active=True)
+    rows = symbolic_preprocess([make_pair(f, g)], FirstDivisor([f, g], lex2, True))
     assert [str(r) for r in rows] == ["x*y + y", "x*y + 1"]
 
 
 def reference_symbolic_preprocess(pairs, basis, ring, *, field_active=True):
     """The heap-ordered closure that ``f4.symbolic_preprocess`` replaced:
     after the pair rows, reducer rows are made largest monomial first."""
-    first = FirstDivisor(basis, ring)
+    first = FirstDivisor(basis, ring, field_active)
     folds: dict = {}
 
     def multiple(g, quot):
@@ -125,13 +124,14 @@ def test_preprocess_matches_heap_reference(q, field_active, monkeypatch):
     multiset, and the same reduced rows and zero-row count."""
     count = Counter()
 
-    def checked(pairs, basis, ring, *, field_active=True, first=None):
-        rows = symbolic_preprocess(pairs, basis, ring, field_active=field_active, first=first)
+    def checked(pairs, first):
+        basis, ring, field_active = first.members, first.ring, first.field_active
+        rows = symbolic_preprocess(pairs, first)
         ref = reference_symbolic_preprocess(pairs, basis, ring, field_active=field_active)
         assert Counter(rows) == Counter(ref)
-        lookup = FirstDivisor(basis, ring)
-        reduced = MacaulayMatrix(rows, ring, lookup).reduce()
-        assert reduced == MacaulayMatrix(ref, ring, lookup).reduce()
+        lookup = FirstDivisor(basis, ring, field_active)
+        reduced = MacaulayMatrix(rows, lookup).reduce()
+        assert reduced == MacaulayMatrix(ref, lookup).reduce()
         count["matrices"] += 1
         count["reordered"] += rows != ref
         return rows
@@ -154,7 +154,8 @@ def table_checked(monkeypatch):
 
     After each ``_close`` call, each monomial m it looked up has a row in its
     lookup's table exactly when m has a first divisor g, and that row equals
-    ``_multiple(g, m / LM(g))`` made with an empty fold memo. The rows the
+    ``_multiple(g, m / LM(g))`` made under a fresh lookup with the same
+    field setting, so with an empty fold memo. The rows the
     call appended are exactly those table rows. Each monomial
     set that ``symbolic_preprocess`` hands on must equal the union of its
     rows' terms. Yields a Counter of rows per (q, field_active, "made" or
@@ -163,10 +164,10 @@ def table_checked(monkeypatch):
     close, multiple, preprocess = f4._close, f4._multiple, f4.symbolic_preprocess
     count = Counter()
 
-    def checked_close(rows, seen, first, field_active):
-        table = first.rows[field_active]
+    def checked_close(rows, seen, first):
+        table, field_active = first.rows, first.field_active
         before, looked, start = set(table), set(seen), len(rows)
-        close(rows, seen, first, field_active)
+        close(rows, seen, first)
         taken = []
         for m in seen - looked:
             i = first.index(m)
@@ -175,7 +176,7 @@ def table_checked(monkeypatch):
                 continue
             g = first.members[i]
             quot = g.ring.codec.div(m, g.lm())
-            assert table[m] == multiple(g, quot, field_active, {})
+            assert table[m] == multiple(g, quot, FirstDivisor([], g.ring, field_active))
             taken.append(id(table[m]))
             count[g.ring.q, field_active, "served" if m in before else "made"] += 1
         assert sorted(taken) == sorted(map(id, rows[start:]))
@@ -216,15 +217,15 @@ def test_a_monomial_gets_a_row_only_once_it_has_a_divisor():
     ring = PolyRing(3, ["x", "y"], "grevlex")
     x, y = ring.variable(0), ring.variable(1)
     members = [x * x + y]
-    first = FirstDivisor(members, ring)
+    first = FirstDivisor(members, ring, False)
     row = x * y * y + y * y + ring.one
     rows = [row]
-    f4._close(rows, set(), first, False)
-    assert rows == [row] and first.rows == {True: {}, False: {}}
+    f4._close(rows, set(), first)
+    assert rows == [row] and first.rows == {}
     members.append(y + ring.one)  # now divides x*y^2, x*y, y^2 and y
     rows = [row]
-    f4._close(rows, set(), first, False)
-    table = first.rows[False]
+    f4._close(rows, set(), first)
+    table = first.rows
     assert {ring.monomial_str(m): str(r) for m, r in table.items()} == {
         "x*y^2": "x*y^2 + x*y",
         "x*y": "x*y + x",
@@ -234,34 +235,34 @@ def test_a_monomial_gets_a_row_only_once_it_has_a_divisor():
     assert [str(r) for r in rows[1:]] == ["x*y^2 + x*y", "y^2 + y", "x*y + x", "y + 1"]
     # the same lookup serves the very rows it made
     again = [row]
-    f4._close(again, set(), first, False)
+    f4._close(again, set(), first)
     assert all(a is b for a, b in zip(again, rows))
 
 
-def test_rows_made_under_one_field_setting_are_not_served_under_the_other():
+def test_each_lookup_forms_reducer_rows_under_its_own_field_setting():
     ring = PolyRing(2, ["x", "y"], "grevlex")
     x, y = ring.variable(0), ring.variable(1)
-    first = FirstDivisor([x * y + x], ring)
+    on, off = FirstDivisor([x * y + x], ring, True), FirstDivisor([x * y + x], ring, False)
     m = (x * x * y).lm()
     folded, unfolded, again = [x * x * y], [x * x * y], [x * x * y]
-    f4._close(folded, set(), first, True)
-    f4._close(unfolded, set(), first, False)
-    f4._close(again, set(), first, True)
+    f4._close(folded, set(), on)
+    f4._close(unfolded, set(), off)
+    f4._close(again, set(), on)
     assert folded[1] == x * y + x  # x*(x*y + x), folded by x^2 = x
     assert unfolded[1] == x * x * y + x * x
-    assert first.rows[True][m] is folded[1] is again[1]
-    assert first.rows[False][m] is unfolded[1]
+    assert on.rows[m] is folded[1] is again[1]
+    assert off.rows[m] is unfolded[1]
 
 
 def test_a_product_past_the_limit_raises_after_earlier_rounds_filled_the_folds():
     ring = PolyRing(2, ["x", "y"], "lex")
     lim = ring.codec.limit
-    first = FirstDivisor([ring.poly({(1, 0): 1, (0, lim - 10): 1})], ring)  # x + y^(lim-10)
+    first = FirstDivisor([ring.poly({(1, 0): 1, (0, lim - 10): 1})], ring, True)  # x + y^(lim-10)
     for e in range(1, 11):  # the reducer of x*y^e has the tail y^(lim-10+e)
-        f4._close([ring.poly({(1, e): 1})], set(), first, True)
-    assert len(first.rows[True]) >= 10 and len(first.folds) >= 20
+        f4._close([ring.poly({(1, e): 1})], set(), first)
+    assert len(first.rows) >= 10 and len(first.folds) >= 20
     with pytest.raises(MonomialOverflowError):
-        f4._close([ring.poly({(1, 11): 1})], set(), first, True)
+        f4._close([ring.poly({(1, 11): 1})], set(), first)
 
 
 # ------------------------------------------------------- the created-row bound
@@ -310,7 +311,7 @@ def test_the_created_bound_fires_on_pair_rows(monkeypatch):
     basis = [h, k, g, g2]
     pairs = [make_pair(h, k, 0, 1), make_pair(h, g, 0, 2), make_pair(h, g2, 0, 3)]
     raised, per_row = bound_errors(
-        monkeypatch, lambda: symbolic_preprocess(pairs, basis, ring)
+        monkeypatch, lambda: symbolic_preprocess(pairs, FirstDivisor(basis, ring, True))
     )
     assert per_row.poly is g
     assert (raised.stage, raised.poly, raised.limit) == ("created", g, 4)
@@ -324,7 +325,8 @@ def test_the_created_bound_fires_on_closure_rows(monkeypatch):
     g = over_degree(ring, (1, 0), (0, 7))  # x + y^7, the reducer row of x
     basis = [a, b, g]
     raised, per_row = bound_errors(
-        monkeypatch, lambda: symbolic_preprocess([make_pair(a, b)], basis, ring)
+        monkeypatch,
+        lambda: symbolic_preprocess([make_pair(a, b)], FirstDivisor(basis, ring, True)),
     )
     assert per_row.poly is g
     assert (raised.stage, raised.poly, raised.limit) == ("created", g, 5)
@@ -339,7 +341,7 @@ def test_the_created_bound_fires_on_completion_rows(monkeypatch):
     basis = [g, kept, z]  # z divides g's head, so g is not kept
     # the run's lookup takes g, the first divisor of x*z, as its reducer row
     raised, per_row = bound_errors(
-        monkeypatch, lambda: reduced_basis(basis, ring, True, FirstDivisor(basis, ring))
+        monkeypatch, lambda: reduced_basis(FirstDivisor(basis, ring, True))
     )
     assert per_row.poly is g
     assert (raised.stage, raised.poly, raised.limit) == ("created", g, 4)
@@ -349,7 +351,7 @@ def test_the_created_bound_fires_on_completion_rows(monkeypatch):
 def test_matrix_columns_sorted_descending(lex2):
     f = lex2.poly({(1, 1): 1, (0, 1): 1})
     g = lex2.poly({(1, 1): 1, (0, 0): 1})
-    m = MacaulayMatrix([f, g], lex2)
+    m = MacaulayMatrix([f, g], lookup([], lex2))
     assert [lex2.exponents(c) for c in m.columns] == [(1, 1), (0, 1), (0, 0)]
     assert m.shape == (2, 3)
 
@@ -357,7 +359,7 @@ def test_matrix_columns_sorted_descending(lex2):
 def test_matrix_reduce_gf2_full_jordan(lex2):
     rows = [lex2.poly({(1, 1): 1, (0, 1): 1}),  # x*y + y
             lex2.poly({(1, 1): 1, (0, 0): 1})]  # x*y + 1
-    red, zero_rows = MacaulayMatrix(rows, lex2).reduce()
+    red, zero_rows = MacaulayMatrix(rows, lookup([], lex2)).reduce()
     # eliminated above and below: the surviving x*y row carries 1, not y
     assert [str(p) for p in red] == ["x*y + 1", "y + 1"]
     assert zero_rows == 0
@@ -367,7 +369,7 @@ def test_matrix_reduce_counts_zero_rows(lex2):
     rows = [lex2.poly({(1, 0): 1, (0, 1): 1}),   # x + y
             lex2.poly({(1, 0): 1, (0, 0): 1}),   # x + 1
             lex2.poly({(0, 1): 1, (0, 0): 1})]   # y + 1  (= sum of the others)
-    red, zero_rows = MacaulayMatrix(rows, lex2).reduce()
+    red, zero_rows = MacaulayMatrix(rows, lookup([], lex2)).reduce()
     assert [str(p) for p in red] == ["x + 1", "y + 1"]
     assert zero_rows == 1
 
@@ -377,14 +379,14 @@ def test_matrix_reduce_general_field():
     rows = [r5.poly({(1, 0): 2, (0, 1): 1}),
             r5.poly({(1, 0): 1, (0, 0): 3}),
             r5.poly({(0, 1): 4, (0, 0): 1})]
-    red, zero_rows = MacaulayMatrix(rows, r5).reduce()
+    red, zero_rows = MacaulayMatrix(rows, lookup([], r5)).reduce()
     assert [str(p) for p in red] == ["x + 3", "y + 4"]
     assert zero_rows == 1
 
 
 def test_matrix_empty():
     ring = PolyRing(2, ["x"], "lex")
-    red, zero_rows = MacaulayMatrix([], ring).reduce()
+    red, zero_rows = MacaulayMatrix([], lookup([], ring)).reduce()
     assert red == [] and zero_rows == 0
 
 
@@ -415,7 +417,7 @@ def test_matrix_reduce_matches_reference(q, trial):
     ring = PolyRing(q, ["x", "y", "z"], "grevlex")
     rows = [p for p in (random_system(ring, 1, 3, rng)[0] for _ in range(6))
             if not p.is_zero]
-    m = MacaulayMatrix(rows, ring)
+    m = MacaulayMatrix(rows, lookup([], ring))
     red, zero_rows = m.reduce()
     dense = []
     for p in rows:
@@ -451,7 +453,7 @@ def test_split_reduce_matches_reference(q, trial):
         e = ring.exponents(mono)
         return any(all(a <= b for a, b in zip(d, e)) for d in exps)
 
-    m = MacaulayMatrix(rows, ring, lookup(lms, ring))
+    m = MacaulayMatrix(rows, lookup(lms, ring))
     red, zero_rows = m.reduce()
     known = {m.col_index[p.lm()] for p in rows if divisible(p.lm())}
     assert known and m.split()[1]  # both halves of the split are used
@@ -528,8 +530,8 @@ def gf2_kernels(rows, ring, known_rows=()):
     columns, col = f4._columns(rows)
     known = {col[rows[i].lm()]: i for i in known_rows}
     block = [i for i in range(len(rows)) if i not in known_rows]
-    args = (ring, rows, columns, col, known, block)
-    return f4._eliminate_gf2(*args), reference_eliminate_gf2(*args)
+    args = (rows, columns, col, known, block)
+    return f4._eliminate_gf2(*args), reference_eliminate_gf2(ring, *args)
 
 
 @pytest.mark.parametrize("trial", range(12))
@@ -550,7 +552,7 @@ def test_gf2_kernel_matches_transpose_reference(trial):
     new, ref = gf2_kernels(rows, ring, sorted(heads.values()))
     assert new == ref
     if not heads:  # the whole matrix is the block: its full RREF
-        assert MacaulayMatrix(rows, ring).reduce()[0] == ref
+        assert MacaulayMatrix(rows, lookup([], ring)).reduce()[0] == ref
 
 
 def test_gf2_kernel_edge_blocks():
@@ -576,8 +578,9 @@ def test_matrix_reduce_counts_a_zero_input_row(q):
     ring = PolyRing(q, ["x", "y"], "grevlex")
     x, y = ring.variable(0), ring.variable(1)
     rows = [x + ring.one, ring.zero, y + ring.one]
-    for first, kept in ((None, ["x + 1", "y + 1"]), (lookup([x.lm()], ring), ["y + 1"])):
-        red, zero_rows = MacaulayMatrix(rows, ring, first).reduce()
+    for lms, kept in (([], ["x + 1", "y + 1"]), ([x.lm()], ["y + 1"])):
+        first = lookup(lms, ring)
+        red, zero_rows = MacaulayMatrix(rows, first).reduce()
         assert [str(p) for p in red] == kept
         assert zero_rows == 1
 
@@ -680,8 +683,8 @@ def kernel_checked(monkeypatch):
     seen = Counter()
     depth = []
 
-    def reducer(g, quot, field_active, folds):
-        row = multiple(g, quot, field_active, folds)
+    def reducer(g, quot, first):
+        row = multiple(g, quot, first)
         if depth:
             assert row.terms and row.lm() == g.ring.codec.mul(g.lm(), quot)
             seen["reducers"] += 1
@@ -689,22 +692,23 @@ def kernel_checked(monkeypatch):
             seen["member_rows"] += row is g
         return row
 
-    def spied_close(rows, looked, first, field_active):
+    def spied_close(rows, looked, first):
         if not depth:
-            return close(rows, looked, first, field_active)
-        table = {id(r) for r in first.rows[field_active].values()}
+            return close(rows, looked, first)
+        table = {id(r) for r in first.rows.values()}
         start = len(rows)
-        close(rows, looked, first, field_active)
+        close(rows, looked, first)
         seen["served"] += sum(id(r) in table for r in rows[start:])
 
-    def checked(basis, ring, field_active=True, first=None):
+    def checked(first):
+        basis, ring, field_active = first.members, first.ring, first.field_active
         depth.append(ring)
         try:
-            got = kernel(basis, ring, field_active, first)
+            got = kernel(first)
         finally:
             depth.pop()
         assert got == interreduce(basis)
-        assert got == kernel(basis, ring, field_active)
+        assert got == kernel(FirstDivisor(basis, ring, field_active))
         lms = [g.lm() for g in basis]
         seen["calls"] += 1
         seen["empty"] += not basis
@@ -726,9 +730,11 @@ def test_reduced_basis_of_a_groebner_basis():
     # a Groebner basis of <x + y + 1, y^2 + 1>, with a redundant member and
     # a reducible tail
     basis = [x * y + y * y + y, x + y * y + y + ring.constant(2), y * y + one]
-    assert [str(p) for p in reduced_basis(basis, ring, False)] == ["y^2 + 1", "x + y + 1"]
-    assert reduced_basis(basis, ring, False) == interreduce(basis)
-    assert reduced_basis([], ring) == [] == interreduce([])
+    assert [str(p) for p in reduced_basis(FirstDivisor(basis, ring, False))] == [
+        "y^2 + 1", "x + y + 1"
+    ]
+    assert reduced_basis(FirstDivisor(basis, ring, False)) == interreduce(basis)
+    assert reduced_basis(FirstDivisor([], ring, True)) == [] == interreduce([])
 
 
 def test_completion_kernel_equals_interreduce_over_the_trace_corpus(kernel_checked):

@@ -360,7 +360,7 @@ def test_first_divisor_matches_a_scan_as_the_list_grows(q, order, steps):
     ring = PolyRing(q, ["x", "y", "z"], order)
     special = [(0, 0, 0), (q, 0, 0), (0, q, 0)]
     members: list = []
-    first = FirstDivisor(members, ring)
+    first = FirstDivisor(members, ring, False)
     looked_up = []
     for append, exps in steps:
         if exps[0] == 5:  # about one step in six is a special monomial
@@ -487,7 +487,7 @@ def test_a_filled_fold_table_still_raises_past_the_limit():
     ring = PolyRing(2, ["x", "y"], "lex")
     lim = ring.codec.limit
     g = ring.poly({(1, 0): 1, (0, lim - 10): 1})  # x + y^(lim-10)
-    first = FirstDivisor([g], ring)
+    first = FirstDivisor([g], ring, True)
     for e in range(1, 11):  # up to y^lim, the last valid tail
         field_term_mul(g, ring.codec.var(1, e), 1, first.folds)
     assert len(first.folds) == 20
@@ -497,15 +497,6 @@ def test_a_filled_fold_table_still_raises_past_the_limit():
         # the product's head x*y^e was valid and is kept; its tail was not
         assert ring.codec.var(0) + ring.codec.shift(ring.codec.var(1, e)) in first.folds
     assert not any(m & ring.codec.guard for m in first.folds)
-
-
-def test_first_divisor_keeps_reducer_rows_per_setting(r2):
-    """A fresh lookup has one empty row table per field-equation setting,
-    and an empty fold table; ``_close`` fills them (see ``test_f4``)."""
-    first = FirstDivisor([r2.variable(0)], r2)
-    assert first.rows == {True: {}, False: {}}
-    assert first.rows[True] is not first.rows[False]
-    assert first.folds == {}
 
 
 def test_field_term_mul_is_the_folded_product(r3):

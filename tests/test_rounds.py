@@ -11,6 +11,7 @@ from collections import Counter
 import midgb
 from midgb import EngineConfig, groebner_basis
 from midgb import engine, f4, runner
+from midgb.poly import FirstDivisor
 from midgb.runner import RunState
 from test_golden_traces import seeded_system
 
@@ -62,10 +63,10 @@ def test_skipped_pair_sides_fold_to_zero(monkeypatch):
     closing = []
     count = Counter()
 
-    def spied_multiple(g, quot, field_active, folds):
+    def spied_multiple(g, quot, first):
         if not closing:
             formed.add((id(g), quot))
-        return multiple(g, quot, field_active, folds)
+        return multiple(g, quot, first)
 
     def spied_close(*args):
         closing.append(True)
@@ -74,9 +75,10 @@ def test_skipped_pair_sides_fold_to_zero(monkeypatch):
         finally:
             closing.pop()
 
-    def checked(pairs, basis, ring, *, field_active=True, first=None):
+    def checked(pairs, first):
+        basis, ring, field_active = first.members, first.ring, first.field_active
         formed.clear()
-        rows = preprocess(pairs, basis, ring, field_active=field_active, first=first)
+        rows = preprocess(pairs, first)
         for pr in pairs:
             for idx in (pr.left, pr.right):
                 g = basis[idx]
@@ -84,7 +86,7 @@ def test_skipped_pair_sides_fold_to_zero(monkeypatch):
                 if (id(g), quot) in formed:
                     continue
                 assert field_active, (g, quot)
-                assert multiple(g, quot, True, {}).is_zero, (g, quot)
+                assert multiple(g, quot, FirstDivisor([], ring, True)).is_zero, (g, quot)
                 count[ring.q] += 1
         return rows
 
