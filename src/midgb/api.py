@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from .engine import EngineConfig, EngineReport
 from .incremental import incremental_core
-from .poly import require_ring
+from .errors import MixedRingsError
+from .poly import Polynomial, require_ring
 from .runner import buchberger_core, f4_core
 from .trace import TraceWriter
 
@@ -23,10 +24,12 @@ ENGINES = {
 def groebner_basis(polys, config: EngineConfig) -> EngineReport:
     """Run the engine that ``config.engine`` names on the input polynomials.
 
-    Every input must be over ``config.ring``, else MixedRingsError.
+    Every input must be a Polynomial over ``config.ring``, else MixedRingsError.
     """
     inputs = list(polys)
     for p in inputs:
+        if not isinstance(p, Polynomial):
+            raise MixedRingsError(f"input {p!r} is not a polynomial over {config.ring}")
         require_ring(config.ring, p)
     if config.reverse_inputs:
         inputs = inputs[::-1]

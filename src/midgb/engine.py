@@ -220,6 +220,8 @@ class EngineConfig:
     reverse_inputs: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.ring, PolyRing):
+            raise InvalidSettingError(f"ring must be a PolyRing, got {self.ring!r}")
         if self.engine not in ("buchberger", "f4", "incremental"):
             raise InvalidSettingError(f"unknown engine {self.engine!r}")
         rounds = self.max_rounds

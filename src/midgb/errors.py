@@ -5,10 +5,6 @@ class MidgbError(Exception):
     """Base class for package-specific errors."""
 
 
-class ZeroInverseError(MidgbError, ZeroDivisionError):
-    """Inversion of 0 in a prime field."""
-
-
 class NonPrimeFieldError(MidgbError, ValueError):
     """A field size that is not prime."""
 

@@ -38,7 +38,7 @@ def _multiple(g: Polynomial, quot, first: FirstDivisor) -> Polynomial:
     """
     if quot == g.ring.codec.one:
         return g
-    inv = g.ring.field.inv(g.lc())
+    inv = pow(g.lc(), -1, g.ring.q)
     if first.field_active:
         return field_term_mul(g, quot, inv, first.folds)
     return g.term_mul(quot, inv)
@@ -334,7 +334,6 @@ def _eliminate_gf2(rows, columns, col, known, block) -> list:
 def _eliminate_general(rows, columns, col, known, block) -> list:
     ring = rows[block[0]].ring
     q = ring.q
-    inv = ring.field.inv
     # a - b*c with entries in [0, q) must fit int64; beyond that, Python ints
     dtype = np.int64 if (q - 1) ** 2 + q < 2**63 else object
     a = np.zeros((len(block), len(columns)), dtype=dtype)
@@ -351,7 +350,7 @@ def _eliminate_general(rows, columns, col, known, block) -> list:
         if i is not None:
             # subtract a[hit, j] times the known pivot, made monic here
             terms = rows[i].terms
-            head_inv = inv(terms[0][1])
+            head_inv = pow(terms[0][1], -1, q)
             vals = np.array([c * head_inv % q for _, c in terms], dtype=dtype)
             cells = np.ix_(hit, [col[m] for m, _ in terms])
             a[cells] = (a[cells] - np.outer(a[hit, j], vals)) % q
@@ -364,7 +363,7 @@ def _eliminate_general(rows, columns, col, known, block) -> list:
         piv = int(cand[0])
         free[piv] = False
         pivots.append(piv)
-        a[piv] = a[piv] * inv(int(a[piv, j])) % q
+        a[piv] = a[piv] * pow(int(a[piv, j]), -1, q) % q
         hit = hit[hit != piv]
         if hit.size:
             a[hit] = (a[hit] - np.outer(a[hit, j], a[piv])) % q

@@ -1,13 +1,13 @@
-"""Arithmetic in prime fields GF(q).
+"""Primality of a field size q, as ``PolyRing`` checks it.
 
-Elements are plain ints kept in canonical range [0, q). The hot loops elsewhere
-inline the ``% q`` arithmetic; this class is the validated entry point and the
-single place that knows how to invert.
+Field elements are plain ints kept in canonical range [0, q); the code that
+works on them does the ``% q`` arithmetic itself and inverts a nonzero c
+with ``pow(c, -1, q)``. This module only decides whether q is prime.
 """
 
 from __future__ import annotations
 
-from .errors import NonPrimeFieldError, TooLargeError, ZeroInverseError
+from .errors import TooLargeError
 
 
 # Miller-Rabin on these bases is exact below the limit (Sorenson and Webster 2015)
@@ -37,28 +37,3 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-class PrimeField:
-    """GF(q) for prime q."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: int):
-        if not isinstance(q, int) or not is_prime(q):
-            raise NonPrimeFieldError(f"field size must be a prime integer, got {q!r}")
-        self.q = q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroInverseError(f"0 has no inverse in GF({self.q})")
-        return pow(a, -1, self.q)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self):
-        return f"GF({self.q})"

@@ -15,8 +15,8 @@ import heapq
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .errors import InvalidSettingError, MixedRingsError, ZeroInputError
-from .gf import PrimeField
+from .errors import InvalidSettingError, MixedRingsError, NonPrimeFieldError, ZeroInputError
+from .gf import is_prime
 from .monomials import MonomialCodec
 
 
@@ -26,10 +26,12 @@ class PolyRing:
     The first listed variable has the greatest precedence.
     """
 
-    __slots__ = ("field", "names", "n", "order", "codec", "_zero", "_one")
+    __slots__ = ("q", "names", "n", "order", "codec", "_zero", "_one")
 
     def __init__(self, q: int, names: Sequence[str], order: str = "grevlex"):
-        self.field = PrimeField(q)
+        if not isinstance(q, int) or not is_prime(q):
+            raise NonPrimeFieldError(f"field size must be a prime integer, got {q!r}")
+        self.q = q
         names = list(names)
         if not names:
             raise InvalidSettingError("a ring needs at least one variable")
@@ -44,10 +46,6 @@ class PolyRing:
         self.codec = MonomialCodec(self.n, q, order)
         self._zero = Polynomial(self, ())
         self._one = Polynomial(self, ((self.codec.one, 1),))
-
-    @property
-    def q(self) -> int:
-        return self.field.q
 
     def unit_monomial(self):
         return (0,) * self.n
@@ -76,6 +74,7 @@ class PolyRing:
         return Polynomial(self, ((self.codec.one, c),))
 
     def variable(self, i: int) -> "Polynomial":
+        _require_index(self, i)
         return Polynomial(self, ((self.codec.var(i), 1),))
 
     def poly(self, pairs: Iterable) -> "Polynomial":
@@ -117,6 +116,12 @@ class PolyRing:
 
     def __repr__(self):
         return f"PolyRing(GF({self.q}), [{', '.join(self.names)}], {self.order})"
+
+
+def _require_index(ring: PolyRing, i) -> None:
+    """Raise InvalidSettingError unless i is a variable index of ``ring``."""
+    if i not in range(ring.n):
+        raise InvalidSettingError(f"variable index {i!r} is outside 0..{ring.n - 1}")
 
 
 def require_ring(ring: PolyRing, p: "Polynomial") -> None:
@@ -245,13 +250,13 @@ class Polynomial:
         c = self.terms[0][1]
         if c == 1:
             return self
-        return self.scale(self.ring.field.inv(c))
+        return self.scale(pow(c, -1, self.ring.q))
 
     def evaluate(self, point: Sequence[int]) -> int:
         """Evaluate at a full assignment (term-wise powers)."""
         q = self.ring.q
         if len(point) != self.ring.n:
-            raise ValueError("point length does not match variable count")
+            raise InvalidSettingError(f"a point of {len(point)} values for {self.ring.n} variables")
         total = 0
         exponents = self.ring.codec.exponents
         for m, c in self.terms:
@@ -304,9 +309,10 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ZeroInputError("s_polynomial of a zero polynomial")
     ring = f.ring
     require_ring(ring, g)
-    inv, div = ring.field.inv, ring.codec.div
+    q, div = ring.q, ring.codec.div
     l = ring.codec.lcm(f.lm(), g.lm())
-    return f.term_mul(div(l, f.lm()), inv(f.lc())) + g.term_mul(div(l, g.lm()), -inv(g.lc()))
+    f_part = f.term_mul(div(l, f.lm()), pow(f.lc(), -1, q))
+    return f_part + g.term_mul(div(l, g.lm()), -pow(g.lc(), -1, q))
 
 
 def normal_form(p: Polynomial, reducers: Sequence[Polynomial], first=None) -> Polynomial:
@@ -316,8 +322,8 @@ def normal_form(p: Polynomial, reducers: Sequence[Polynomial], first=None) -> Po
     the running remainder, and reduce it with the first reducer (list order)
     whose leading monomial divides it. Every monomial of the result is
     irreducible. ``first`` is a ``FirstDivisor`` over ``reducers`` whose
-    lookups outlive this call; without one, each monomial is found by a scan,
-    and every reducer must be nonzero and over p's ring.
+    lookups outlive this call; without one, the call checks that every
+    reducer is nonzero and over p's ring and builds its own.
     """
     if p.is_zero or not reducers:
         return p
@@ -426,7 +432,6 @@ def _reduce_by(p: Polynomial, first) -> Polynomial:
     # m - shift(lm) is the quotient m / lm, valid iff no guard bit is set;
     # the tail term t of g then maps to t + m - lm
     q = ring.q
-    inv = ring.field.inv
     coeffs = {}
     heap = []  # negated monomials: the heap pops the largest first
     for m, c in p.terms:
@@ -448,7 +453,7 @@ def _reduce_by(p: Polynomial, first) -> Polynomial:
         # Reducers outnumber reduction steps, so the inverse is taken
         # per step, and only for a reducer that is not monic.
         d = m - lm
-        fac = c if lc == 1 else c * inv(lc) % q
+        fac = c if lc == 1 else c * pow(lc, -1, q) % q
         for t, ct in islice(tail, 1, None):
             m2 = t + d
             old = coeffs.get(m2)
@@ -650,12 +655,15 @@ def substitute(p: Polynomial, values: dict) -> Polynomial:
 
 def substitution(ring: PolyRing, values: dict):
     """The map p -> ``substitute(p, values)`` over ``ring``, with its masks
-    built once for every polynomial it is given.
+    built once for every polynomial it is given. A key of ``values`` that is
+    not a variable index raises InvalidSettingError.
 
     One mask test passes a term free of the mapped variables, and one drops
     a term that holds a variable valued 0; only values past 1 need their
     exponents.
     """
+    for i in values:
+        _require_index(ring, i)
     codec = ring.codec
     q, one, exponent, drop = ring.q, codec.one, codec.exponent, codec.drop
     mask = codec.occurs_mask(values)

@@ -8,9 +8,9 @@ from types import ModuleType
 import pytest
 
 import midgb
-from midgb import EngineConfig, PolyRing
+from midgb import EngineConfig, PolyRing, groebner_basis
 from midgb.api import ENGINES
-from midgb.errors import InvalidSettingError
+from midgb.errors import InvalidSettingError, MixedRingsError
 
 ROOT = Path(__file__).resolve().parent.parent
 INIT = Path(midgb.__file__)
@@ -86,6 +86,20 @@ def test_every_engine_is_a_valid_config():
 def test_malformed_config_values_raise_typed_error(name, value):
     with pytest.raises(InvalidSettingError):
         EngineConfig(PolyRing(2, ["x"], "lex"), **{name: value})
+
+
+@pytest.mark.parametrize("ring", [None, 2, "GF(2)"])
+def test_config_ring_that_is_not_a_ring_raises_typed_error(ring):
+    for adjoin in (True, False):
+        with pytest.raises(InvalidSettingError):
+            EngineConfig(ring, adjoin_field_eqs=adjoin)
+
+
+@pytest.mark.parametrize("value", [1, None, "x"])
+def test_input_that_is_not_a_polynomial_raises_typed_error(value):
+    ring = PolyRing(2, ["x"], "lex")
+    with pytest.raises(MixedRingsError):
+        groebner_basis([ring.variable(0), value], EngineConfig(ring))
 
 
 def test_well_formed_config_values_are_kept():

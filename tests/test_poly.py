@@ -113,6 +113,18 @@ def test_evaluate(r7):
     assert p.evaluate((2, 1)) == (4 + 1 + 3) % 7
 
 
+@pytest.mark.parametrize("point", [(), (2,), (2, 1, 0)])
+def test_evaluate_at_a_point_of_the_wrong_length_raises_typed_error(r7, point):
+    with pytest.raises(InvalidSettingError):
+        r7.poly({(1, 0): 1}).evaluate(point)
+
+
+@pytest.mark.parametrize("i", [2, -1, 1.5, "0"])
+def test_variable_index_out_of_range_raises_typed_error(r3, i):
+    with pytest.raises(InvalidSettingError):
+        r3.variable(i)
+
+
 def test_s_polynomial_cancels_leading_terms(r7):
     f = r7.poly({(2, 0): 1, (0, 1): 1})  # x^2 + y
     g = r7.poly({(1, 1): 1, (0, 0): 1})  # x*y + 1
@@ -413,6 +425,15 @@ def test_substitute(r3):
     p = r3.poly({(2, 1): 1, (1, 0): 1, (0, 0): 1})  # x^2*y + x + 1
     assert substitute(p, {0: 2}) == r3.poly({(0, 1): 1, (0, 0): 0})  # 4y+2+1 = y
     assert substitute(p, {1: 0}) == r3.poly({(1, 0): 1, (0, 0): 1})
+
+
+@pytest.mark.parametrize("i", [2, -1])
+def test_substitute_index_out_of_range_raises_typed_error(r3, i):
+    x, y = r3.variable(0), r3.variable(1)
+    with pytest.raises(InvalidSettingError):
+        substitute(x + y, {i: 1})
+    with pytest.raises(InvalidSettingError):
+        poly.substitution(r3, {0: 1, i: 1})
 
 
 def support(p) -> set:
