@@ -10,6 +10,17 @@ is held by columns, one int bitmask of rows each; see ``MacaulayMatrix``).
 ``reduced_basis`` turns a completed basis into its reduced Groebner basis
 with the same closure and the same known-pivot elimination, in one matrix.
 
+A large round over GF(2) with field equations on, in at most 64 variables,
+takes a second kernel on the same rows: each monomial is one uint64 mask,
+products, closure and the block's column bitmasks are formed in numpy, and
+only the RREF rows become polynomials (``_mask_members``, ``MaskRows``).
+It is gated on the member terms of the round's pair sides
+(``MASK_ROUND_TERMS``): on small rounds its fixed numpy cost exceeds the
+per-term Python work it saves, and a run whose rounds are all small, as the
+incremental engine's are, would pay for numpy's first calls in peak memory
+for no gain. Every other round, and the completion, take the polynomial
+path. Both give the same rows, matrices and traces.
+
 Every kernel's one context is the run's reducer lookup, a
 ``poly.FirstDivisor``: its members are the basis, and it keeps the ring, the
 run's field-equation setting and the reducer rows and folds made so far.
@@ -68,6 +79,8 @@ def _close(rows: list, seen: set, first: FirstDivisor) -> None:
                     continue
                 g = members[i]
                 reducer = made[m] = _multiple(g, m - first.reducers[i][0], first)  # m / LM(g)
+            elif reducer.__class__ is np.ndarray:  # made by the mask kernel
+                reducer = made[m] = _mask_polynomial(reducer, first.ring)
             rows.append(reducer)
 
 
@@ -98,7 +111,7 @@ class Rows(list):
     __slots__ = ("monomials",)
 
 
-def symbolic_preprocess(pairs, first: FirstDivisor) -> list:
+def symbolic_preprocess(pairs, first: FirstDivisor):
     """Collect every row the batch's one matrix needs; the pairs index
     ``first.members``, canonical as a run's basis is (see ``_multiple``).
 
@@ -118,39 +131,52 @@ def symbolic_preprocess(pairs, first: FirstDivisor) -> list:
 
     Returns ``Rows``: a list whose ``monomials`` is the closure's set of
     every monomial of every row, which ``MacaulayMatrix`` takes as its
-    columns.
+    columns. A large round over GF(2) with field equations on takes the
+    mask kernel instead and returns the same rows as ``MaskRows`` (see
+    ``_mask_members``).
     """
     if not pairs:
         raise EmptyBatchError("symbolic preprocessing needs at least one pair")
-    basis, codec, field_active = first.members, first.ring.codec, first.field_active
-    one, fields = codec.one, first.field_members()
-
+    sides = _pair_sides(pairs, first)
+    members = _mask_members(sides, first)
+    if members is not None:
+        return _mask_preprocess(sides, members, first)
+    basis = first.members
     rows = Rows()
     seen: set = set()  # pair-row heads and every monomial looked up
-    seen_products: set = set()
-    for pr in pairs:
-        for idx in (pr.left, pr.right):
-            g = basis[idx]
-            quot = codec.div(pr.lcm, g.lm())
-            if field_active and quot != one and idx in fields:
-                continue  # m * (x^q - x) folds to 0 for every m != 1
-            key = (idx, quot)
-            if key in seen_products:
-                continue
-            seen_products.add(key)
-            row = _multiple(g, quot, first)
-            if row.is_zero:
-                continue  # other products fold to 0 too, e.g. x * (xy + y) over GF(2)
-            rows.append(row)
-            # a head that folding moved below the lcm is NOT covered by this
-            # row's parent, so it is left for the closure to give a reducer
-            if row.lm() == pr.lcm:
-                seen.add(row.lm())
+    for idx, quot, lcm in sides:
+        row = _multiple(basis[idx], quot, first)
+        if row.is_zero:
+            continue  # other products fold to 0 too, e.g. x * (xy + y) over GF(2)
+        rows.append(row)
+        # a head that folding moved below the lcm is NOT covered by this
+        # row's parent, so it is left for the closure to give a reducer
+        if row.lm() == lcm:
+            seen.add(lcm)
 
     _close(rows, seen, first)
     _check_created(rows, 0, seen, first)
     rows.monomials = seen
     return rows
+
+
+def _pair_sides(pairs, first: FirstDivisor) -> list:
+    """(member index, quotient, lcm) of every pair side whose multiple the
+    matrix needs, in pair order: a side already listed is left out, and so
+    is, with field equations on, a field polynomial's side whose quotient
+    is not 1 (m * (x^q - x) folds to 0 for every m != 1)."""
+    basis, codec, field_active = first.members, first.ring.codec, first.field_active
+    one, fields = codec.one, first.field_members()
+    sides, listed = [], set()
+    for pr in pairs:
+        for idx in (pr.left, pr.right):
+            quot = codec.div(pr.lcm, basis[idx].lm())
+            if field_active and quot != one and idx in fields:
+                continue
+            if (idx, quot) not in listed:
+                listed.add((idx, quot))
+                sides.append((idx, quot, pr.lcm))
+    return sides
 
 
 def reduced_basis(first: FirstDivisor) -> list:
@@ -223,14 +249,29 @@ class MacaulayMatrix:
     in one walk over the columns, largest monomial first.
 
     Rows given as ``Rows`` (from ``symbolic_preprocess``) bring their
-    monomial set, so the columns are sorted from it; other rows are walked.
+    monomial set, so the columns are sorted from it; other lists of
+    polynomials are walked, and ``col_index`` maps each monomial to its
+    column. Rows given as ``MaskRows`` (the mask kernel's) are laid out by
+    numpy (``_mask_layout``), their block's column bitmasks are packed by
+    numpy (``_mask_cells``), and only the RREF rows become polynomials; the
+    column walk is the same (``_sweep_gf2``). Their matrix has no
+    ``col_index``. ``symbolic_preprocess`` gives ``MaskRows`` only for a
+    round past ``MASK_ROUND_TERMS``, since below it the numpy layout costs
+    more than walking the terms.
     """
 
     def __init__(self, rows, first: FirstDivisor):
-        self.rows = list(rows)
         self.first = first
+        if isinstance(rows, MaskRows):
+            self.rows = rows
+            self.columns, self._term_columns, heads = _mask_layout(rows)
+            self._heads = heads.tolist()
+            return
+        self.rows = list(rows)
         monomials = rows.monomials if isinstance(rows, Rows) else None
         self.columns, self.col_index = _columns(self.rows, monomials)
+        col = self.col_index
+        self._heads = [col[p.terms[0][0]] if p.terms else None for p in self.rows]
 
     @property
     def shape(self):
@@ -241,13 +282,11 @@ class MacaulayMatrix:
         row, and the indices of the other rows, in row order."""
         known: dict = {}
         block: list = []
-        first = self.first
-        for i, p in enumerate(self.rows):
-            if p.terms:
-                j = self.col_index[p.lm()]
-                if j not in known and first.index(p.lm()) is not None:
-                    known[j] = i
-                    continue
+        index, columns = self.first.index, self.columns
+        for i, j in enumerate(self._heads):
+            if j is not None and j not in known and index(columns[j]) is not None:
+                known[j] = i
+                continue
             block.append(i)  # a zero row stays here and counts as a zero row
         return known, block
 
@@ -260,7 +299,18 @@ class MacaulayMatrix:
         RREF whose leading monomial is not a known pivot's head.
         """
         known, block = self.split()
-        polys = _eliminate(self.rows, self.columns, self.col_index, known, block)
+        rows = self.rows
+        if not isinstance(rows, MaskRows):
+            polys = _eliminate(rows, self.columns, self.col_index, known, block)
+        elif block:
+            lengths = rows.lengths
+            starts = np.cumsum(lengths) - lengths
+            cols = self._term_columns
+            cells = _mask_cells(cols, starts, lengths, block, len(self.columns))
+            known = {j: cols[starts[i]:starts[i] + lengths[i]].tolist() for j, i in known.items()}
+            polys = _sweep_gf2(rows.ring, self.columns, cells, len(block), known, None)
+        else:
+            polys = []
         return polys, len(block) - len(polys)
 
 
@@ -285,26 +335,39 @@ def _eliminate(rows, columns, col, known: dict, block) -> list:
 
 def _eliminate_gf2(rows, columns, col, known, block) -> list:
     # The block by columns: bit r of cells[j] is block row r's entry at j.
-    # One walk, first column first, as in _eliminate_general: each step adds
-    # a row with no entry before column j to the block rows with one at j,
-    # so a column is final once the walk has passed it.
-    ncols = len(columns)
-    cells = [0] * ncols
+    cells = [0] * len(columns)
     for r, i in enumerate(block):
         bit = 1 << r
         for m, _ in rows[i].terms:
             cells[col[m]] |= bit
-    free = (1 << len(block)) - 1  # the block rows that are not pivots yet
+    known = {j: rows[i].terms for j, i in known.items()}
+    return _sweep_gf2(rows[block[0]].ring, columns, cells, len(block), known, col)
+
+
+def _sweep_gf2(ring, columns, cells, nblock: int, known: dict, col) -> list:
+    """The block's RREF rows from its column bitmasks ``cells``. ``known``
+    maps the head column of each known pivot to its row: its terms, whose
+    monomials ``col`` maps to their columns, or with ``col`` None the list
+    of its columns."""
+    # One walk, first column first, as in _eliminate_general: each step adds
+    # a row with no entry before column j to the block rows with one at j,
+    # so a column is final once the walk has passed it.
+    ncols = len(columns)
+    free = (1 << nblock) - 1  # the block rows that are not pivots yet
     pivots = []  # (column, row bit), by ascending column
     for j in range(ncols):
         hit = cells[j]
         if not hit:
             continue
-        i = known.get(j)
-        if i is not None:
+        row = known.get(j)
+        if row is not None:
             # add the known pivot to every block row with an entry here
-            for m, _ in rows[i].terms:
-                cells[col[m]] ^= hit
+            if col is None:
+                for k in row:
+                    cells[k] ^= hit
+            else:
+                for m, _ in row:
+                    cells[col[m]] ^= hit
             continue
         # otherwise the first free block row with an entry here pivots,
         # and is added to every other block row with one
@@ -321,7 +384,6 @@ def _eliminate_gf2(rows, columns, col, known, block) -> list:
         cells[j] = bit
         pivots.append((j, bit))
     # every block row that did not pivot is zero now
-    ring = rows[block[0]].ring
     return [
         Polynomial(ring, tuple((columns[k], 1) for k in range(j, ncols) if cells[k] & bit))
         for j, bit in pivots
@@ -374,3 +436,262 @@ def _eliminate_general(rows, columns, col, known, block) -> list:
         terms = tuple((columns[int(k)], int(row[k])) for k in nz)
         polys.append(Polynomial(ring, terms))
     return polys
+
+
+# ---------------------------------------------------------------- Boolean masks
+#
+# Over GF(2) with field equations on, every member other than a field
+# polynomial is Boolean: its monomials are sets of variables, one n-bit mask
+# each (``MonomialCodec.to_masks``), and its multiple by u folded is the sum of
+# its masks OR u's mask, where equal terms cancel in pairs. The mask kernel
+# forms a round's rows that way, a whole batch per numpy call, and does
+# Python work per distinct monomial instead of per term.
+
+# A round whose pair sides' members hold at least this many terms in all
+# takes the mask kernel. Per round, the kernel loses below about 750 such
+# terms, where its fixed numpy cost is more than the per-term Python work
+# it saves (the incremental engine's many rounds of about 45 rows each ran
+# 1.6 times slower with every round on masks), and gains about 30% from
+# 1,000 on. The gate sits higher, above every round of planted MQ-7
+# incremental runs (at most about 2,100), so that a run of small rounds
+# never pays the peak memory of numpy's first sorts and packs (about
+# 1 MB of code) for a gain of a few percent; planted MQ-10 f4 runs have
+# their large rounds past 5,000.
+MASK_ROUND_TERMS = 2500
+
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+_BOOL_CHUNK = 1 << 24  # the most cells of one temporary bool array in _mask_cells
+
+
+class MaskRows:
+    """A matrix's rows as masks (``_mask_preprocess``): ``masks``, every
+    row's terms one row after another, each row's in increasing mask
+    order; ``lengths``, each row's term count (never 0); ``distinct``, the
+    rows' masks, sorted and each once; ``monomials``, each mask's packed
+    monomial; ``ring``."""
+
+    __slots__ = ("masks", "lengths", "distinct", "monomials", "ring")
+
+    def __init__(self, masks, lengths, distinct, monomials: dict, ring):
+        self.masks, self.lengths, self.distinct = masks, lengths, distinct
+        self.monomials, self.ring = monomials, ring
+
+    def __len__(self):
+        return len(self.lengths)
+
+
+def _mask_members(sides, first: FirstDivisor):
+    """The members of ``first`` as masks when the round goes to the mask
+    kernel, else None.
+
+    It does when ``first`` is over GF(2) with field equations on and n <= 64,
+    when the pair sides' members hold at least ``MASK_ROUND_TERMS`` terms,
+    and when every member but the field polynomials is Boolean and no side's
+    member is a field polynomial (a field polynomial's side is listed only
+    with quotient 1, and its row x^2 + x is not Boolean). Every other
+    product folds as the masks do. ``field_term_mul`` keeps one unfolded,
+    x * (x + 1) = x^2 + x, but a pair side gets the quotient x for x + 1
+    only from a pair with x^2 + x, whose own side sends the round to the
+    polynomial path, and a closure row's quotient shares no variable with
+    its member's head, since the monomial it reduces is Boolean.
+
+    Returns (terms, starts, lengths, heads): every member's masks, leading
+    mask first, one member after another; where each member's start; how
+    many it has (0 for a field polynomial); and each member's leading mask.
+    """
+    ring = first.ring
+    if not (first.field_active and ring.q == 2 and ring.n <= 64):
+        return None
+    basis = first.members
+    if sum(len(basis[idx].terms) for idx, _, _ in sides) < MASK_ROUND_TERMS:
+        return None
+    masks = _member_masks(first)
+    if masks is None or any(masks[idx] is None for idx, _, _ in sides):
+        return None
+    lengths = np.array([0 if a is None else len(a) for a in masks], dtype=np.intp)
+    heads = np.array([0 if a is None else a[0] for a in masks], dtype=np.uint64)
+    terms = np.concatenate([a for a in masks if a is not None])
+    return terms, np.cumsum(lengths) - lengths, lengths, heads
+
+
+def _member_masks(first: FirstDivisor):
+    """``first.masks``, brought up to the members: each member's masks in
+    term order, or None for a field polynomial; None in place of the list
+    once a member that is not a field polynomial has an exponent past 1."""
+    masks = first.masks
+    if masks is None:
+        return None
+    members, fields = first.members, first.field_members()
+    new = range(len(masks), len(members))
+    monomials = [[m for m, _ in members[i].terms] for i in new if i not in fields]
+    terms, boolean = first.ring.codec.to_masks([m for ms in monomials for m in ms])
+    if not boolean.all():
+        first.masks = None
+        return None
+    each = iter(np.split(terms, np.cumsum([len(ms) for ms in monomials])[:-1]))
+    masks.extend(None if i in fields else next(each) for i in new)
+    return masks
+
+
+def _mask_preprocess(sides, members, first: FirstDivisor) -> MaskRows:
+    """``symbolic_preprocess`` on masks: the same rows, as ``MaskRows``.
+
+    The pair rows come first, in pair order, formed in one batch
+    (``_mask_products``). The closure then runs in waves: the masks of the
+    last wave's rows that no earlier wave saw (and that are no pair row's
+    unmoved head) each get one look at ``first.rows``, where a mask row is
+    taken as it is, and otherwise one ``first.index`` lookup. The reducer
+    rows those need are formed in one batch and stored in ``first.rows``,
+    and with the rows taken they make the next wave. A mask row's degree is
+    at most n, under the created bound n + 1, so no row is checked.
+    """
+    codec, n = first.ring.codec, first.ring.n
+    table, index = first.rows, first.index
+    # the pair rows' unmoved heads: each lcm with no exponent past 1
+    lcms = [lcm for _, _, lcm in sides]
+    heads, boolean = codec.to_masks(lcms)
+    monomials = {  # mask -> packed monomial, of every mask of every row
+        mask: lcm for mask, lcm, b in zip(heads.tolist(), lcms, boolean.tolist()) if b
+    }
+    _, seen = _unseen(heads[boolean], np.zeros(0, dtype=np.uint64))
+    quots, _ = codec.to_masks([codec.fold(quot) for _, quot, _ in sides])  # x^2 folds to x
+    wave, lengths = _mask_products(members, [idx for idx, _, _ in sides], quots, n)
+    waves, wave_lengths = [wave], [lengths[lengths > 0]]  # a pair row may fold to 0
+    while wave.size:
+        fresh, seen = _unseen(wave, seen)
+        taken, need, needed, keys = [], [], [], []
+        for mask in fresh.tolist():
+            m = monomials[mask] = codec.from_mask(mask)
+            row = table.get(m)
+            if row.__class__ is np.ndarray:
+                taken.append(row)
+                continue
+            i = index(m)  # a polynomial row in the table is formed anew below
+            if i is not None:
+                need.append(i)
+                needed.append(mask)
+                keys.append(m)
+        quots = np.array(needed, dtype=np.uint64) ^ members[3][need]  # m / LM(g)
+        made, lengths = _mask_products(members, need, quots, n)
+        for m, row in zip(keys, np.split(made, np.cumsum(lengths)[:-1])):
+            table[m] = row  # m / LM(g) * g, folded
+        wave = np.concatenate([made] + taken)
+        lengths = np.concatenate([lengths, np.array([len(r) for r in taken], dtype=np.intp)])
+        waves.append(wave)
+        wave_lengths.append(lengths)
+    rows = np.concatenate(waves)
+    return MaskRows(rows, np.concatenate(wave_lengths), seen, monomials, first.ring)
+
+
+def _mask_products(members, idx: list, quots, n: int) -> tuple:
+    """(masks, lengths): the folded multiple quots[r] * members[idx[r]] for
+    every r, by rows one after another, each row's masks in increasing
+    order, and each row's term count (0 for a row that folded to 0)."""
+    if not idx:
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.intp)
+    # The batch holds the products' terms before any cancel, so its arrays
+    # are built in place, at most two alive at once.
+    terms, starts, sizes, _ = members
+    idx = np.array(idx, dtype=np.intp)
+    lens = sizes[idx]
+    before = np.cumsum(lens) - lens  # each row's first term in the batch
+    at = np.repeat(starts[idx] - before, lens)
+    at += np.arange(len(at))
+    products = terms[at]
+    del at
+    products |= np.repeat(quots, lens)
+    # two equal terms of a row cancel: keep the (row, mask) pairs met an odd number of times
+    if n + len(idx).bit_length() <= 64:  # (row, mask) packed in one uint64
+        key = np.repeat(np.arange(len(idx), dtype=np.uint64) << np.uint64(n), lens)
+        key |= products
+        del products
+        key.sort()
+        key = key[_odd_runs(key[1:] != key[:-1])]
+        ends = np.searchsorted(key, np.arange(len(idx) + 1, dtype=np.uint64) << np.uint64(n))
+        key &= np.uint64((1 << n) - 1)
+        return key, ends[1:] - ends[:-1]
+    row = np.repeat(np.arange(len(idx)), lens)
+    order = np.lexsort((products, row))
+    row, products = row[order], products[order]
+    odd = _odd_runs((row[1:] != row[:-1]) | (products[1:] != products[:-1]))
+    return products[odd], np.bincount(row[odd], minlength=len(idx))
+
+
+# Distinct values are found by sorting here, not with np.unique: from numpy
+# 2.3 on, its first call alone raises the peak memory of a process by about
+# 1.6 MB.
+
+
+def _odd_runs(differs):
+    """Which entries of a sorted array start a run of equal entries of odd
+    length, as a bool array, given ``differs``: whether each entry differs
+    from the next one."""
+    first, last = np.r_[True, differs], np.r_[differs, True]
+    # a run is odd when its first and last entries sit at indices of equal
+    # parity; bool arrays alone, since a batch's runs number in the millions
+    parity = np.zeros(len(first), dtype=bool)
+    parity[1::2] = True
+    first[first] = parity[first] == parity[last]
+    return first
+
+
+def _unseen(masks, seen) -> tuple:
+    """(fresh, seen): the masks that are not in ``seen``, sorted and each
+    once, and ``seen`` with them added; ``seen`` is sorted."""
+    masks = np.sort(masks)
+    if masks.size:
+        masks = masks[np.r_[True, masks[1:] != masks[:-1]]]
+    if seen.size:
+        at = np.minimum(np.searchsorted(seen, masks), seen.size - 1)
+        masks = masks[seen[at] != masks]
+    return masks, np.sort(np.concatenate((seen, masks)))
+
+
+def _mask_layout(rows: MaskRows) -> tuple:
+    """(columns, term columns, heads): the rows' monomials, largest first;
+    the column of every term of ``rows.masks``; each row's head column.
+
+    The distinct masks are ordered as the ring orders monomials (see
+    ``MonomialCodec.to_masks``): under lex, largest mask first; under
+    grevlex, most variables first and then smallest mask first. The
+    grevlex order is taken one popcount at a time, not by a stable argsort,
+    whose numpy code alone adds about 0.2 MB to the peak memory of a run.
+    """
+    distinct = rows.distinct
+    if rows.ring.codec.graded:
+        count = _POPCOUNT[distinct.view(np.uint8)].reshape(-1, 8).sum(axis=1)
+        order = np.concatenate([np.flatnonzero(count == c) for c in range(rows.ring.n, -1, -1)])
+    else:
+        order = np.arange(len(distinct))[::-1]
+    rank = np.empty(len(distinct), dtype=np.int32)  # half the memory of intp, per term
+    rank[order] = np.arange(len(distinct))
+    term_columns = rank[np.searchsorted(distinct, rows.masks)]
+    starts = np.cumsum(rows.lengths) - rows.lengths
+    heads = np.minimum.reduceat(term_columns, starts) if len(starts) else starts
+    columns = [rows.monomials[m] for m in distinct[order].tolist()]
+    return columns, term_columns, heads
+
+
+def _mask_cells(term_columns, starts, lengths, block, ncols: int) -> list:
+    """The block by columns, as ``_eliminate_gf2`` holds it: bit r of
+    entry j is set when block row r has a term in column j. Built from one
+    bool array per chunk of block rows, at most ``_BOOL_CHUNK`` cells each,
+    packed to bytes."""
+    block = np.array(block, dtype=np.intp)
+    packed = np.zeros((ncols, (len(block) + 7) // 8), dtype=np.uint8)
+    chunk = max(8, _BOOL_CHUNK // max(ncols, 1) // 8 * 8)
+    for r0 in range(0, len(block), chunk):
+        rows = block[r0:r0 + chunk]
+        lens = lengths[rows]
+        before = np.cumsum(lens) - lens
+        at = np.repeat(starts[rows] - before, lens) + np.arange(int(lens.sum()))
+        bits = np.zeros((ncols, len(rows)), dtype=bool)
+        bits[term_columns[at], np.repeat(np.arange(len(rows)), lens)] = True
+        packed[:, r0 // 8:(r0 + len(rows) + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(col.tobytes(), "little") for col in packed]
+
+
+def _mask_polynomial(masks, ring) -> Polynomial:
+    """The polynomial of a mask row."""
+    monomials = sorted(map(ring.codec.from_mask, masks.tolist()), reverse=True)
+    return Polynomial(ring, tuple([(m, 1) for m in monomials]))

@@ -42,9 +42,12 @@ from __future__ import annotations
 
 import operator
 
+import numpy as np
+
 from .errors import InvalidSettingError, MonomialOverflowError
 
 ORDERS = ("lex", "grevlex")
+_MASK_CHUNK = 1 << 14  # monomials per chunk of MonomialCodec.to_masks
 
 
 class MonomialCodec:
@@ -59,7 +62,7 @@ class MonomialCodec:
     __slots__ = (
         "n", "q", "order", "graded", "width", "limit", "one", "guard",
         "_sign", "_slot", "_dshift", "_units", "_pos", "_emask", "_eguard",
-        "_eones", "_sumshift", "_flip", "_at_q", "_vars",
+        "_eones", "_sumshift", "_flip", "_at_q", "_vars", "_mask_tables",
     )
 
     def __init__(self, n: int, q: int, order: str):
@@ -95,6 +98,7 @@ class MonomialCodec:
         self._flip = 0 if lex else self._eguard
         self._at_q = self._at_least(q)
         self._vars = {self.one + u: i for i, u in enumerate(self._units)}
+        self._mask_tables = None
 
     # ------------------------------------------------------------ boundary
 
@@ -130,6 +134,58 @@ class MonomialCodec:
     def variable_index(self, m: int):
         """i if m is the variable x_i itself, else None."""
         return self._vars.get(m)
+
+    # A monomial with every exponent at most 1 is a set of variables, and so
+    # an n-bit mask: bit k is the k-th exponent slot from the bottom, which
+    # is x_(k+1) under grevlex and x_(n-k) under lex. Masks then compare as
+    # the ring does: under lex by integer order; under grevlex by popcount
+    # first and then by the smaller mask, that is by the integer
+    # (popcount << n) | (~mask & (2**n - 1)).
+
+    def to_masks(self, ms) -> tuple:
+        """(masks, boolean) for a list of monomials, as numpy arrays: each
+        one's mask (uint64, for n <= 64), and whether all its exponents are
+        0 or 1; where they are not, its mask is meaningless.
+
+        ``m ^ one`` holds every exponent e in its slot in either layout (a
+        grevlex slot holds C - e, and C is all ones): its exponents are at
+        most 1 when no slot has a bit set above its lowest, and the mask is
+        the lowest bit of each slot, read from the bytes of those ints. The
+        monomials are taken a bounded chunk at a time, since their bytes and
+        their bits, one byte each, take far more memory than the masks.
+        """
+        n, w, size = self.n, self.width, (self.width * (self.n + 1) + 7) // 8
+        base, high, one = min(self._pos), self._emask ^ self._eones, self.one
+        low = np.zeros((len(ms), 8), dtype=np.uint8)  # each mask's bytes, low byte first
+        boolean = np.zeros(len(ms), dtype=bool)
+        for i in range(0, len(ms), _MASK_CHUNK):
+            xs = [m ^ one for m in ms[i:i + _MASK_CHUNK]]
+            raw = np.frombuffer(b"".join([x.to_bytes(size, "little") for x in xs]), np.uint8)
+            bits = np.unpackbits(raw.reshape(len(xs), size), axis=1, bitorder="little")
+            low[i:i + len(xs), :(n + 7) // 8] = np.packbits(
+                bits[:, base:base + n * w:w], axis=1, bitorder="little"
+            )
+            boolean[i:i + len(xs)] = [not x & high for x in xs]
+        return low.view("<u8").ravel().astype(np.uint64), boolean
+
+    def from_mask(self, mask: int) -> int:
+        """The monomial of an n-bit mask."""
+        m = self.one
+        for table in self._places():
+            m += table[mask & 255]
+            mask >>= 8
+        return m
+
+    def _places(self) -> list:
+        """``place[g][b]``, made on first use: the sum of the units of the
+        slots that the bits of b stand for in byte g of a mask."""
+        if self._mask_tables is None:
+            units = [u for _, u in sorted(zip(self._pos, self._units))]  # by slot, from the bottom
+            self._mask_tables = [
+                [sum(u for j, u in enumerate(units[g:g + 8]) if b >> j & 1) for b in range(256)]
+                for g in range(0, self.n, 8)
+            ]
+        return self._mask_tables
 
     # ------------------------------------------------------------ arithmetic
 

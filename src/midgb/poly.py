@@ -12,6 +12,7 @@ back.
 from __future__ import annotations
 
 import heapq
+import operator
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -51,6 +52,8 @@ class PolyRing:
         return (0,) * self.n
 
     def var_monomial(self, i: int, e: int = 1):
+        """The exponent tuple of x_i ** e."""
+        _require_index(self, i)
         m = [0] * self.n
         m[i] = e
         return tuple(m)
@@ -122,6 +125,15 @@ def _require_index(ring: PolyRing, i) -> None:
     """Raise InvalidSettingError unless i is a variable index of ``ring``."""
     if i not in range(ring.n):
         raise InvalidSettingError(f"variable index {i!r} is outside 0..{ring.n - 1}")
+
+
+def _require_integers(values) -> None:
+    """Raise InvalidSettingError unless every value is an integer."""
+    for v in values:
+        try:
+            operator.index(v)
+        except TypeError:
+            raise InvalidSettingError(f"value {v!r} is not an integer") from None
 
 
 def require_ring(ring: PolyRing, p: "Polynomial") -> None:
@@ -253,10 +265,11 @@ class Polynomial:
         return self.scale(pow(c, -1, self.ring.q))
 
     def evaluate(self, point: Sequence[int]) -> int:
-        """Evaluate at a full assignment (term-wise powers)."""
+        """Evaluate at a full assignment of integers (term-wise powers)."""
         q = self.ring.q
         if len(point) != self.ring.n:
             raise InvalidSettingError(f"a point of {len(point)} values for {self.ring.n} variables")
+        _require_integers(point)
         total = 0
         exponents = self.ring.codec.exponents
         for m, c in self.terms:
@@ -364,12 +377,14 @@ class FirstDivisor:
     on the ring alone, so a caller may pass one table to every lookup of a
     run (``runner.RunState`` does); without one, the lookup starts its own.
     It holds only valid monomials, so a product past the limit still misses
-    and raises.
+    and raises. ``masks`` is where ``f4``'s mask kernel keeps the members'
+    terms as Boolean masks; a ``rows`` entry that kernel made is a mask
+    array, which ``f4._close`` turns into a polynomial when it reads it.
     """
 
     __slots__ = (
-        "members", "ring", "field_active", "reducers", "rows", "folds", "_fields", "_tested",
-        "_shifts", "_memo", "_guard",
+        "members", "ring", "field_active", "reducers", "rows", "folds", "masks", "_fields",
+        "_tested", "_shifts", "_memo", "_guard",
     )
 
     def __init__(self, members: list, ring: PolyRing, field_active: bool, folds=None):
@@ -379,6 +394,7 @@ class FirstDivisor:
         self.reducers: list = []  # _reducer(g) of the members seen so far
         self.rows: dict = {}  # m -> reducer row
         self.folds: dict = {} if folds is None else folds
+        self.masks: list | None = []  # see f4._member_masks
         self._fields: set = set()  # the field polynomials among members[:_tested]
         self._tested = 0
         self._shifts: list = []
@@ -656,7 +672,8 @@ def substitute(p: Polynomial, values: dict) -> Polynomial:
 def substitution(ring: PolyRing, values: dict):
     """The map p -> ``substitute(p, values)`` over ``ring``, with its masks
     built once for every polynomial it is given. A key of ``values`` that is
-    not a variable index raises InvalidSettingError.
+    not a variable index, or a value that is not an integer, raises
+    InvalidSettingError.
 
     One mask test passes a term free of the mapped variables, and one drops
     a term that holds a variable valued 0; only values past 1 need their
@@ -664,6 +681,7 @@ def substitution(ring: PolyRing, values: dict):
     """
     for i in values:
         _require_index(ring, i)
+    _require_integers(values.values())
     codec = ring.codec
     q, one, exponent, drop = ring.q, codec.one, codec.exponent, codec.drop
     mask = codec.occurs_mask(values)

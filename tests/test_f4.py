@@ -5,6 +5,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from midgb import (
@@ -24,7 +25,7 @@ from midgb.engine import CriticalPair, degree_monitor
 from midgb.errors import BoundViolationError, EmptyBatchError, MonomialOverflowError
 from midgb.f4 import MacaulayMatrix, reduced_basis, symbolic_preprocess
 from midgb.poly import FirstDivisor, Polynomial, field_term_mul
-from test_golden_traces import corpus_runs
+from test_golden_traces import corpus_runs, planted_mq, trace_digest
 
 
 def lookup(lms, ring):
@@ -117,23 +118,33 @@ def reference_symbolic_preprocess(pairs, basis, ring, *, field_active=True):
     return rows
 
 
-@pytest.mark.parametrize("field_active", [True, False])
-@pytest.mark.parametrize("q", [2, 3, 5, 7])
-def test_preprocess_matches_heap_reference(q, field_active, monkeypatch):
+def polynomials(rows) -> list:
+    """The rows ``symbolic_preprocess`` returned, as polynomials in row order."""
+    if not isinstance(rows, f4.MaskRows):
+        return list(rows)
+    ends = np.cumsum(rows.lengths)
+    return [f4._mask_polynomial(rows.masks[e - k:e], rows.ring) for e, k in zip(ends, rows.lengths)]
+
+
+def check_preprocess_against_reference(q, field_active, monkeypatch) -> Counter:
     """Every matrix of seeded f4 and incremental runs: the same rows as a
-    multiset, and the same reduced rows and zero-row count."""
+    multiset, and the same reduced rows and zero-row count. Returns a
+    Counter of the matrices, those whose rows came in another order, and
+    those made by the mask kernel."""
     count = Counter()
 
     def checked(pairs, first):
         basis, ring, field_active = first.members, first.ring, first.field_active
         rows = symbolic_preprocess(pairs, first)
+        got = polynomials(rows)
         ref = reference_symbolic_preprocess(pairs, basis, ring, field_active=field_active)
-        assert Counter(rows) == Counter(ref)
+        assert Counter(got) == Counter(ref)
         lookup = FirstDivisor(basis, ring, field_active)
         reduced = MacaulayMatrix(rows, lookup).reduce()
         assert reduced == MacaulayMatrix(ref, lookup).reduce()
         count["matrices"] += 1
-        count["reordered"] += rows != ref
+        count["reordered"] += got != ref
+        count["mask"] += isinstance(rows, f4.MaskRows)
         return rows
 
     monkeypatch.setattr(f4, "symbolic_preprocess", checked)
@@ -142,7 +153,22 @@ def test_preprocess_matches_heap_reference(q, field_active, monkeypatch):
         polys = random_system(ring, 4, 3, random.Random(seed))
         for engine in ("f4", "incremental"):
             groebner_basis(polys, EngineConfig(ring, engine=engine, adjoin_field_eqs=field_active))
+    return count
+
+
+@pytest.mark.parametrize("field_active", [True, False])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_preprocess_matches_heap_reference(q, field_active, monkeypatch):
+    count = check_preprocess_against_reference(q, field_active, monkeypatch)
     assert count["reordered"] > 0, count
+
+
+def test_mask_preprocess_matches_heap_reference(monkeypatch):
+    """The same check with every GF(2) round that may take the mask kernel
+    taking it."""
+    monkeypatch.setattr(f4, "MASK_ROUND_TERMS", 0)
+    count = check_preprocess_against_reference(2, True, monkeypatch)
+    assert count["mask"] > 0 and count["reordered"] > 0, count
 
 
 # ------------------------------------------------------- the lookup's tables
@@ -158,8 +184,9 @@ def table_checked(monkeypatch):
     field setting, so with an empty fold memo. The rows the
     call appended are exactly those table rows. Each monomial
     set that ``symbolic_preprocess`` hands on must equal the union of its
-    rows' terms. Yields a Counter of rows per (q, field_active, "made" or
-    "served"), served meaning made by an earlier closure of the same lookup.
+    rows' terms (for ``MaskRows``, the monomials of its masks). Yields a
+    Counter of rows per (q, field_active, "made" or "served"), served
+    meaning made by an earlier closure or mask round of the same lookup.
     """
     close, multiple, preprocess = f4._close, f4._multiple, f4.symbolic_preprocess
     count = Counter()
@@ -183,7 +210,11 @@ def table_checked(monkeypatch):
 
     def checked_preprocess(*args, **kwargs):
         rows = preprocess(*args, **kwargs)
-        assert rows.monomials == {m for row in rows for m, _ in row.terms}
+        monomials = rows.monomials
+        if isinstance(rows, f4.MaskRows):  # mask -> monomial, and the masks sorted
+            assert sorted(monomials) == rows.distinct.tolist()
+            monomials = set(monomials.values())
+        assert monomials == {m for row in polynomials(rows) for m, _ in row.terms}
         count["preprocessed"] += 1
         return rows
 
@@ -770,3 +801,170 @@ def test_completion_kernel_edge_cases(kernel_checked):
         for engine in ("f4", "buchberger", "incremental"):
             groebner_basis(polys, EngineConfig(lex, engine=engine, adjoin_field_eqs=False))
     assert seen["dense_unfolded"] >= 18 and seen["folded"] == folded, seen
+
+
+# ------------------------------------------------------------- the mask kernel
+
+
+@pytest.fixture
+def mask_rounds(monkeypatch):
+    """Count the rounds that take the mask kernel."""
+    count = Counter()
+    kernel = f4._mask_preprocess
+
+    def counted(*args):
+        count["mask"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(f4, "_mask_preprocess", counted)
+    return count
+
+
+def gated_digests(system, engine, order, middle_solving, path, monkeypatch) -> list:
+    """The trace digests of one run with the mask kernel's gate closed and
+    with it open (every round that may take the kernel takes it)."""
+    out = []
+    for gate in (10**18, 0):
+        monkeypatch.setattr(f4, "MASK_ROUND_TERMS", gate)
+        out.append(trace_digest(system, engine, order, middle_solving, path))
+    return out
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("engine", ["f4", "incremental"])
+def test_mask_kernel_keeps_planted_quadric_traces(engine, order, mask_rounds, monkeypatch, tmp_path):
+    for n, seed, ms in itertools.product((4, 6, 8, 10), (0, 1, 2), (True, False)):
+        if n == 10 and (engine == "incremental" or seed):
+            continue  # the slowest runs add nothing the others do not cover
+        closed, opened = gated_digests(
+            lambda: planted_mq(n, seed), engine, order, ms, tmp_path / "run.trace", monkeypatch
+        )
+        assert closed == opened, (n, seed, ms)
+    assert mask_rounds["mask"] > 20, mask_rounds
+
+
+def boolean_quadrics(n, order):
+    """Four random GF(2) quadrics in a ring of n variables, over the first
+    two, the middle and the last two of them, so the masks use bit n - 1."""
+    ring = PolyRing(2, [f"x{i}" for i in range(1, n + 1)], order)
+    rng = random.Random(5)
+    used = (0, 1, n // 2, n - 2, n - 1)
+    polys = []
+    for _ in range(4):
+        terms = {(0,) * n: rng.randrange(2)}
+        for a, b in itertools.combinations_with_replacement(used, 2):
+            if rng.randrange(2):
+                e = [0] * n
+                e[a] = e[b] = 1
+                terms[tuple(e)] = 1
+        polys.append(ring.poly(terms))
+    return ring, polys
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("n,mask", [(64, True), (65, False)])
+def test_mask_kernel_takes_rings_of_up_to_64_variables(n, mask, order, mask_rounds, monkeypatch,
+                                                      tmp_path):
+    closed, opened = gated_digests(
+        lambda: boolean_quadrics(n, order), "f4", order, False, tmp_path / "run.trace", monkeypatch
+    )
+    assert closed == opened
+    assert (mask_rounds["mask"] > 0) == mask
+
+
+def test_a_round_with_x_times_x_plus_1_takes_the_polynomial_path(monkeypatch, mask_rounds,
+                                                                  tmp_path):
+    """``field_term_mul`` keeps x * (x + 1) = x^2 + x, which masks would
+    cancel to 0: the pair of x + 1 with x^2 + x lists the field
+    polynomial's side, so its round takes the polynomial path. A pair of
+    x + 1 with a member whose head has no x takes the mask kernel, and
+    gives the polynomial path's rows."""
+    monkeypatch.setattr(f4, "MASK_ROUND_TERMS", 0)
+    ring = PolyRing(2, ["x", "y", "z"], "grevlex")
+    x, y, z = (ring.variable(i) for i in range(3))
+    field, g, h = x * x + x, x + ring.one, y * z + x + y
+    basis = [field, g, h]
+    rows = symbolic_preprocess(
+        [make_pair(field, g, 0, 1), make_pair(g, h, 1, 2)], FirstDivisor(basis, ring, True)
+    )
+    assert isinstance(rows, f4.Rows)
+    assert [str(r) for r in rows[:2]] == ["x^2 + x", "x^2 + x"]
+    rows = symbolic_preprocess([make_pair(g, h, 1, 2)], FirstDivisor(basis, ring, True))
+    assert isinstance(rows, f4.MaskRows)
+    with monkeypatch.context() as mp:
+        mp.setattr(f4, "MASK_ROUND_TERMS", 10**18)
+        ref = symbolic_preprocess([make_pair(g, h, 1, 2)], FirstDivisor(basis, ring, True))
+    assert Counter(polynomials(rows)) == Counter(ref)
+    # and whole runs that keep x1 + 1 as a member, so that they hold the
+    # row x1 * (x1 + 1) = x1^2 + x1 in some rounds and take masks in others
+    made = Counter()
+    preprocess = f4.symbolic_preprocess
+
+    def spied(pairs, first):
+        rows = preprocess(pairs, first)
+        made["x1^2 + x1"] += sum(str(p) == "x1^2 + x1" for p in polynomials(rows))
+        return rows
+
+    monkeypatch.setattr(f4, "symbolic_preprocess", spied)
+    for seed in range(3):
+
+        def system(seed=seed):
+            ring, polys = planted_mq(6, seed)
+            return ring, [ring.variable(0) + ring.one] + polys
+
+        closed, opened = gated_digests(
+            system, "f4", "grevlex", False, tmp_path / "run.trace", monkeypatch
+        )
+        assert closed == opened
+    assert made["x1^2 + x1"] >= 6 and mask_rounds["mask"] > 6, (made, mask_rounds)
+
+
+def test_rows_the_mask_kernel_made_are_served_as_polynomials(monkeypatch):
+    """A mask round stores its reducer rows in the lookup as mask arrays;
+    ``_close``, as completion runs it, takes each as a polynomial equal to
+    a fresh ``_multiple`` and puts that back in the table."""
+    ring, polys = planted_mq(6, 0)
+    pairs = [make_pair(f, g, i, j) for (i, f), (j, g) in itertools.combinations(enumerate(polys), 2)]
+    first = FirstDivisor(polys, ring, True)
+    monkeypatch.setattr(f4, "MASK_ROUND_TERMS", 0)
+    rows = symbolic_preprocess(pairs, first)
+    assert isinstance(rows, f4.MaskRows)
+    monkeypatch.setattr(f4, "MASK_ROUND_TERMS", 10**18)
+    assert Counter(polynomials(rows)) == Counter(symbolic_preprocess(pairs, FirstDivisor(polys, ring, True)))
+    stored = [m for m, row in first.rows.items() if isinstance(row, np.ndarray)]
+    assert stored
+    for m in stored:
+        served = [Polynomial(ring, ((m, 1),))]
+        f4._close(served, set(), first)
+        g = polys[first.index(m)]
+        assert served[1] == f4._multiple(g, ring.codec.div(m, g.lm()), FirstDivisor([], ring, True))
+        assert first.rows[m] is served[1]
+
+
+@pytest.mark.parametrize("bound_test", [
+    test_the_created_bound_fires_on_pair_rows,
+    test_the_created_bound_fires_on_closure_rows,
+    test_the_created_bound_fires_on_completion_rows,
+])
+def test_the_created_bound_fires_with_the_mask_gate_open(bound_test, monkeypatch):
+    monkeypatch.setattr(f4, "MASK_ROUND_TERMS", 0)
+    bound_test(monkeypatch)
+
+
+def test_mask_conversions_round_trip():
+    rng = random.Random(3)
+    for n, order in itertools.product((1, 8, 9, 17, 64), ("grevlex", "lex")):
+        ring = PolyRing(2, [f"x{i}" for i in range(n)], order)
+        codec = ring.codec
+        exps = [tuple(rng.choice((0, 1, 1, 2)) for _ in range(n)) for _ in range(200)]
+        masks, boolean = codec.to_masks([codec.pack(e) for e in exps])
+        full = (1 << n) - 1
+        key = (lambda k: k) if order == "lex" else (lambda k: (bin(k).count("1") << n) | (~k & full))
+        kept = []
+        for e, mask, b in zip(exps, masks.tolist(), boolean.tolist()):
+            assert b == (max(e) <= 1)
+            if b:
+                assert codec.from_mask(mask) == codec.pack(e)
+                kept.append((codec.pack(e), mask))
+        # masks order as the ring does
+        assert sorted(kept) == sorted(kept, key=lambda t: key(t[1]))

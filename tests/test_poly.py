@@ -125,6 +125,21 @@ def test_variable_index_out_of_range_raises_typed_error(r3, i):
         r3.variable(i)
 
 
+@pytest.mark.parametrize("i", [2, 5, -1, 1.5])
+def test_var_monomial_index_out_of_range_raises_typed_error(r3, i):
+    with pytest.raises(InvalidSettingError):
+        r3.var_monomial(i)
+    assert r3.var_monomial(1, 2) == (0, 2)
+
+
+@pytest.mark.parametrize("value", [1.5, "1", None])
+def test_evaluate_at_a_value_that_is_not_an_integer_raises_typed_error(r3, value):
+    x, y = r3.variable(0), r3.variable(1)
+    with pytest.raises(InvalidSettingError):
+        (x + y).evaluate((value, 0))
+    assert (x + y).evaluate((True, 1)) == 2  # a bool is an int
+
+
 def test_s_polynomial_cancels_leading_terms(r7):
     f = r7.poly({(2, 0): 1, (0, 1): 1})  # x^2 + y
     g = r7.poly({(1, 1): 1, (0, 0): 1})  # x*y + 1
@@ -434,6 +449,15 @@ def test_substitute_index_out_of_range_raises_typed_error(r3, i):
         substitute(x + y, {i: 1})
     with pytest.raises(InvalidSettingError):
         poly.substitution(r3, {0: 1, i: 1})
+
+
+@pytest.mark.parametrize("value", [1.5, "1", None])
+def test_substitute_a_value_that_is_not_an_integer_raises_typed_error(r3, value):
+    x, y = r3.variable(0), r3.variable(1)
+    with pytest.raises(InvalidSettingError):
+        substitute(x + y, {0: value})
+    with pytest.raises(InvalidSettingError):
+        poly.substitution(r3, {1: 1, 0: value})
 
 
 def support(p) -> set:
