@@ -8,9 +8,10 @@ live in ``runner``, where ``RunState.store`` is the one caller of ``update``.
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     BoundViolationError,
@@ -19,11 +20,10 @@ from .errors import (
     TooLargeError,
     ZeroInputError,
 )
-from .poly import Polynomial, PolyRing, is_field_polynomial
+from .poly import FirstDivisor, Polynomial, PolyRing, is_field_polynomial
 
 
-@dataclass(frozen=True)
-class CriticalPair:
+class CriticalPair(NamedTuple):
     """An unprocessed S-polynomial obligation between two basis members."""
 
     left: int
@@ -33,21 +33,68 @@ class CriticalPair:
 
 
 class PairQueue:
-    """Pending critical pairs with deterministic minimal-degree selection."""
+    """Pending critical pairs with deterministic minimal-degree selection.
 
-    __slots__ = ("pairs",)
+    Each pair is held under a serial number, in queue order, and indexed by
+    the variables of its lcm: for each variable, the set of the serials
+    whose lcm has it, as a Python int. ``update`` reads the index to test
+    only the pairs whose lcm a new leading monomial can divide
+    (``having``). The numbering starts again whenever the queue empties.
+    """
+
+    __slots__ = ("_pairs", "_having", "_next")
 
     def __init__(self):
-        self.pairs: list = []
+        self._pairs: dict = {}  # serial -> pair, in queue order
+        self._having: dict = {}  # variable -> serials whose lcm has it
+        self._next = 0
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self._pairs)
 
     def __bool__(self):
-        return bool(self.pairs)
+        return bool(self._pairs)
 
-    def add(self, pair: CriticalPair):
-        self.pairs.append(pair)
+    @property
+    def pairs(self) -> list:
+        """The pairs in queue order."""
+        return list(self._pairs.values())
+
+    def add(self, pairs: list, variables: list):
+        """Queue ``pairs`` in order; the lcm of pairs[k] has the variables of
+        the mask variables[k] (bit i for x_i)."""
+        base = self._next
+        self._next += len(pairs)
+        self._pairs.update(zip(range(base, self._next), pairs))
+        having = self._having
+        for serial, v in enumerate(variables, base):
+            bit = 1 << serial
+            while v:
+                low = v & -v
+                i = low.bit_length() - 1
+                having[i] = having.get(i, 0) | bit
+                v ^= low
+
+    def having(self, variables: int) -> list:
+        """(serial, pair) in queue order for every pair whose lcm has all the
+        variables of the mask ``variables``."""
+        pairs = self._pairs
+        if not variables:
+            return list(pairs.items())
+        found = -1
+        for i in _bits(variables):
+            found &= self._having.get(i, 0)
+        return [(s, pairs[s]) for s in _bits(found) if s in pairs]
+
+    def discard(self, serials: list) -> None:
+        """Remove the pairs of these serial numbers. Their bits stay in the
+        index, which ``having`` skips, until the queue empties."""
+        pairs = self._pairs
+        for s in serials:
+            del pairs[s]
+        if not pairs:
+            self._having.clear()
+            self._next = 0
 
     def select(self, batch: bool) -> list:
         """Remove and return the next pair(s) to process.
@@ -55,17 +102,28 @@ class PairQueue:
         batch=True takes every pair of minimal degree; batch=False takes the
         single minimal pair, ties broken by lcm order then (left, right).
         """
-        if not self.pairs:
+        pairs = self._pairs
+        if not pairs:
             raise EmptyQueueError("pair selection from an empty queue")
-        key = lambda p: (p.degree, p.lcm, p.left, p.right)
         if batch:
-            dmin = min(p.degree for p in self.pairs)
-            chosen = sorted((p for p in self.pairs if p.degree == dmin), key=key)
-            self.pairs = [p for p in self.pairs if p.degree != dmin]
-            return chosen
-        best = min(self.pairs, key=key)
-        self.pairs.remove(best)
-        return [best]
+            dmin = min(p.degree for p in pairs.values())
+            serials = [s for s, p in pairs.items() if p.degree == dmin]
+        else:
+            serials = [min(pairs, key=lambda s: _ORDER(pairs[s]))]
+        chosen = sorted(map(pairs.get, serials), key=_ORDER)
+        self.discard(serials)
+        return chosen
+
+
+_ORDER = itemgetter(3, 2, 0, 1)  # a pair's (degree, lcm, left, right)
+
+
+def _bits(x: int):
+    """The positions of the set bits of x >= 0, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def field_polynomial(ring: PolyRing, i: int) -> Polynomial:
@@ -84,61 +142,125 @@ def adjoin_field_equations(polys, ring: PolyRing) -> list:
     return out
 
 
-def update(basis: list, queue: PairQueue, h: Polynomial) -> int:
-    """Append h to the basis and maintain the pair queue.
+def update(first: FirstDivisor, queue: PairQueue, h: Polynomial) -> int:
+    """Append h to the basis, ``first.members``, and maintain the pair queue.
 
     Its one caller is ``runner.RunState.store``, which stores inputs, batch
-    members and the members a renew returns alike.
-    Two members may share a leading monomial only when raw inputs collide.
-    Reducers are looked up as the first member, in list order, whose leading
-    monomial divides a monomial (``poly.FirstDivisor``, and ``interreduce``'s
-    per-pass lookups), so the earlier one is picked. A ``FirstDivisor`` over
-    the basis stays valid through this append.
+    members and the members a renew returns alike, and passes the run's
+    lookup ``first``, which follows the append. Two members may share a
+    leading monomial only when raw inputs collide. Reducers are looked up
+    as the first member, in list order, whose leading monomial divides a
+    monomial (``poly.FirstDivisor``, and ``interreduce``'s per-pass
+    lookups), so the earlier one is picked.
 
-    Pair bookkeeping is Gebauer-Moller style. With l_g = lcm(LM(g), LM(h))
-    computed for every earlier member g in one pass (``MonomialCodec.lcms``):
+    Pair bookkeeping is Gebauer-Moller style, with l_g = lcm(LM(g), LM(h)):
       * only minimal lcms pair: l_g is dropped when another l_f properly
-        divides it. In every admissible order a proper divisor comes before
-        its multiple, so the least lcm not yet dropped is minimal; the sweep
-        keeps it, drops its multiples and repeats, in O(k) per minimal lcm;
+        divides it;
       * among equal lcms only the earliest partner counts;
       * a minimal lcm equal to LM(g)*LM(h) (coprime leading monomials)
         dominates but never pairs: its S-polynomial reduces to zero;
       * an existing pair (f, g) is dropped when LM(h) divides lcm(f, g) and
         l_f != lcm(f, g) != l_g.
     New pairs are queued in partner order. Returns h's basis index.
+
+    The work runs on the index of the members' heads (``first.heads()``).
+    l_g = LM(h) * e_g, where the excess e_g holds the exponents by which
+    LM(g) passes LM(h), so l_f divides l_g exactly when e_f divides e_g,
+    and the minimal lcms are those of the minimal excesses. If some head
+    divides LM(h), its excess 1 is the least and divides every other.
+    Otherwise the members whose excess is a power of one variable x_i give,
+    at their least exponent c, one minimal excess x_i^c, and every member
+    whose x_i-excess is at least c is ruled out; all of that takes a few
+    set operations per variable. Only the members left, whose excess has
+    two or more variables, are swept one by one in ascending lcm order. An
+    old pair is tested only when its lcm has every variable of LM(h)
+    (``PairQueue.having``), and l_f = lcm(f, g) is decided without forming
+    l_f: it holds exactly when lcm(f, g) / LM(f) and lcm(f, g) / LM(h)
+    share no variable.
+
+    So the lcms formed are LM(h) * x_i^c for each such x_i and l_g for
+    each member left to the sweep, and no others: a member that a smaller
+    excess rules out has none formed. The first of them past the codec's
+    limit raises ``MonomialOverflowError``, and then the basis and the
+    queue are left as they were.
     """
     if h.is_zero:
         raise ZeroInputError("cannot insert the zero polynomial")
+    basis = first.members
+    heads = first.heads()
     codec = h.ring.codec
-    guard = codec.guard
-    lm_h = h.lm()
-    lcms = codec.lcms([g.lm() for g in basis], lm_h)
-    h_idx = len(basis)
-    basis.append(h)
-
-    # each distinct lcm -> its first partner (zipped in reverse, so the
-    # earliest index is written last)
-    first = dict(zip(reversed(lcms), range(h_idx - 1, -1, -1)))
+    guard, lm_h = codec.guard, h.lm()
     shift_h = codec.shift(lm_h)
-    partners = []
-    rest = sorted(first)
-    while rest:
-        l = rest[0]
-        g_idx = first[l]
-        if l - shift_h != basis[g_idx].lm():  # l / LM(h) != LM(g): not coprime
-            partners.append(g_idx)
-        # drop l and its multiples: m | x iff (x - shift(m)) & guard == 0
-        s = codec.shift(l)
-        rest = [x for x in rest if (x - s) & guard]
+    powers = codec.powers(lm_h)
+    h_idx = len(basis)
 
-    queue.pairs = [
-        pr for pr in queue.pairs
-        if (pr.lcm - shift_h) & guard  # LM(h) does not divide lcm(f, g)
-        or pr.lcm == lcms[pr.left] or pr.lcm == lcms[pr.right]
-    ]
-    for g_idx in sorted(partners):
-        queue.add(CriticalPair(g_idx, h_idx, lcms[g_idx], codec.degree(lcms[g_idx])))
+    # over[i]: the members g whose excess has x_i, that is whose head's
+    # x_i-exponent is above LM(h)'s
+    over = heads.above(powers)
+    some = many = 0  # members with an excess in some variable, in two or more
+    for s in over:
+        many |= some & s
+        some |= s
+    partners = {}  # member index -> its lcm with LM(h)
+    divides = ((1 << h_idx) - 1) & ~some
+    if divides:  # LM(g) | LM(h): l_g = LM(h), coprime only for LM(g) = 1
+        g = (divides & -divides).bit_length() - 1
+        if basis[g].lm() != codec.one:
+            partners[g] = lm_h
+        rest = 0
+    else:
+        rest, alone, b = some, some & ~many, dict(powers)
+        least, mul, var = heads.least, codec.mul, codec.var
+        for i, s in enumerate(over):
+            s &= alone
+            if s:
+                e, tied, reach = least(i, s)
+                rest &= ~reach
+                g = (tied & -tied).bit_length() - 1
+                l = mul(lm_h, var(i, e - b.get(i, 0)))
+                if l - shift_h != basis[g].lm():  # l / LM(h) != LM(g): not coprime
+                    partners[g] = l
+    if rest:
+        # each distinct lcm -> its first partner (zipped in reverse, so the
+        # earliest index is written last)
+        idx = list(_bits(rest))
+        lcms = [codec.lcm(basis[g].lm(), lm_h) for g in idx]
+        firsts = dict(zip(reversed(lcms), reversed(idx)))
+        ls = sorted(firsts)
+        while ls:
+            l = ls[0]  # the least lcm left, so minimal: none left divides it
+            g = firsts[l]
+            if l - shift_h != basis[g].lm():
+                partners[g] = l
+            # drop l and its multiples: m | x iff (x - shift(m)) & guard == 0
+            s = codec.shift(l)
+            ls = [x for x in ls if (x - s) & guard]
+
+    # l = lcm(f, g) equals l_f exactly when l / LM(f) and l / LM(h) share
+    # no variable: where LM(f) falls short of l, LM(h) must reach it
+    variables = 0
+    for i, _ in powers:
+        variables |= 1 << i
+    shift, coprime = codec.shift, codec.coprime
+    drop = []
+    for serial, pr in queue.having(variables):
+        l = pr.lcm
+        over_h = l - shift_h
+        if over_h & guard:  # LM(h) does not divide lcm(f, g)
+            continue
+        if not coprime(l - shift(basis[pr.left].lm()), over_h) and not coprime(
+            l - shift(basis[pr.right].lm()), over_h
+        ):
+            drop.append(serial)
+    queue.discard(drop)
+    basis.append(h)
+    if partners:
+        order = sorted(partners)
+        supports = heads.supports
+        queue.add(
+            [CriticalPair(g, h_idx, partners[g], codec.degree(partners[g])) for g in order],
+            [supports[g] | variables for g in order],
+        )
     return h_idx
 
 

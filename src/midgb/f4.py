@@ -461,6 +461,7 @@ MASK_ROUND_TERMS = 2500
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 _BOOL_CHUNK = 1 << 24  # the most cells of one temporary bool array in _mask_cells
+_TERM_CHUNK = 1 << 20  # the most terms whose columns _mask_layout looks up at once
 
 
 class MaskRows:
@@ -468,13 +469,16 @@ class MaskRows:
     row's terms one row after another, each row's in increasing mask
     order; ``lengths``, each row's term count (never 0); ``distinct``, the
     rows' masks, sorted and each once; ``monomials``, each mask's packed
-    monomial; ``ring``."""
+    monomial; ``ring``. ``layout`` is None until ``_mask_layout`` lays the
+    rows out over their columns; it then holds what that returns, whose
+    term columns stand in for ``masks``, so ``masks`` is dropped."""
 
-    __slots__ = ("masks", "lengths", "distinct", "monomials", "ring")
+    __slots__ = ("masks", "lengths", "distinct", "monomials", "ring", "layout")
 
     def __init__(self, masks, lengths, distinct, monomials: dict, ring):
         self.masks, self.lengths, self.distinct = masks, lengths, distinct
         self.monomials, self.ring = monomials, ring
+        self.layout = None
 
     def __len__(self):
         return len(self.lengths)
@@ -650,6 +654,9 @@ def _unseen(masks, seen) -> tuple:
 def _mask_layout(rows: MaskRows) -> tuple:
     """(columns, term columns, heads): the rows' monomials, largest first;
     the column of every term of ``rows.masks``; each row's head column.
+    Made once per ``rows`` and kept as ``rows.layout``; ``rows.masks`` is
+    then dropped, since elimination needs only the term columns, at half
+    the bytes per term.
 
     The distinct masks are ordered as the ring orders monomials (see
     ``MonomialCodec.to_masks``): under lex, largest mask first; under
@@ -657,6 +664,8 @@ def _mask_layout(rows: MaskRows) -> tuple:
     grevlex order is taken one popcount at a time, not by a stable argsort,
     whose numpy code alone adds about 0.2 MB to the peak memory of a run.
     """
+    if rows.layout is not None:
+        return rows.layout
     distinct = rows.distinct
     if rows.ring.codec.graded:
         count = _POPCOUNT[distinct.view(np.uint8)].reshape(-1, 8).sum(axis=1)
@@ -665,11 +674,15 @@ def _mask_layout(rows: MaskRows) -> tuple:
         order = np.arange(len(distinct))[::-1]
     rank = np.empty(len(distinct), dtype=np.int32)  # half the memory of intp, per term
     rank[order] = np.arange(len(distinct))
-    term_columns = rank[np.searchsorted(distinct, rows.masks)]
+    masks = rows.masks
+    term_columns = np.empty(len(masks), dtype=np.int32)
+    for i in range(0, len(masks), _TERM_CHUNK):  # no intp array of every term at once
+        term_columns[i:i + _TERM_CHUNK] = rank[np.searchsorted(distinct, masks[i:i + _TERM_CHUNK])]
     starts = np.cumsum(rows.lengths) - rows.lengths
     heads = np.minimum.reduceat(term_columns, starts) if len(starts) else starts
     columns = [rows.monomials[m] for m in distinct[order].tolist()]
-    return columns, term_columns, heads
+    rows.layout, rows.masks = (columns, term_columns, heads), None
+    return rows.layout
 
 
 def _mask_cells(term_columns, starts, lengths, block, ncols: int) -> list:

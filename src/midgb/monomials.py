@@ -41,6 +41,7 @@ never wrapped: packing it, or forming it as a product, raises
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -62,7 +63,7 @@ class MonomialCodec:
     __slots__ = (
         "n", "q", "order", "graded", "width", "limit", "one", "guard",
         "_sign", "_slot", "_dshift", "_units", "_pos", "_emask", "_eguard",
-        "_eones", "_sumshift", "_flip", "_at_q", "_vars", "_mask_tables",
+        "_eones", "_sumshift", "_flip", "_at_q", "_vars", "_mask_tables", "_slot_vars",
     )
 
     def __init__(self, n: int, q: int, order: str):
@@ -99,6 +100,7 @@ class MonomialCodec:
         self._at_q = self._at_least(q)
         self._vars = {self.one + u: i for i, u in enumerate(self._units)}
         self._mask_tables = None
+        self._slot_vars = {p + w - 1: i for i, p in enumerate(self._pos)}  # guard bit -> variable
 
     # ------------------------------------------------------------ boundary
 
@@ -124,6 +126,22 @@ class MonomialCodec:
         if self._sign > 0:
             return tuple(slots)
         return tuple(map(self.limit.__sub__, slots))
+
+    def powers(self, m: int) -> list:
+        """(i, e) for each variable x_i that occurs in m, with its exponent e.
+
+        ``m ^ one`` holds the plain exponents in the exponent slots, and
+        adding half - 1 to each sets the guard bit of exactly the slots
+        that are not 0, so only the variables of m are visited.
+        """
+        x = (m ^ self.one) & self._emask
+        hits = (x + self._eguard - self._eones) & self._eguard
+        slot, slot_vars, out = self._slot, self._slot_vars, []
+        while hits:
+            top = hits.bit_length() - 1
+            hits ^= 1 << top
+            out.append((slot_vars[top], x >> (top - self.width + 1) & slot))
+        return out
 
     def var(self, i: int, e: int = 1) -> int:
         """x_i ** e."""
@@ -225,11 +243,7 @@ class MonomialCodec:
         return t * self._eones  # slot holds C - e: e >= t iff C - e + t <= C
 
     def lcm(self, a: int, b: int) -> int:
-        return self.lcms((a,), b)[0]
-
-    def lcms(self, ms, b: int) -> list:
-        """The lcm of each monomial of ms with b, in one pass, raising
-        ``MonomialOverflowError`` at the first lcm past the limit.
+        """The lcm of a and b, raising ``MonomialOverflowError`` past the limit.
 
         With t all ones in the slots where a's slot is at least b's, the
         larger exponent's slot is ``b ^ ((a ^ b) & t)`` under lex, and
@@ -237,25 +251,24 @@ class MonomialCodec:
         of exponents is at most deg a + deg b < 2**w, so the sum of the
         exponents takes one multiply into the sum slot without a carry.
         """
-        em, g, h = self._emask, self._eguard, self.width - 1
-        one, sign, eones, ss, slot = self.one, self._sign, self._eones, self._sumshift, self._slot
-        ds, limit = self._dshift, self.limit
-        sb = b & em
-        keep_a = 0 if sign > 0 else -1  # where t is clear: lex takes b's slot, grevlex a's
-        keep_b = sb & ~keep_a
-        xs = []
-        for a in ms:
-            sa = a & em
-            ge = ((sa | g) - sb) & g  # guard bit where a's slot >= b's
-            x = ((sa & keep_a) | keep_b) ^ ((sa ^ sb) & (ge - (ge >> h)))
-            d = ((sign * (x - one) * eones) >> ss) & slot
-            if d > limit:
-                raise MonomialOverflowError(
-                    f"lcm of {self.exponents(a)} and {self.exponents(b)} is past "
-                    f"this ring's limit {limit}"
-                )
-            xs.append(x + (d << ds))
-        return xs
+        em, g = self._emask, self._eguard
+        sa, sb = a & em, b & em
+        ge = ((sa | g) - sb) & g  # guard bit where a's slot >= b's
+        x = (sb if self._sign > 0 else sa) ^ ((sa ^ sb) & (ge - (ge >> (self.width - 1))))
+        d = ((self._sign * (x - self.one) * self._eones) >> self._sumshift) & self._slot
+        if d > self.limit:
+            raise MonomialOverflowError(
+                f"lcm of {self.exponents(a)} and {self.exponents(b)} is past "
+                f"this ring's limit {self.limit}"
+            )
+        return x + (d << self._dshift)
+
+    def coprime(self, a: int, b: int) -> bool:
+        """True iff no variable occurs in both a and b. ``m ^ one`` holds
+        m's plain exponents, and adding half - 1 to each slot sets the guard
+        bit of exactly the slots that are not 0."""
+        em, one, step = self._emask, self.one, self._eguard - self._eones
+        return not (((a ^ one) & em) + step) & (((b ^ one) & em) + step) & self._eguard
 
     def support(self, m: int) -> int:
         """Bitmask of the variables occurring in m: bit i is x_i."""
@@ -298,3 +311,65 @@ class MonomialCodec:
             m -= sign * (hit >> h) * step + (hit.bit_count() * step << ds)
             hit = ((m + a) & g) ^ f
         return m
+
+
+class ExponentIndex:
+    """A list of monomials that grows by appends, indexed by variable and
+    exponent. Monomial p of the list is bit p of every set here, a Python int.
+
+    For each variable x_i the index keeps the distinct exponents e > 0 that
+    x_i takes in the list, ascending, and for each one the set of the
+    monomials whose x_i-exponent is at least e. Sets are kept per exponent
+    that occurs, not per exponent up to the largest, so a huge exponent
+    costs one set. ``supports`` holds each monomial's variables, bit i for
+    x_i. A question of divisibility is then a few set operations per
+    variable, whatever the length of the list.
+    """
+
+    __slots__ = ("codec", "supports", "_exps", "_sets")
+
+    def __init__(self, codec: MonomialCodec):
+        self.codec = codec
+        self.supports: list = []
+        self._exps = [[] for _ in range(codec.n)]  # per variable: exponents that occur, ascending
+        self._sets = [[] for _ in range(codec.n)]  # _sets[i][j]: x_i-exponent >= _exps[i][j]
+
+    def __len__(self):
+        return len(self.supports)
+
+    def extend(self, ms) -> None:
+        """Append the monomials ``ms``."""
+        powers, supports = self.codec.powers, self.supports
+        for m in ms:
+            bit, support = 1 << len(supports), 0
+            for i, e in powers(m):
+                support |= 1 << i
+                exps, sets = self._exps[i], self._sets[i]
+                j = bisect_left(exps, e)
+                if j == len(exps) or exps[j] != e:  # a new level holds what the next one up holds
+                    exps.insert(j, e)
+                    sets.insert(j, sets[j] if j < len(sets) else 0)
+                for k in range(j + 1):
+                    sets[k] |= bit
+            supports.append(support)
+
+    def above(self, powers) -> list:
+        """For each variable x_i, the monomials whose x_i-exponent is above
+        its exponent in u, given as ``powers`` (``MonomialCodec.powers(u)``)."""
+        exps, sets = self._exps, self._sets
+        over = [s[0] if s else 0 for s in sets]
+        for i, e in powers:
+            es = exps[i]
+            over[i] = sets[i][bisect_right(es, e)] if es and es[-1] > e else 0
+        return over
+
+    def least(self, i: int, within: int) -> tuple:
+        """(e, tied, reach) for a nonempty set ``within`` of monomials that
+        have x_i: the least x_i-exponent e among them, those of them that
+        have it, and every monomial whose x_i-exponent is at least e."""
+        sets = self._sets[i]
+        for j in range(1, len(sets)):
+            tied = within & ~sets[j]
+            if tied:
+                return self._exps[i][j - 1], tied, sets[j - 1]
+        return self._exps[i][-1], within, sets[-1]

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidSettingError, MixedRingsError, NonPrimeFieldError, ZeroInputError
 from .gf import is_prime
-from .monomials import MonomialCodec
+from .monomials import ExponentIndex, MonomialCodec
 
 
 class PolyRing:
@@ -364,7 +364,12 @@ class FirstDivisor:
     the members appended since; any other change to the list needs a new
     FirstDivisor. Members must be nonzero. ``field_members()`` gives the
     indices of the members that are field polynomials x^q - x, each member
-    tested once.
+    tested once. ``heads()`` is the members' leading monomials in a
+    ``monomials.ExponentIndex``, brought up to the appends when asked; it
+    is how ``engine.update`` pairs a new member. Lookups scan the members
+    instead: a lookup's members are few or its misses are answered from
+    the memo, and a scan of the appended members alone beats a query of
+    the index there.
 
     The lookup is also the whole context of the F4 kernels (``f4``): it
     keeps the ``ring`` and ``field_active``, whether the run adjoins field
@@ -384,7 +389,7 @@ class FirstDivisor:
 
     __slots__ = (
         "members", "ring", "field_active", "reducers", "rows", "folds", "masks", "_fields",
-        "_tested", "_shifts", "_memo", "_guard",
+        "_tested", "_shifts", "_memo", "_guard", "_heads",
     )
 
     def __init__(self, members: list, ring: PolyRing, field_active: bool, folds=None):
@@ -400,6 +405,7 @@ class FirstDivisor:
         self._shifts: list = []
         self._memo: dict = {}
         self._guard = ring.codec.guard
+        self._heads = None  # made by heads()
 
     def field_members(self) -> set:
         """The indices of the members that are field polynomials."""
@@ -409,6 +415,15 @@ class FirstDivisor:
                 self._fields.add(i)
         self._tested = len(members)
         return self._fields
+
+    def heads(self) -> ExponentIndex:
+        """The members' leading monomials, indexed, brought up to the members."""
+        if self._heads is None:
+            self._heads = ExponentIndex(self.ring.codec)
+        heads, members = self._heads, self.members
+        if len(heads) < len(members):
+            heads.extend([g.lm() for g in members[len(heads):]])
+        return heads
 
     def index(self, m):
         """The index of the first member whose leading monomial divides m, or None."""

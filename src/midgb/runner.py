@@ -126,7 +126,7 @@ class RunState:
         if h.is_zero:
             return None
         degree_monitor(h, self.ring, "stored", self.field_active)
-        update(self.basis, self.queue, h)
+        update(self.divisors, self.queue, h)
         return h
 
     def mark_inconsistent(self):

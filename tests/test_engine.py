@@ -19,6 +19,7 @@ from midgb.errors import (
     EmptyQueueError,
     InvalidSettingError,
     MidgbError,
+    MonomialOverflowError,
     ZeroInputError,
 )
 from midgb.f4 import symbolic_preprocess
@@ -45,9 +46,8 @@ def test_adjoin_field_equations_skips_duplicates(ring):
 
 def test_pair_queue_selects_minimal_degree_first(ring):
     q = PairQueue()
-    q.add(CriticalPair(0, 1, (2, 1, 0), 3))
-    q.add(CriticalPair(0, 2, (1, 1, 0), 2))
-    q.add(CriticalPair(1, 2, (0, 1, 1), 2))
+    q.add([CriticalPair(0, 1, (2, 1, 0), 3)], [0b011])
+    q.add([CriticalPair(0, 2, (1, 1, 0), 2), CriticalPair(1, 2, (0, 1, 1), 2)], [0b011, 0b110])
     one = q.select(batch=False)
     assert len(one) == 1 and one[0].degree == 2
     # batch selection drains every remaining minimal-degree pair
@@ -62,38 +62,56 @@ def test_pair_queue_orders_ties_deterministically(ring):
     q = PairQueue()
     a = CriticalPair(0, 3, (1, 1, 0), 2)
     b = CriticalPair(0, 2, (1, 1, 0), 2)
-    q.add(a)
-    q.add(b)
+    q.add([a, b], [0b011, 0b011])
     got = q.select(batch=True)
     assert got == [b, a]  # same degree and lcm: lower indices first
 
 
 def test_update_coprime_pair_is_dropped(ring):
-    basis, queue = [], PairQueue()
-    update(basis, queue, ring.poly({(2, 0, 0): 1, (0, 1, 0): 1}))  # x^2 + y
-    update(basis, queue, ring.poly({(0, 0, 2): 1, (0, 1, 0): 1}))  # z^2 + y
+    first, queue = FirstDivisor([], ring, False), PairQueue()
+    update(first, queue, ring.poly({(2, 0, 0): 1, (0, 1, 0): 1}))  # x^2 + y
+    update(first, queue, ring.poly({(0, 0, 2): 1, (0, 1, 0): 1}))  # z^2 + y
     assert len(queue) == 0  # lcm x^2 z^2 with coprime leading monomials
 
 
 def test_update_generates_pair_for_sharing_monomials(ring):
-    basis, queue = [], PairQueue()
-    update(basis, queue, ring.poly({(2, 1, 0): 1}))  # x^2 y
-    update(basis, queue, ring.poly({(1, 2, 0): 1}))  # x y^2
+    first, queue = FirstDivisor([], ring, False), PairQueue()
+    update(first, queue, ring.poly({(2, 1, 0): 1}))  # x^2 y
+    update(first, queue, ring.poly({(1, 2, 0): 1}))  # x y^2
     assert len(queue) == 1
 
 
 def test_update_equal_lcm_class_keeps_one_new_pair(ring):
-    basis, queue = [], PairQueue()
-    update(basis, queue, ring.poly({(1, 1, 0): 1}))          # x y
-    update(basis, queue, ring.poly({(0, 1, 1): 1}))          # y z
-    update(basis, queue, ring.poly({(1, 1, 1): 1}))          # x y z
+    first, queue = FirstDivisor([], ring, False), PairQueue()
+    update(first, queue, ring.poly({(1, 1, 0): 1}))          # x y
+    update(first, queue, ring.poly({(0, 1, 1): 1}))          # y z
+    update(first, queue, ring.poly({(1, 1, 1): 1}))          # x y z
     got = {(pr.left, pr.right) for pr in queue.select(batch=True)}
     # new pairs (0,2) and (1,2) share lcm xyz: only the earliest partner
     # survives; the old pair (0,1) stays because lcm(xy, xyz) equals its lcm
     assert got == {(0, 1), (0, 2)}
 
 
-def reference_update(basis: list, queue: PairQueue, h) -> int:
+class ReferenceQueue:
+    """The former list queue, kept as the reference: ``pairs`` in queue
+    order, and the same selection rule."""
+
+    def __init__(self):
+        self.pairs: list = []
+
+    def select(self, batch: bool) -> list:
+        key = lambda p: (p.degree, p.lcm, p.left, p.right)
+        if batch:
+            dmin = min(p.degree for p in self.pairs)
+            chosen = sorted((p for p in self.pairs if p.degree == dmin), key=key)
+            self.pairs = [p for p in self.pairs if p.degree != dmin]
+            return chosen
+        best = min(self.pairs, key=key)
+        self.pairs.remove(best)
+        return [best]
+
+
+def reference_update(basis: list, queue: ReferenceQueue, h) -> int:
     """The former update, which tests every candidate lcm against every
     other, kept as the reference. Coprimality is decided on exponent tuples."""
     if h.is_zero:
@@ -139,24 +157,37 @@ def reference_update(basis: list, queue: PairQueue, h) -> int:
             return True
         return False
 
-    queue.pairs = [pr for pr in queue.pairs if keep_old(pr)]
-    for pr in survivors:
-        queue.add(pr)
+    queue.pairs = [pr for pr in queue.pairs if keep_old(pr)] + survivors
     return h_idx
 
 
 @pytest.mark.parametrize("order", ["lex", "grevlex"])
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_update_matches_quadratic_reference(q, order):
-    """Random leading-monomial streams, with repeated heads, the unit monomial
-    and x^q heads; pairs are drained now and then as a run would."""
+    """Random leading-monomial streams stored through one lookup, as a run
+    stores them: repeated heads, the unit monomial, x^q heads and exponents
+    above q (field equations off). Between appends the lookup answers a
+    reducer lookup, pairs are drained now and then as a run would, and now
+    and then the basis is replaced, as a renew does, by some of its members
+    stored again under a new lookup and queue."""
     ring = PolyRing(q, ["x", "y", "z", "w"], order)
+    div = ring.codec.div
     rng = random.Random(q * 10 + len(order))
+
+    def scan(basis, m):
+        return next((i for i, g in enumerate(basis) if div(m, g.lm()) is not None), None)
+
+    def store(h):
+        assert update(first, got_queue, h) == reference_update(ref_basis, ref_queue, h)
+        assert first.members == ref_basis
+        assert got_queue.pairs == ref_queue.pairs
+
+    replaced = 0
     for _ in range(6):
-        got_basis, got_queue = [], PairQueue()
-        ref_basis, ref_queue = [], PairQueue()
+        first, got_queue = FirstDivisor([], ring, False), PairQueue()
+        ref_basis, ref_queue = [], ReferenceQueue()
         heads = []
-        for _ in range(45):
+        for _ in range(60):
             roll = rng.random()
             if heads and roll < 0.15:
                 exps = rng.choice(heads)
@@ -166,27 +197,67 @@ def test_update_matches_quadratic_reference(q, order):
                 v = rng.randrange(4)
                 exps = tuple(q if i == v else 0 for i in range(4))
             else:
-                exps = tuple(rng.choice((0, 0, 1, 1, 2, q)) for _ in range(4))
+                exps = tuple(rng.choice((0, 0, 1, 1, 2, q, q + 1, 2 * q + 1)) for _ in range(4))
             heads.append(exps)
-            h = ring.poly({exps: 1})
-            assert update(got_basis, got_queue, h) == reference_update(ref_basis, ref_queue, h)
-            assert got_queue.pairs == ref_queue.pairs
+            store(ring.poly({exps: 1}))
+            m = ring.codec.pack([rng.randrange(2 * q + 2) for _ in range(4)])
+            assert first.index(m) == scan(ref_basis, m)
             if got_queue and rng.random() < 0.2:
                 batch = rng.random() < 0.5
                 assert got_queue.select(batch) == ref_queue.select(batch)
+            if rng.random() < 0.05:
+                kept = [g for g in ref_basis if rng.random() < 0.5]
+                first, got_queue = FirstDivisor([], ring, False), PairQueue()
+                ref_basis, ref_queue = [], ReferenceQueue()
+                for g in kept:
+                    store(g)
+                replaced += 1
+    assert replaced
 
 
 def test_update_rejects_zero(ring):
     with pytest.raises(ZeroInputError):
-        update([], PairQueue(), ring.zero)
+        update(FirstDivisor([], ring, False), PairQueue(), ring.zero)
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_update_raises_on_a_pair_lcm_past_the_limit(order):
+    """Field equations off, heads near the limit: forming a pair whose lcm
+    is past it raises, both for a minimal lcm in one variable and for one
+    swept from the members left, and leaves the basis and the queue as they
+    were; a member whose lcm a smaller one rules out has no lcm formed."""
+    ring = PolyRing(2, ["x", "y", "z"], order)
+    top = ring.codec.limit
+
+    def head(*exps):
+        return ring.poly({exps: 1})
+
+    # heads whose excess over x^2 is y^(top-1), then y^(top-2) z
+    for e, z in ((top - 1, 0), (top - 2, 1)):
+        first, queue = FirstDivisor([], ring, False), PairQueue()
+        update(first, queue, head(1, e, z))
+        update(first, queue, head(0, e, z))  # pairs with the first at its head
+        before = queue.pairs
+        assert len(before) == 1
+        with pytest.raises(MonomialOverflowError):
+            update(first, queue, head(2, 0, 0))
+        assert len(first.members) == 2 and queue.pairs == before
+
+    # x y rules out x y^(top-1) from pairing with x^2, so that lcm is never formed
+    first, queue = FirstDivisor([], ring, False), PairQueue()
+    update(first, queue, head(1, 1, 0))
+    update(first, queue, head(1, top - 1, 0))
+    assert update(first, queue, head(2, 0, 0)) == 2
+    assert queue.pairs[-1] == CriticalPair(0, 2, ring.codec.pack((2, 1, 0)), 3)
 
 
 def test_shared_leading_monomial_reduces_with_earlier_member(ring):
     p1 = ring.poly({(1, 1, 0): 1, (0, 0, 1): 1})  # x*y + z
     p2 = ring.poly({(1, 1, 0): 1, (0, 1, 0): 1})  # x*y + y
-    basis, queue = [], PairQueue()
-    assert update(basis, queue, p1) == 0
-    assert update(basis, queue, p2) == 1
+    first, queue = FirstDivisor([], ring, False), PairQueue()
+    assert update(first, queue, p1) == 0
+    assert update(first, queue, p2) == 1
+    basis = first.members
     assert basis == [p1, p2]
     xy = ring.poly({(1, 1, 0): 1})
     assert str(normal_form(xy, basis)) == "z"  # p1's tail, not p2's y

@@ -142,6 +142,8 @@ def check_preprocess_against_reference(q, field_active, monkeypatch) -> Counter:
         lookup = FirstDivisor(basis, ring, field_active)
         reduced = MacaulayMatrix(rows, lookup).reduce()
         assert reduced == MacaulayMatrix(ref, lookup).reduce()
+        if isinstance(rows, f4.MaskRows):  # laid out once, the term columns replace the masks
+            assert rows.masks is None and rows.layout is not None
         count["matrices"] += 1
         count["reordered"] += got != ref
         count["mask"] += isinstance(rows, f4.MaskRows)

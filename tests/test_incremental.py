@@ -110,9 +110,9 @@ def test_inputs_extend_one_persistent_basis(monkeypatch):
     x, y, z = (ring.variable(i) for i in range(3))
     inserted = []
 
-    def spy(basis, queue, h):
+    def spy(first, queue, h):
         inserted.append(str(h))
-        return update(basis, queue, h)
+        return update(first, queue, h)
 
     monkeypatch.setattr(runner, "update", spy)
     rep = groebner_basis([x * y + z, y * z + x, x * z + y],

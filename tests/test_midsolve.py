@@ -118,7 +118,7 @@ def test_replacing_the_basis_gives_fresh_reducer_lookups(r2):
     assert lookups.members is state.basis
     assert lookups.index(xy) == 0
     assert lookups.index(lx) is None
-    update(state.basis, state.queue, x + r2.one)  # an append keeps the lookups
+    update(state.divisors, state.queue, x + r2.one)  # an append keeps the lookups
     assert state.divisors is lookups
     assert lookups.index(lx) == scan(state.basis, lx) == 3
 

@@ -1,11 +1,13 @@
 """Packed monomials: the codec against exponent-tuple arithmetic done here."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from midgb import MonomialOverflowError
 from midgb.errors import InvalidSettingError, MidgbError
-from midgb.monomials import MonomialCodec
+from midgb.monomials import ExponentIndex, MonomialCodec
 
 
 # The sort keys the solver used on exponent tuples: the packed int order
@@ -213,6 +215,8 @@ def test_packed_ops_match_tuple_arithmetic(case):
     assert k.foldable(pa) == (folded != a)
     assert k.exceeds(pa, bound) == any(e > bound for e in a)
     assert k.support(pa) == sum(1 << i for i, e in enumerate(a) if e)
+    assert sorted(k.powers(pa)) == [(i, e) for i, e in enumerate(a) if e]
+    assert k.coprime(pa, pb) == (not any(x and y for x, y in zip(a, b)))
 
     chosen = [i for i, e in enumerate(b) if e % 2]  # a subset of the variables
     mask = k.occurs_mask(chosen)
@@ -242,30 +246,31 @@ def lcm_batches(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(batch=lcm_batches())
-def test_batched_lcms_equal_lcm_one_by_one(batch):
-    """Each lcm equals the one of the exponent tuples, taken one by one; a
-    batch with one past the limit raises."""
+def test_lcm_is_the_exponentwise_max(batch):
+    """Each lcm equals the one of the exponent tuples; one past the limit
+    raises."""
     k, ms, b = batch
-    try:
-        want = [k.pack(map(max, k.exponents(a), k.exponents(b))) for a in ms]
-    except MonomialOverflowError:
-        with pytest.raises(MonomialOverflowError):
-            k.lcms(ms, b)
-    else:
-        assert k.lcms(ms, b) == want
+    for a in ms:
+        want = tuple(map(max, k.exponents(a), k.exponents(b)))
+        if sum(want) > k.limit:
+            with pytest.raises(MonomialOverflowError):
+                k.lcm(a, b)
+        else:
+            assert k.lcm(a, b) == k.pack(want)
 
 
 @pytest.mark.parametrize("order", ORDERS)
-def test_batched_lcms_raise_on_the_lcm_past_the_limit(order):
+def test_lcm_raises_past_the_limit(order):
     k = codec(order, n=2)
     top = k.var(0, k.limit)
     ms = [k.var(0), k.var(1), top, k.one]
-    assert k.lcms(ms, k.var(0, 2)) == [k.pack(map(max, k.exponents(a), (2, 0))) for a in ms]
+    assert [k.lcm(a, k.var(0, 2)) for a in ms] == [
+        k.pack(map(max, k.exponents(a), (2, 0))) for a in ms
+    ]
     with pytest.raises(MonomialOverflowError):
         k.lcm(top, k.var(1))
     with pytest.raises(MonomialOverflowError):
-        k.lcms(ms, k.var(1))
-    assert k.lcms([], k.var(1)) == []
+        k.lcm(k.var(1), top)
 
 
 @settings(max_examples=100, deadline=None)
@@ -294,3 +299,40 @@ def test_codec_settings_out_of_range_raise_typed_error(make):
     with pytest.raises(InvalidSettingError) as ei:
         make()
     assert isinstance(ei.value, MidgbError) and isinstance(ei.value, ValueError)
+
+
+def bit_set(x: int) -> set:
+    return {p for p in range(x.bit_length()) if x >> p & 1}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("q", [2, 3, 8589934609])
+def test_exponent_index_matches_a_scan_as_it_grows(q, order):
+    """``above``, ``least`` and ``supports`` answer what a scan of the
+    exponent tuples answers, asked between appends of zero to two
+    monomials; exponents repeat, pass q and come near the limit, and the
+    unit monomial is appended and asked about."""
+    n = 4
+    k = MonomialCodec(n, q, order)
+    rng = random.Random(q + len(order))
+    choices = (0, 0, 1, 2, q, q + 1, k.limit // (2 * n))
+    index, exps = ExponentIndex(k), []
+    for step in range(60):
+        batch = [tuple(rng.choice(choices) for _ in range(n)) for _ in range(rng.randrange(3))]
+        if step == 10:
+            batch.append((0,) * n)
+        index.extend([k.pack(e) for e in batch])
+        exps += batch
+        assert len(index) == len(exps)
+        assert index.supports == [sum(1 << i for i, x in enumerate(e) if x) for e in exps]
+        u = tuple(rng.choice(choices) for _ in range(n)) if step % 5 else (0,) * n
+        over = index.above(k.powers(k.pack(u)))
+        for i in range(n):
+            want = {p for p, e in enumerate(exps) if e[i] > u[i]}
+            assert bit_set(over[i]) == want
+            if want:
+                least = min(exps[p][i] for p in want)
+                e, tied, reach = index.least(i, over[i])
+                assert e == least
+                assert bit_set(tied) == {p for p in want if exps[p][i] == least}
+                assert bit_set(reach) == {p for p, x in enumerate(exps) if x[i] >= least}

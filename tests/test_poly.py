@@ -402,6 +402,28 @@ def test_first_divisor_matches_a_scan_as_the_list_grows(q, order, steps):
             assert first(m) == (None if want is None else _reducer(members[want]))
 
 
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_first_divisor_index_and_heads_follow_appends(order):
+    """Lookups between appends, over six variables with exponents above q
+    and the unit head: ``index`` answers what a plain scan of the list as
+    it stands answers, and ``heads()`` holds every member's head."""
+    ring = PolyRing(3, [f"x{i}" for i in range(6)], order)
+    codec, rng = ring.codec, random.Random(len(order))
+    members: list = []
+    first = FirstDivisor(members, ring, False)
+    for step in range(300):
+        if step % 3 == 0:
+            exps = [rng.choice((0, 0, 0, 1, 2, 3, 4, 7)) for _ in range(6)]
+            members.append(ring.poly({tuple(exps): 1, (0,) * 6: 2}) if any(exps) else ring.one)
+        if step % 7 == 0:
+            heads = first.heads()
+            assert len(heads) == len(members)
+            assert heads.supports == [codec.support(g.lm()) for g in members]
+        m = codec.pack([rng.randrange(9) for _ in range(6)])
+        want = next((i for i, g in enumerate(members) if codec.div(m, g.lm()) is not None), None)
+        assert first.index(m) == want
+
+
 def test_field_reduce_gf2():
     ring = PolyRing(2, ["x", "y"], "lex")
     assert field_reduce(ring.poly({(2, 0): 1, (1, 0): 1})).is_zero  # x^2+x

@@ -110,9 +110,9 @@ def test_store_is_the_one_caller_of_update(monkeypatch):
     assert sorted(binders) == ["engine", "runner"]
     callers = Counter()
 
-    def spied(basis, queue, h):
+    def spied(first, queue, h):
         callers[sys._getframe(1).f_code] += 1
-        return update(basis, queue, h)
+        return update(first, queue, h)
 
     monkeypatch.setattr(runner, "update", spied)
     run_all()
