@@ -62,9 +62,10 @@ def _close(rows: list, seen: set, first: FirstDivisor) -> None:
     appended to ``rows``: the multiple of the first member, in ``first``'s
     list order, whose leading monomial divides it. The walk covers the rows
     as they grow, reducer rows included, and adds each monomial it looks up
-    to ``seen``. A reducer row is made once per ``first`` (``_multiple``)
-    and then taken from ``first.rows``. The caller checks the degree bound
-    of the rows made (``_check_created``).
+    to ``seen``. A reducer row is made once per ``first`` (``_multiple``),
+    kept in ``first.rows``, and then taken from there; the mask kernel
+    neither reads nor fills that table, so every row in it is a polynomial.
+    The caller checks the degree bound of the rows made (``_check_created``).
     """
     members = first.members
     made = first.rows
@@ -79,8 +80,6 @@ def _close(rows: list, seen: set, first: FirstDivisor) -> None:
                     continue
                 g = members[i]
                 reducer = made[m] = _multiple(g, m - first.reducers[i][0], first)  # m / LM(g)
-            elif reducer.__class__ is np.ndarray:  # made by the mask kernel
-                reducer = made[m] = _mask_polynomial(reducer, first.ring)
             rows.append(reducer)
 
 
@@ -132,8 +131,8 @@ def symbolic_preprocess(pairs, first: FirstDivisor):
     Returns ``Rows``: a list whose ``monomials`` is the closure's set of
     every monomial of every row, which ``MacaulayMatrix`` takes as its
     columns. A large round over GF(2) with field equations on takes the
-    mask kernel instead and returns the same rows as ``MaskRows`` (see
-    ``_mask_members``).
+    mask kernel instead and returns the same rows as ``MaskRows``, already
+    laid out over their columns (see ``_mask_members``).
     """
     if not pairs:
         raise EmptyBatchError("symbolic preprocessing needs at least one pair")
@@ -251,9 +250,10 @@ class MacaulayMatrix:
     Rows given as ``Rows`` (from ``symbolic_preprocess``) bring their
     monomial set, so the columns are sorted from it; other lists of
     polynomials are walked, and ``col_index`` maps each monomial to its
-    column. Rows given as ``MaskRows`` (the mask kernel's) are laid out by
-    numpy (``_mask_layout``), their block's column bitmasks are packed by
-    numpy (``_mask_cells``), and only the RREF rows become polynomials; the
+    column. Rows given as ``MaskRows`` (the mask kernel's) come laid out
+    (``_mask_layout``): the matrix takes their columns and head columns as
+    they are, packs its block's column bitmasks with numpy
+    (``_mask_cells``), and turns only the RREF rows into polynomials; the
     column walk is the same (``_sweep_gf2``). Their matrix has no
     ``col_index``. ``symbolic_preprocess`` gives ``MaskRows`` only for a
     round past ``MASK_ROUND_TERMS``, since below it the numpy layout costs
@@ -263,9 +263,7 @@ class MacaulayMatrix:
     def __init__(self, rows, first: FirstDivisor):
         self.first = first
         if isinstance(rows, MaskRows):
-            self.rows = rows
-            self.columns, self._term_columns, heads = _mask_layout(rows)
-            self._heads = heads.tolist()
+            self.rows, self.columns, self._heads = rows, rows.columns, rows.heads
             return
         self.rows = list(rows)
         monomials = rows.monomials if isinstance(rows, Rows) else None
@@ -305,7 +303,7 @@ class MacaulayMatrix:
         elif block:
             lengths = rows.lengths
             starts = np.cumsum(lengths) - lengths
-            cols = self._term_columns
+            cols = rows.term_columns
             cells = _mask_cells(cols, starts, lengths, block, len(self.columns))
             known = {j: cols[starts[i]:starts[i] + lengths[i]].tolist() for j, i in known.items()}
             polys = _sweep_gf2(rows.ring, self.columns, cells, len(block), known, None)
@@ -348,7 +346,9 @@ def _sweep_gf2(ring, columns, cells, nblock: int, known: dict, col) -> list:
     """The block's RREF rows from its column bitmasks ``cells``. ``known``
     maps the head column of each known pivot to its row: its terms, whose
     monomials ``col`` maps to their columns, or with ``col`` None the list
-    of its columns."""
+    of its columns. The terms are not turned into column lists first: on
+    the many small matrices of planted MQ-7 incremental runs, that costs
+    about 12% of the elimination."""
     # One walk, first column first, as in _eliminate_general: each step adds
     # a row with no entry before column j to the block rows with one at j,
     # so a column is final once the walk has passed it.
@@ -383,11 +383,16 @@ def _sweep_gf2(ring, columns, cells, nblock: int, known: dict, col) -> list:
                     cells[k] ^= others
         cells[j] = bit
         pivots.append((j, bit))
-    # every block row that did not pivot is zero now
-    return [
-        Polynomial(ring, tuple((columns[k], 1) for k in range(j, ncols) if cells[k] & bit))
-        for j, bit in pivots
-    ]
+    # every block row that did not pivot is zero now, so one walk over each
+    # column's set bits, highest first, gives every RREF row its terms in order
+    terms = {bit.bit_length(): [] for _, bit in pivots}
+    for k, hit in enumerate(cells):
+        term = (columns[k], 1)
+        while hit:
+            top = hit.bit_length()
+            terms[top].append(term)
+            hit ^= 1 << (top - 1)
+    return [Polynomial(ring, tuple(terms[bit.bit_length()])) for _, bit in pivots]
 
 
 # ---------------------------------------------------------------- GF(q>2)
@@ -465,20 +470,17 @@ _TERM_CHUNK = 1 << 20  # the most terms whose columns _mask_layout looks up at o
 
 
 class MaskRows:
-    """A matrix's rows as masks (``_mask_preprocess``): ``masks``, every
-    row's terms one row after another, each row's in increasing mask
-    order; ``lengths``, each row's term count (never 0); ``distinct``, the
-    rows' masks, sorted and each once; ``monomials``, each mask's packed
-    monomial; ``ring``. ``layout`` is None until ``_mask_layout`` lays the
-    rows out over their columns; it then holds what that returns, whose
-    term columns stand in for ``masks``, so ``masks`` is dropped."""
+    """A matrix's rows from the mask kernel, laid out over their columns
+    (``_mask_layout``): ``columns``, the rows' monomials, largest first;
+    ``term_columns``, the column of every term, one row after another;
+    ``lengths``, each row's term count (never 0); ``heads``, each row's
+    head column; ``ring``."""
 
-    __slots__ = ("masks", "lengths", "distinct", "monomials", "ring", "layout")
+    __slots__ = ("columns", "term_columns", "lengths", "heads", "ring")
 
-    def __init__(self, masks, lengths, distinct, monomials: dict, ring):
-        self.masks, self.lengths, self.distinct = masks, lengths, distinct
-        self.monomials, self.ring = monomials, ring
-        self.layout = None
+    def __init__(self, columns: list, term_columns, lengths, heads: list, ring):
+        self.columns, self.term_columns, self.lengths = columns, term_columns, lengths
+        self.heads, self.ring = heads, ring
 
     def __len__(self):
         return len(self.lengths)
@@ -543,14 +545,15 @@ def _mask_preprocess(sides, members, first: FirstDivisor) -> MaskRows:
     The pair rows come first, in pair order, formed in one batch
     (``_mask_products``). The closure then runs in waves: the masks of the
     last wave's rows that no earlier wave saw (and that are no pair row's
-    unmoved head) each get one look at ``first.rows``, where a mask row is
-    taken as it is, and otherwise one ``first.index`` lookup. The reducer
-    rows those need are formed in one batch and stored in ``first.rows``,
-    and with the rows taken they make the next wave. A mask row's degree is
-    at most n, under the created bound n + 1, so no row is checked.
+    unmoved head) each get one ``first.index`` lookup, and the reducer rows
+    those need are formed in one batch, the next wave. The kernel neither
+    reads nor fills ``first.rows``, which holds polynomials only. A mask
+    row's degree is at most n, under the created bound n + 1, so no row is
+    checked. The rows are laid out (``_mask_layout``) once the waves are
+    joined and let go, so only one copy of the rows' masks is alive then.
     """
     codec, n = first.ring.codec, first.ring.n
-    table, index = first.rows, first.index
+    index = first.index
     # the pair rows' unmoved heads: each lcm with no exponent past 1
     lcms = [lcm for _, _, lcm in sides]
     heads, boolean = codec.to_masks(lcms)
@@ -563,28 +566,20 @@ def _mask_preprocess(sides, members, first: FirstDivisor) -> MaskRows:
     waves, wave_lengths = [wave], [lengths[lengths > 0]]  # a pair row may fold to 0
     while wave.size:
         fresh, seen = _unseen(wave, seen)
-        taken, need, needed, keys = [], [], [], []
+        need, needed = [], []
         for mask in fresh.tolist():
             m = monomials[mask] = codec.from_mask(mask)
-            row = table.get(m)
-            if row.__class__ is np.ndarray:
-                taken.append(row)
-                continue
-            i = index(m)  # a polynomial row in the table is formed anew below
+            i = index(m)
             if i is not None:
                 need.append(i)
                 needed.append(mask)
-                keys.append(m)
         quots = np.array(needed, dtype=np.uint64) ^ members[3][need]  # m / LM(g)
-        made, lengths = _mask_products(members, need, quots, n)
-        for m, row in zip(keys, np.split(made, np.cumsum(lengths)[:-1])):
-            table[m] = row  # m / LM(g) * g, folded
-        wave = np.concatenate([made] + taken)
-        lengths = np.concatenate([lengths, np.array([len(r) for r in taken], dtype=np.intp)])
+        wave, lengths = _mask_products(members, need, quots, n)  # m / LM(g) * g, folded
         waves.append(wave)
         wave_lengths.append(lengths)
-    rows = np.concatenate(waves)
-    return MaskRows(rows, np.concatenate(wave_lengths), seen, monomials, first.ring)
+    masks = np.concatenate(waves)
+    del waves
+    return _mask_layout(masks, np.concatenate(wave_lengths), seen, monomials, first.ring)
 
 
 def _mask_products(members, idx: list, quots, n: int) -> tuple:
@@ -651,12 +646,12 @@ def _unseen(masks, seen) -> tuple:
     return masks, np.sort(np.concatenate((seen, masks)))
 
 
-def _mask_layout(rows: MaskRows) -> tuple:
-    """(columns, term columns, heads): the rows' monomials, largest first;
-    the column of every term of ``rows.masks``; each row's head column.
-    Made once per ``rows`` and kept as ``rows.layout``; ``rows.masks`` is
-    then dropped, since elimination needs only the term columns, at half
-    the bytes per term.
+def _mask_layout(masks, lengths, distinct, monomials: dict, ring) -> MaskRows:
+    """The rows whose terms are ``masks``, one row after another, with
+    ``lengths`` terms each, laid out as ``MaskRows``. ``distinct`` is the
+    rows' masks, sorted and each once, and ``monomials`` maps each to its
+    packed monomial. Elimination needs only the term columns, at half the
+    bytes per term of the masks.
 
     The distinct masks are ordered as the ring orders monomials (see
     ``MonomialCodec.to_masks``): under lex, largest mask first; under
@@ -664,25 +659,20 @@ def _mask_layout(rows: MaskRows) -> tuple:
     grevlex order is taken one popcount at a time, not by a stable argsort,
     whose numpy code alone adds about 0.2 MB to the peak memory of a run.
     """
-    if rows.layout is not None:
-        return rows.layout
-    distinct = rows.distinct
-    if rows.ring.codec.graded:
+    if ring.codec.graded:
         count = _POPCOUNT[distinct.view(np.uint8)].reshape(-1, 8).sum(axis=1)
-        order = np.concatenate([np.flatnonzero(count == c) for c in range(rows.ring.n, -1, -1)])
+        order = np.concatenate([np.flatnonzero(count == c) for c in range(ring.n, -1, -1)])
     else:
         order = np.arange(len(distinct))[::-1]
     rank = np.empty(len(distinct), dtype=np.int32)  # half the memory of intp, per term
     rank[order] = np.arange(len(distinct))
-    masks = rows.masks
     term_columns = np.empty(len(masks), dtype=np.int32)
     for i in range(0, len(masks), _TERM_CHUNK):  # no intp array of every term at once
         term_columns[i:i + _TERM_CHUNK] = rank[np.searchsorted(distinct, masks[i:i + _TERM_CHUNK])]
-    starts = np.cumsum(rows.lengths) - rows.lengths
-    heads = np.minimum.reduceat(term_columns, starts) if len(starts) else starts
-    columns = [rows.monomials[m] for m in distinct[order].tolist()]
-    rows.layout, rows.masks = (columns, term_columns, heads), None
-    return rows.layout
+    starts = np.cumsum(lengths) - lengths
+    heads = np.minimum.reduceat(term_columns, starts).tolist() if len(starts) else []
+    columns = [monomials[m] for m in distinct[order].tolist()]
+    return MaskRows(columns, term_columns, lengths, heads, ring)
 
 
 def _mask_cells(term_columns, starts, lengths, block, ncols: int) -> list:
@@ -702,9 +692,3 @@ def _mask_cells(term_columns, starts, lengths, block, ncols: int) -> list:
         bits[term_columns[at], np.repeat(np.arange(len(rows)), lens)] = True
         packed[:, r0 // 8:(r0 + len(rows) + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
     return [int.from_bytes(col.tobytes(), "little") for col in packed]
-
-
-def _mask_polynomial(masks, ring) -> Polynomial:
-    """The polynomial of a mask row."""
-    monomials = sorted(map(ring.codec.from_mask, masks.tolist()), reverse=True)
-    return Polynomial(ring, tuple([(m, 1) for m in monomials]))

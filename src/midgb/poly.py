@@ -383,8 +383,8 @@ class FirstDivisor:
     run (``runner.RunState`` does); without one, the lookup starts its own.
     It holds only valid monomials, so a product past the limit still misses
     and raises. ``masks`` is where ``f4``'s mask kernel keeps the members'
-    terms as Boolean masks; a ``rows`` entry that kernel made is a mask
-    array, which ``f4._close`` turns into a polynomial when it reads it.
+    terms as Boolean masks; that kernel forms its reducer rows itself and
+    leaves ``rows`` alone, so every row there is a ``Polynomial``.
     """
 
     __slots__ = (

@@ -122,8 +122,11 @@ def polynomials(rows) -> list:
     """The rows ``symbolic_preprocess`` returned, as polynomials in row order."""
     if not isinstance(rows, f4.MaskRows):
         return list(rows)
-    ends = np.cumsum(rows.lengths)
-    return [f4._mask_polynomial(rows.masks[e - k:e], rows.ring) for e, k in zip(ends, rows.lengths)]
+    columns, ends = rows.columns, np.cumsum(rows.lengths)
+    return [
+        Polynomial(rows.ring, tuple((columns[j], 1) for j in sorted(rows.term_columns[e - k:e].tolist())))
+        for e, k in zip(ends, rows.lengths)
+    ]
 
 
 def check_preprocess_against_reference(q, field_active, monkeypatch) -> Counter:
@@ -142,8 +145,9 @@ def check_preprocess_against_reference(q, field_active, monkeypatch) -> Counter:
         lookup = FirstDivisor(basis, ring, field_active)
         reduced = MacaulayMatrix(rows, lookup).reduce()
         assert reduced == MacaulayMatrix(ref, lookup).reduce()
-        if isinstance(rows, f4.MaskRows):  # laid out once, the term columns replace the masks
-            assert rows.masks is None and rows.layout is not None
+        if isinstance(rows, f4.MaskRows):  # laid out when made: every column used, heads first
+            assert rows.columns == sorted({m for p in got for m, _ in p.terms}, reverse=True)
+            assert [rows.columns[j] for j in rows.heads] == [p.lm() for p in got]
         count["matrices"] += 1
         count["reordered"] += got != ref
         count["mask"] += isinstance(rows, f4.MaskRows)
@@ -186,9 +190,9 @@ def table_checked(monkeypatch):
     field setting, so with an empty fold memo. The rows the
     call appended are exactly those table rows. Each monomial
     set that ``symbolic_preprocess`` hands on must equal the union of its
-    rows' terms (for ``MaskRows``, the monomials of its masks). Yields a
-    Counter of rows per (q, field_active, "made" or "served"), served
-    meaning made by an earlier closure or mask round of the same lookup.
+    rows' terms (for ``MaskRows``, its columns). Yields a Counter of rows
+    per (q, field_active, "made" or "served"), served meaning made by an
+    earlier closure of the same lookup.
     """
     close, multiple, preprocess = f4._close, f4._multiple, f4.symbolic_preprocess
     count = Counter()
@@ -212,10 +216,7 @@ def table_checked(monkeypatch):
 
     def checked_preprocess(*args, **kwargs):
         rows = preprocess(*args, **kwargs)
-        monomials = rows.monomials
-        if isinstance(rows, f4.MaskRows):  # mask -> monomial, and the masks sorted
-            assert sorted(monomials) == rows.distinct.tolist()
-            monomials = set(monomials.values())
+        monomials = set(rows.columns) if isinstance(rows, f4.MaskRows) else rows.monomials
         assert monomials == {m for row in polynomials(rows) for m, _ in row.terms}
         count["preprocessed"] += 1
         return rows
@@ -921,26 +922,29 @@ def test_a_round_with_x_times_x_plus_1_takes_the_polynomial_path(monkeypatch, ma
     assert made["x1^2 + x1"] >= 6 and mask_rounds["mask"] > 6, (made, mask_rounds)
 
 
-def test_rows_the_mask_kernel_made_are_served_as_polynomials(monkeypatch):
-    """A mask round stores its reducer rows in the lookup as mask arrays;
-    ``_close``, as completion runs it, takes each as a polynomial equal to
-    a fresh ``_multiple`` and puts that back in the table."""
+def test_a_mask_round_leaves_the_reducer_table_to_polynomials(monkeypatch):
+    """A mask round neither reads nor fills the lookup's reducer table: the
+    rows an earlier polynomial round put there stay as they were, every row
+    in the table is a polynomial, and a later polynomial round on the same
+    lookup gives the rows it gives on a fresh lookup."""
     ring, polys = planted_mq(6, 0)
     pairs = [make_pair(f, g, i, j) for (i, f), (j, g) in itertools.combinations(enumerate(polys), 2)]
     first = FirstDivisor(polys, ring, True)
+    monkeypatch.setattr(f4, "MASK_ROUND_TERMS", 10**18)
+    fresh = symbolic_preprocess(pairs, FirstDivisor(polys, ring, True))
+    symbolic_preprocess(pairs[:2], first)
+    before = dict(first.rows)
     monkeypatch.setattr(f4, "MASK_ROUND_TERMS", 0)
     rows = symbolic_preprocess(pairs, first)
     assert isinstance(rows, f4.MaskRows)
+    assert Counter(polynomials(rows)) == Counter(fresh)
+    assert set(before) & set(rows.columns)  # the mask round's closure met the table's monomials
+    assert all(isinstance(row, Polynomial) for row in first.rows.values())
+    assert first.rows.keys() == before.keys()
+    assert all(first.rows[m] is row for m, row in before.items())
     monkeypatch.setattr(f4, "MASK_ROUND_TERMS", 10**18)
-    assert Counter(polynomials(rows)) == Counter(symbolic_preprocess(pairs, FirstDivisor(polys, ring, True)))
-    stored = [m for m, row in first.rows.items() if isinstance(row, np.ndarray)]
-    assert stored
-    for m in stored:
-        served = [Polynomial(ring, ((m, 1),))]
-        f4._close(served, set(), first)
-        g = polys[first.index(m)]
-        assert served[1] == f4._multiple(g, ring.codec.div(m, g.lm()), FirstDivisor([], ring, True))
-        assert first.rows[m] is served[1]
+    later = symbolic_preprocess(pairs, first)
+    assert isinstance(later, f4.Rows) and later == fresh
 
 
 @pytest.mark.parametrize("bound_test", [
