@@ -4,9 +4,11 @@ elimination, and the one-matrix reduced basis.
 ``symbolic_preprocess`` gathers, for a batch of critical pairs, all the
 monomial multiples needed to reduce the whole batch at once, and
 ``MacaulayMatrix`` reduces them in one matrix. Rows whose heads the lookup
-finds reducible are used as known pivots; only the others are brought to
-reduced row echelon form, in one walk over the columns (over GF(2) the block
-is held by columns, one int bitmask of rows each; see ``MacaulayMatrix``).
+finds reducible are used as known pivots; only the others, the block, are
+reduced, in two phases: the known pivots clear the block on their heads,
+then the block is brought to reduced row echelon form over the columns left
+(the block is held by columns: over GF(2) one int bitmask of rows each, over
+GF(q > 2) a numpy array; see ``MacaulayMatrix`` and ``_eliminate_general``).
 ``reduced_basis`` turns a completed basis into its reduced Groebner basis
 with the same closure and the same known-pivot elimination, in one matrix.
 
@@ -241,11 +243,15 @@ class MacaulayMatrix:
     reduced themselves: ``reduce`` clears the block on their columns and
     brings only the block to reduced row echelon form (Faugère–Lachartre).
     A lookup with no members makes every row a block row, and ``reduce``
-    the full RREF. Over GF(2) the block is held by columns, each an int
-    bitmask of the block rows with an entry there (bit r = block row r), so
-    adding a row to all the rows that need it is one XOR per column of that
-    row; other fields hold the block in a dense numpy array. Both eliminate
-    in one walk over the columns, largest monomial first.
+    the full RREF. Both kernels hold the block by columns. Over GF(2) each
+    column is an int bitmask of the block rows with an entry there (bit r =
+    block row r), so adding a row to all the rows that need it is one XOR
+    per column of that row; other fields hold it in a dense numpy array,
+    one array row per column. Both eliminate in two phases, largest
+    monomial first: the known pivots clear the block on their heads (over
+    GF(q > 2) a dependency level of pivots at a time), then the block is
+    brought to RREF over the other columns that still have entries. The
+    answer does not depend on that order (see ``_eliminate_general``).
 
     Rows given as ``Rows`` (from ``symbolic_preprocess``) bring their
     monomial set, so the columns are sorted from it; other lists of
@@ -348,29 +354,36 @@ def _sweep_gf2(ring, columns, cells, nblock: int, known: dict, col) -> list:
     monomials ``col`` maps to their columns, or with ``col`` None the list
     of its columns. The terms are not turned into column lists first: on
     the many small matrices of planted MQ-7 incremental runs, that costs
-    about 12% of the elimination."""
-    # One walk, first column first, as in _eliminate_general: each step adds
-    # a row with no entry before column j to the block rows with one at j,
-    # so a column is final once the walk has passed it.
-    ncols = len(columns)
-    free = (1 << nblock) - 1  # the block rows that are not pivots yet
-    pivots = []  # (column, row bit), by ascending column
-    for j in range(ncols):
-        hit = cells[j]
+    about 12% of the elimination.
+
+    Two phases, as in ``_eliminate_general``. One walk over the columns,
+    first column first, adds each known pivot to every block row with an
+    entry at its head, which clears the block on the known heads: a pivot
+    only touches columns right of its head, so a column is final when the
+    walk reaches it. The other columns with entries are kept, and the block
+    is brought to RREF over them alone: a pivot step tests only those
+    columns for the pivot's bit, since a column with no entry never gets
+    one."""
+    rest = []  # the columns left with entries, none a known head
+    for j, hit in enumerate(cells):
         if not hit:
             continue
         row = known.get(j)
-        if row is not None:
-            # add the known pivot to every block row with an entry here
-            if col is None:
-                for k in row:
-                    cells[k] ^= hit
-            else:
-                for m, _ in row:
-                    cells[col[m]] ^= hit
-            continue
-        # otherwise the first free block row with an entry here pivots,
-        # and is added to every other block row with one
+        if row is None:
+            rest.append(j)
+        elif col is None:
+            for k in row:
+                cells[k] ^= hit
+        else:
+            for m, _ in row:
+                cells[col[m]] ^= hit
+    free = (1 << nblock) - 1  # the block rows that are not pivots yet
+    pivots = []  # (column, row bit), by ascending column
+    for t, j in enumerate(rest):
+        # the first free block row with an entry here pivots, and is added
+        # to every other block row with one; a column is final once the
+        # walk has passed it
+        hit = cells[j]
         bit = hit & free
         if not bit:
             continue
@@ -378,11 +391,13 @@ def _sweep_gf2(ring, columns, cells, nblock: int, known: dict, col) -> list:
         free ^= bit
         others = hit ^ bit
         if others:
-            for k in range(j + 1, ncols):
+            for k in rest[t + 1:]:
                 if cells[k] & bit:
                     cells[k] ^= others
         cells[j] = bit
         pivots.append((j, bit))
+        if not free:
+            break
     # every block row that did not pivot is zero now, so one walk over each
     # column's set bits, highest first, gives every RREF row its terms in order
     terms = {bit.bit_length(): [] for _, bit in pivots}
@@ -399,48 +414,132 @@ def _sweep_gf2(ring, columns, cells, nblock: int, known: dict, col) -> list:
 
 
 def _eliminate_general(rows, columns, col, known, block) -> list:
+    """``_eliminate`` over GF(q), q > 2, in two phases on the block held by
+    columns (``a[j]`` is column j, one entry per block row).
+
+    Phase 1 clears the block on the known pivots' heads one *level* at a
+    time. A known pivot's level is one more than the highest level of any
+    known pivot whose tail has an entry at its head (0 if none), so a
+    level's pivots never touch each other's heads and one matrix product
+    applies them all: with X the block's entries at the level's heads, each
+    scaled by -1/LC of its pivot, tails times X is added into the columns
+    the tails touch, and the heads are zeroed. A known pivot whose head no
+    block row can reach is left out. Phase 2 brings the block to RREF over
+    the columns where it still has entries, none of them a known head; each
+    pivot's update touches only the columns where the pivot row has
+    entries.
+
+    The result does not depend on the order of the steps. Known pivots have
+    distinct heads and nothing left of them, so the span of all the rows is
+    the span of the known pivots plus W, the vectors of that span that
+    vanish on every known head, and the cleared block spans W. The answer
+    is the RREF of W and ``zero_rows`` is the block's size minus the
+    dimension of W; both are unique, so any exact order of operations gives
+    the same rows, in ascending pivot column. Every step is exact: entries
+    are kept in [0, q), and ``_dtype`` holds what one step can reach.
+    """
     ring = rows[block[0]].ring
     q = ring.q
-    # a - b*c with entries in [0, q) must fit int64; beyond that, Python ints
-    dtype = np.int64 if (q - 1) ** 2 + q < 2**63 else object
-    a = np.zeros((len(block), len(columns)), dtype=dtype)
-    for r, i in enumerate(block):
-        for m, c in rows[i].terms:
-            a[r, col[m]] = c
+    terms = [t for i in block for t in rows[i].terms]
+    at = [col[m] for m, _ in terms]
+    # reach[j]: the level a known pivot at j takes, for every column where
+    # the block has or can get an entry
+    reach = dict.fromkeys(at, 0)
+    levels = []  # per level: heads, -1/LC, tail lengths, tail columns, tail coefficients
+    for j in sorted(known):
+        level = reach.get(j)
+        if level is None:
+            continue
+        pivot = rows[known[j]].terms
+        tail = [col[m] for m, _ in pivot[1:]]
+        for k in tail:
+            if reach.get(k, -1) <= level:
+                reach[k] = level + 1
+        if level == len(levels):
+            levels.append(([], [], [], [], []))
+        heads, minus_inv, lengths, cols, coefs = levels[level]
+        heads.append(j)
+        minus_inv.append(q - pow(pivot[0][1], -1, q))
+        lengths.append(len(tail))
+        cols += tail
+        coefs += [c for _, c in pivot[1:]]
+    dtype = _dtype(q, max((len(level[0]) for level in levels), default=1))
+    a = np.zeros((len(columns), len(block)), dtype=dtype)
+    a[at, np.repeat(np.arange(len(block)), [len(rows[i].terms) for i in block])] = [
+        c for _, c in terms
+    ]
+    for heads, minus_inv, lengths, cols, coefs in levels:
+        x = _mod(a[heads] * np.array(minus_inv, dtype=dtype)[:, None], q)
+        touched = sorted(set(cols))
+        where = dict(zip(touched, range(len(touched))))
+        step = np.zeros((len(touched), len(heads)), dtype=dtype)
+        step[list(map(where.__getitem__, cols)), np.repeat(np.arange(len(heads)), lengths)] = coefs
+        a[touched] = _mod(a[touched] + step @ x, q)
+        a[heads] = 0
+    # Phase 2. A column with no entry now never gets one: each step adds
+    # multiples of a block row to the others.
     free = np.ones(len(block), dtype=bool)  # not yet a block pivot
     pivots = []  # block rows, by ascending pivot column
-    for j in range(len(columns)):
-        hit = np.flatnonzero(a[:, j])
-        if hit.size == 0:
+    for j in (a != 0).any(axis=1).nonzero()[0].tolist():
+        hit = a[j]
+        cand = hit * free
+        r = int(cand.argmax())
+        if not cand[r]:
             continue
-        i = known.get(j)
-        if i is not None:
-            # subtract a[hit, j] times the known pivot, made monic here
-            terms = rows[i].terms
-            head_inv = pow(terms[0][1], -1, q)
-            vals = np.array([c * head_inv % q for _, c in terms], dtype=dtype)
-            cells = np.ix_(hit, [col[m] for m, _ in terms])
-            a[cells] = (a[cells] - np.outer(a[hit, j], vals)) % q
-            continue
-        # otherwise the first free block row with an entry here pivots,
-        # and is eliminated from every other block row
-        cand = hit[free[hit]]
-        if cand.size == 0:
-            continue
-        piv = int(cand[0])
-        free[piv] = False
-        pivots.append(piv)
-        a[piv] = a[piv] * pow(int(a[piv, j]), -1, q) % q
-        hit = hit[hit != piv]
-        if hit.size:
-            a[hit] = (a[hit] - np.outer(a[hit, j], a[piv])) % q
-    polys = []
-    for r in pivots:
-        row = a[r]
-        nz = np.flatnonzero(row)
-        terms = tuple((columns[int(k)], int(row[k])) for k in nz)
-        polys.append(Polynomial(ring, terms))
+        # a free block row with an entry here pivots, made monic, and is
+        # eliminated from every other block row on its own support
+        support = j + a[j:, r].nonzero()[0]
+        row = a[support, r]
+        inv = pow(int(hit[r]), -1, q)
+        if inv != 1:
+            row = _mod(row * inv, q)
+        a[support] = _mod(a[support] - row[:, None] * hit, q)
+        a[support, r] = row
+        free[r] = False
+        pivots.append(r)
+        if len(pivots) == len(block):
+            break
+    # the RREF rows' terms, row after row, each by ascending column
+    nth, cells = np.nonzero(a[:, pivots].T)
+    monomials = [columns[k] for k in cells.tolist()]
+    coefs = list(map(int, a[cells, np.array(pivots, dtype=np.intp)[nth]].tolist()))
+    polys, start = [], 0
+    for end in np.cumsum(np.bincount(nth, minlength=len(pivots))).tolist():
+        polys.append(Polynomial(ring, tuple(zip(monomials[start:end], coefs[start:end]))))
+        start = end
     return polys
+
+
+def _dtype(q: int, width: int):
+    """The dtype that ``_eliminate_general`` works in over GF(q) when its
+    widest level has ``width`` known pivots. A step adds to an entry in
+    [0, q) at most ``width`` products of two entries, or subtracts one, so
+    every value v has |v| < (q - 1)^2 * width + q. float64 holds integers
+    exactly below 2^53 and multiplies matrices through BLAS, and ``_mod``
+    reduces it exactly while |v| + q <= 2^53; int64 holds them below 2^63;
+    past both, Python ints."""
+    top = (q - 1) ** 2 * max(width, 1) + q
+    if top + q <= 2**53:
+        return np.float64
+    if top <= 2**63:
+        return np.int64
+    return object
+
+
+def _mod(v, q: int):
+    """v mod q for a fresh array v of integers. A float64 v is reduced in
+    place as v - q * floor(v / q), exact while |v| + q <= 2^53: then v / q
+    rounds to a double whose floor is floor(v / q), since the nearest double
+    is within half a unit in the last place, less than 1/q, and no other
+    product or difference rounds; numpy's float remainder takes several
+    times longer."""
+    if v.dtype != np.float64:
+        return v % q
+    t = v / q
+    np.floor(t, out=t)
+    t *= q
+    v -= t
+    return v
 
 
 # ---------------------------------------------------------------- Boolean masks

@@ -607,6 +607,167 @@ def test_gf2_kernel_edge_blocks():
     assert gf2_kernels([y, y, y], ring, [0]) == ([], [])
 
 
+# ---------------------------------------------------- GF(q > 2) kernel
+#
+# ``f4._eliminate_general`` clears the block on the known heads one level at
+# a time and then reduces the other columns. Each case below builds rows
+# whose known pivots form a chosen level structure and checks the kernel
+# against ``_reference_rref`` of the whole matrix.
+
+# Primes on both sides of the width-1 limits of ``f4._dtype``: the largest
+# q with (q - 1)^2 + 2q <= 2^53 is 94906265 (float64), and the largest with
+# (q - 1)^2 + q <= 2^63 is 3037000500 (int64).
+FLOAT_SIDES = (94906249, 94906297)
+INT_SIDES = (3037000493, 3037000507)
+BIG_Q = 8589934609
+
+
+def general_kernel_matches_reference(rows, known_rows):
+    """Run ``_eliminate_general`` on ``rows`` with the rows at the indices
+    ``known_rows`` as known pivots, and check it against the reference: the
+    full RREF's rows whose pivot is not a known head, and the full matrix's
+    rows minus rank as the block's size minus the kernel's rank."""
+    q = rows[0].ring.q
+    columns, col = f4._columns(rows)
+    known = {col[rows[i].lm()]: i for i in known_rows}
+    assert len(known) == len(known_rows)  # distinct heads, as a split gives
+    block = [i for i in range(len(rows)) if i not in known_rows]
+    got = f4._eliminate_general(rows, columns, col, known, block)
+
+    def dense(p):
+        vec = [0] * len(columns)
+        for m, c in p.terms:
+            vec[col[m]] = c
+        return vec
+
+    ref_rows, ref_zero = _reference_rref([dense(p) for p in rows], len(columns), q)
+    want = [r for r in ref_rows if next(j for j, v in enumerate(r) if v) not in known]
+    assert [dense(p) for p in got] == want
+    assert all(type(c) is int for p in got for _, c in p.terms)
+    assert len(block) - len(got) == ref_zero
+    return got
+
+
+def descending_monomials(ring, count, rng):
+    """``count`` distinct monomials with every exponent below 4, largest first."""
+    pool = set()
+    while len(pool) < count:
+        pool.add(ring.codec.pack([rng.randrange(4) for _ in range(ring.n)]))
+    return sorted(pool, reverse=True)
+
+
+def poly_of(ring, coefs: dict):
+    return Polynomial(ring, tuple(sorted(((m, c % ring.q) for m, c in coefs.items() if c % ring.q),
+                                         reverse=True)))
+
+
+@pytest.mark.parametrize("q", [3, 7, 101, FLOAT_SIDES[1], BIG_Q])
+def test_general_kernel_chain_of_known_pivots(q):
+    # known pivot i's tail has an entry at known pivot i + 1's head, so each
+    # pivot is a level of its own; leading coefficients are not 1
+    rng = random.Random(q)
+    ring = PolyRing(q, ["x", "y", "z"], "grevlex")
+    mons = descending_monomials(ring, 24, rng)
+    chain = mons[:10]
+    rest = mons[10:]
+    known = []
+    for i, head in enumerate(chain):
+        terms = {head: rng.randrange(1, q)}
+        if i + 1 < len(chain):
+            terms[chain[i + 1]] = rng.randrange(1, q)
+        for m in rng.sample(rest, 3):
+            terms[m] = rng.randrange(1, q)
+        known.append(poly_of(ring, terms))
+    block = [poly_of(ring, {chain[0]: rng.randrange(1, q),
+                            **{m: rng.randrange(q) for m in rng.sample(rest, 5)}})
+             for _ in range(6)]
+    block.append(poly_of(ring, {m: rng.randrange(q) for m in rng.sample(chain[3:], 4)}))
+    rows = known + block
+    got = general_kernel_matches_reference(rows, range(len(known)))
+    assert got and all(p.lm() not in chain for p in got)
+
+
+@pytest.mark.parametrize("q, level_dtype", [
+    (5, np.float64), (FLOAT_SIDES[0], np.int64), (INT_SIDES[0], object),
+])
+def test_general_kernel_one_wide_level(q, level_dtype):
+    # 12 known pivots whose tails touch no known head: one level of width
+    # 12, past the width-1 limits for the two large q. A block row with 1 at
+    # every head meets tails of q - 1, so 11 products of (q - 1)^2 land on
+    # each entry the tails touch.
+    rng = random.Random(q)
+    ring = PolyRing(q, ["x", "y", "z"], "grevlex")
+    mons = descending_monomials(ring, 30, rng)
+    heads, tails = mons[:12], mons[12:]
+    known = [poly_of(ring, {h: 1, **{m: q - 1 for m in tails[:8]}}) for h in heads[:-1]]
+    known.append(poly_of(ring, {heads[-1]: 1}))  # a monomial pivot, with no tail
+    block = [poly_of(ring, {**{h: 1 for h in heads}, **{m: q - 1 for m in tails[:8]}})]
+    block += [poly_of(ring, {**{h: rng.randrange(q) for h in heads},
+                             **{m: rng.randrange(q) for m in rng.sample(tails, 6)}})
+              for _ in range(5)]
+    assert f4._dtype(q, len(heads)) is level_dtype
+    got = general_kernel_matches_reference(known + block, range(len(known)))
+    assert all(p.lm() not in heads for p in got)
+
+
+@pytest.mark.parametrize("q", [3, 7, 101, INT_SIDES[1], BIG_Q])
+@pytest.mark.parametrize("trial", range(3))
+def test_general_kernel_without_known_pivots(q, trial):
+    rng = random.Random(100 * trial + q % 100)
+    ring = PolyRing(q, ["x", "y", "z"], "grevlex")
+    mons = descending_monomials(ring, 15, rng)
+    rows = [poly_of(ring, {m: rng.randrange(q) for m in rng.sample(mons, 6)}) for _ in range(9)]
+    rows = [p for p in rows if not p.is_zero]
+    rows.append(rows[0] + rows[1].scale(2))  # a dependent row, reduced to zero
+    got = general_kernel_matches_reference(rows, ())
+    assert len(got) < len(rows)
+
+
+@pytest.mark.parametrize("q, pivot_dtype", [
+    (FLOAT_SIDES[0], np.float64), (FLOAT_SIDES[1], np.int64),
+    (INT_SIDES[0], np.int64), (INT_SIDES[1], object), (BIG_Q, object),
+])
+def test_general_kernel_exact_on_both_sides_of_each_limit(q, pivot_dtype):
+    # two known pivots, the first's tail at the second's head: two levels
+    # of width 1. The first has 1 at its head and q - 1 in its tail, and a
+    # block row has 1 at that head and q - 1 where the tail is, so the
+    # first level writes (q - 1)^2 + q - 1 there
+    ring = PolyRing(q, ["x", "y"], "grevlex")
+    x, y = ring.variable(0), ring.variable(1)
+    one = ring.one
+    known = [x * x + (y + one).scale(q - 1), y + one.scale(q - 1)]
+    block = [x * x + (x * y + y + one).scale(q - 1) + x.scale(q - 2),
+             x * x.scale(q - 1) + x * y + one]
+    assert f4._dtype(q, 1) is pivot_dtype
+    general_kernel_matches_reference(known + block, range(2))
+
+
+@pytest.mark.parametrize("width", [1, 2, 12])
+def test_dtype_limits(width):
+    def largest(fits):
+        lo, hi = 2, 2**40
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid - 1)
+        return lo
+
+    last_float = largest(lambda q: (q - 1) ** 2 * width + 2 * q <= 2**53)
+    last_int = largest(lambda q: (q - 1) ** 2 * width + q <= 2**63)
+    assert f4._dtype(last_float, width) is np.float64
+    assert f4._dtype(last_float + 1, width) is np.int64
+    assert f4._dtype(last_int, width) is np.int64
+    assert f4._dtype(last_int + 1, width) is object
+    assert f4._dtype(3, 0) is np.float64  # a block with no known pivots
+
+
+def test_mod_is_exact_up_to_its_limit():
+    q = FLOAT_SIDES[0]
+    top = 2**53 - q
+    v = np.array([top, top - 1, -top, -top + 1, q * (top // q), 0, q - 1, -1], dtype=np.float64)
+    want = [int(t) % q for t in v.tolist()]
+    assert f4._mod(v.copy(), q).astype(np.int64).tolist() == want
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_matrix_reduce_counts_a_zero_input_row(q):
     ring = PolyRing(q, ["x", "y"], "grevlex")

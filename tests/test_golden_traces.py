@@ -483,6 +483,21 @@ GOLDEN_MULTI_ROUND = {
 }
 
 
+# GF(3) systems at the benchmark's scale on f4, grevlex: their matrices hold
+# chains of known pivots up to 28 levels deep, the structure the GF(q > 2)
+# elimination clears level by level. Recorded before that elimination was
+# split into two phases.
+# (family, n, middle_solving) -> SHA-256
+GOLDEN_GF3_SCALE = {
+    ("eco", 8, True): "8339fc0fe7c54b5c6ddf36c9f136253f73f54049a3c5db7b5634dfd7781f9b71",
+    ("eco", 8, False): "e4a9b4f7e0918276151ea0c7d8333508b5a9e7945437491f5e72fc478a0c0cc6",
+    ("eco", 10, True): "fd4d22921c0f87591d80ffedf0f5d873b0a63b029b68f2cea91afd45a2ee6c5e",
+    ("eco", 10, False): "9526f6e5bf31f963e1662961795e0417d1fa26f3225b51076f776ddb01d4d240",
+    ("katsura", 7, True): "fdcaf5a826c8fadf2949f53df19102355241f94e2dd31f93b9d5a8d094e06df1",
+    ("katsura", 7, False): "39d9cc61130f2212f0a04a9c4e299f0cef27f1930abe2da62aa69d50188f2f20",
+}
+
+
 def trace_digest(system, engine, order, middle_solving, path, **options):
     ring, polys = system()
     if order != ring.order:
@@ -556,6 +571,17 @@ def test_multi_round_digests_match_golden(label, tmp_path):
                          adjoin_field_eqs=fe) != want
     ]
     assert not wrong, f"{label}: trace digest changed for {wrong}"
+
+
+@pytest.mark.parametrize("family, n", [("eco", 8), ("eco", 10), ("katsura", 7)])
+def test_gf3_scale_digests_match_golden(family, n, tmp_path):
+    wrong = [
+        ms
+        for ms in (True, False)
+        if trace_digest(lambda: gen_system(BenchSpec(family, n, 3)), "f4", "grevlex", ms,
+                        tmp_path / "run.trace") != GOLDEN_GF3_SCALE[(family, n, ms)]
+    ]
+    assert not wrong, f"{family}-{n}: trace digest changed for middle_solving in {wrong}"
 
 
 def test_split_elimination_equals_full_rref(split_checked, tmp_path):
