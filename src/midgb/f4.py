@@ -16,6 +16,7 @@ A large round over GF(2) with field equations on, in at most 64 variables,
 takes a second kernel on the same rows: each monomial is one uint64 mask,
 products, closure and the block's column bitmasks are formed in numpy, and
 only the RREF rows become polynomials (``_mask_members``, ``MaskRows``).
+The members are converted to masks anew in every such round.
 It is gated on the member terms of the round's pair sides
 (``MASK_ROUND_TERMS``): on small rounds its fixed numpy cost exceeds the
 per-term Python work it saves, and a run whose rounds are all small, as the
@@ -37,7 +38,7 @@ import numpy as np
 
 from .engine import created_cap, degree_monitor
 from .errors import EmptyBatchError
-from .poly import FirstDivisor, Polynomial, field_term_mul
+from .poly import FirstDivisor, Polynomial, field_term_mul, is_field_polynomial
 
 
 def _multiple(g: Polynomial, quot, first: FirstDivisor) -> Polynomial:
@@ -125,10 +126,9 @@ def symbolic_preprocess(pairs, first: FirstDivisor):
     rounds. Rows are exponent-folded on the spot (field polynomials
     excepted), through ``first.folds``, so the matrix never grows columns
     past the per-variable degree cap. With field equations on, a pair side
-    whose member is a field polynomial x^q - x (one of
-    ``first.field_members()``) and whose quotient is not 1 is skipped: its
-    product folds to zero. The created-row degree bound is checked once, on
-    the finished matrix (``_check_created``).
+    whose member is a field polynomial x^q - x and whose quotient is not 1
+    is skipped: its product folds to zero. The created-row degree bound is
+    checked once, on the finished matrix (``_check_created``).
 
     Returns ``Rows``: a list whose ``monomials`` is the closure's set of
     every monomial of every row, which ``MacaulayMatrix`` takes as its
@@ -167,12 +167,12 @@ def _pair_sides(pairs, first: FirstDivisor) -> list:
     is, with field equations on, a field polynomial's side whose quotient
     is not 1 (m * (x^q - x) folds to 0 for every m != 1)."""
     basis, codec, field_active = first.members, first.ring.codec, first.field_active
-    one, fields = codec.one, first.field_members()
+    one = codec.one
     sides, listed = [], set()
     for pr in pairs:
         for idx in (pr.left, pr.right):
             quot = codec.div(pr.lcm, basis[idx].lm())
-            if field_active and quot != one and idx in fields:
+            if field_active and quot != one and is_field_polynomial(basis[idx]) is not None:
                 continue
             if (idx, quot) not in listed:
                 listed.add((idx, quot))
@@ -311,8 +311,10 @@ class MacaulayMatrix:
             starts = np.cumsum(lengths) - lengths
             cols = rows.term_columns
             cells = _mask_cells(cols, starts, lengths, block, len(self.columns))
-            known = {j: cols[starts[i]:starts[i] + lengths[i]].tolist() for j, i in known.items()}
-            polys = _sweep_gf2(rows.ring, self.columns, cells, len(block), known, None)
+            polys = _sweep_gf2(
+                rows.ring, self.columns, cells, len(block), known,
+                lambda i: cols[starts[i]:starts[i] + lengths[i]].tolist(),
+            )
         else:
             polys = []
         return polys, len(block) - len(polys)
@@ -344,17 +346,18 @@ def _eliminate_gf2(rows, columns, col, known, block) -> list:
         bit = 1 << r
         for m, _ in rows[i].terms:
             cells[col[m]] |= bit
-    known = {j: rows[i].terms for j, i in known.items()}
-    return _sweep_gf2(rows[block[0]].ring, columns, cells, len(block), known, col)
+    return _sweep_gf2(
+        rows[block[0]].ring, columns, cells, len(block), known,
+        lambda i: [col[m] for m, _ in rows[i].terms],
+    )
 
 
-def _sweep_gf2(ring, columns, cells, nblock: int, known: dict, col) -> list:
+def _sweep_gf2(ring, columns, cells, nblock: int, known: dict, columns_of) -> list:
     """The block's RREF rows from its column bitmasks ``cells``. ``known``
-    maps the head column of each known pivot to its row: its terms, whose
-    monomials ``col`` maps to their columns, or with ``col`` None the list
-    of its columns. The terms are not turned into column lists first: on
-    the many small matrices of planted MQ-7 incremental runs, that costs
-    about 12% of the elimination.
+    maps the head column of each known pivot to the index of its row, and
+    ``columns_of(i)`` lists the columns of row i; it is called only for a
+    known pivot that the walk reaches, one whose head the block has an
+    entry at.
 
     Two phases, as in ``_eliminate_general``. One walk over the columns,
     first column first, adds each known pivot to every block row with an
@@ -368,15 +371,12 @@ def _sweep_gf2(ring, columns, cells, nblock: int, known: dict, col) -> list:
     for j, hit in enumerate(cells):
         if not hit:
             continue
-        row = known.get(j)
-        if row is None:
+        i = known.get(j)
+        if i is None:
             rest.append(j)
-        elif col is None:
-            for k in row:
-                cells[k] ^= hit
         else:
-            for m, _ in row:
-                cells[col[m]] ^= hit
+            for k in columns_of(i):
+                cells[k] ^= hit
     free = (1 << nblock) - 1  # the block rows that are not pivots yet
     pivots = []  # (column, row bit), by ascending column
     for t, j in enumerate(rest):
@@ -587,7 +587,7 @@ class MaskRows:
 
 def _mask_members(sides, first: FirstDivisor):
     """The members of ``first`` as masks when the round goes to the mask
-    kernel, else None.
+    kernel, else None; they are converted anew in every such round.
 
     It does when ``first`` is over GF(2) with field equations on and n <= 64,
     when the pair sides' members hold at least ``MASK_ROUND_TERMS`` terms,
@@ -600,9 +600,9 @@ def _mask_members(sides, first: FirstDivisor):
     polynomial path, and a closure row's quotient shares no variable with
     its member's head, since the monomial it reduces is Boolean.
 
-    Returns (terms, starts, lengths, heads): every member's masks, leading
-    mask first, one member after another; where each member's start; how
-    many it has (0 for a field polynomial); and each member's leading mask.
+    Returns (terms, starts, lengths): every member's masks, leading mask
+    first, one member after another; where each member's start; and how
+    many it has (0 for a field polynomial).
     """
     ring = first.ring
     if not (first.field_active and ring.q == 2 and ring.n <= 64):
@@ -610,32 +610,15 @@ def _mask_members(sides, first: FirstDivisor):
     basis = first.members
     if sum(len(basis[idx].terms) for idx, _, _ in sides) < MASK_ROUND_TERMS:
         return None
-    masks = _member_masks(first)
-    if masks is None or any(masks[idx] is None for idx, _, _ in sides):
+    # 0 terms marks a field polynomial: every member is nonzero
+    sizes = [0 if is_field_polynomial(g) is not None else len(g.terms) for g in basis]
+    if not all(sizes[idx] for idx, _, _ in sides):
         return None
-    lengths = np.array([0 if a is None else len(a) for a in masks], dtype=np.intp)
-    heads = np.array([0 if a is None else a[0] for a in masks], dtype=np.uint64)
-    terms = np.concatenate([a for a in masks if a is not None])
-    return terms, np.cumsum(lengths) - lengths, lengths, heads
-
-
-def _member_masks(first: FirstDivisor):
-    """``first.masks``, brought up to the members: each member's masks in
-    term order, or None for a field polynomial; None in place of the list
-    once a member that is not a field polynomial has an exponent past 1."""
-    masks = first.masks
-    if masks is None:
-        return None
-    members, fields = first.members, first.field_members()
-    new = range(len(masks), len(members))
-    monomials = [[m for m, _ in members[i].terms] for i in new if i not in fields]
-    terms, boolean = first.ring.codec.to_masks([m for ms in monomials for m in ms])
+    terms, boolean = ring.codec.to_masks([m for g, k in zip(basis, sizes) if k for m, _ in g.terms])
     if not boolean.all():
-        first.masks = None
         return None
-    each = iter(np.split(terms, np.cumsum([len(ms) for ms in monomials])[:-1]))
-    masks.extend(None if i in fields else next(each) for i in new)
-    return masks
+    lengths = np.array(sizes, dtype=np.intp)
+    return terms, np.cumsum(lengths) - lengths, lengths
 
 
 def _mask_preprocess(sides, members, first: FirstDivisor) -> MaskRows:
@@ -653,6 +636,7 @@ def _mask_preprocess(sides, members, first: FirstDivisor) -> MaskRows:
     """
     codec, n = first.ring.codec, first.ring.n
     index = first.index
+    terms, starts, _ = members
     # the pair rows' unmoved heads: each lcm with no exponent past 1
     lcms = [lcm for _, _, lcm in sides]
     heads, boolean = codec.to_masks(lcms)
@@ -672,7 +656,7 @@ def _mask_preprocess(sides, members, first: FirstDivisor) -> MaskRows:
             if i is not None:
                 need.append(i)
                 needed.append(mask)
-        quots = np.array(needed, dtype=np.uint64) ^ members[3][need]  # m / LM(g)
+        quots = np.array(needed, dtype=np.uint64) ^ terms[starts[need]]  # m / LM(g)
         wave, lengths = _mask_products(members, need, quots, n)  # m / LM(g) * g, folded
         waves.append(wave)
         wave_lengths.append(lengths)
@@ -689,7 +673,7 @@ def _mask_products(members, idx: list, quots, n: int) -> tuple:
         return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.intp)
     # The batch holds the products' terms before any cancel, so its arrays
     # are built in place, at most two alive at once.
-    terms, starts, sizes, _ = members
+    terms, starts, sizes = members
     idx = np.array(idx, dtype=np.intp)
     lens = sizes[idx]
     before = np.cumsum(lens) - lens  # each row's first term in the batch

@@ -51,6 +51,15 @@ ORDERS = ("lex", "grevlex")
 _MASK_CHUNK = 1 << 14  # monomials per chunk of MonomialCodec.to_masks
 
 
+def _require_integers(values) -> None:
+    """Raise InvalidSettingError unless every value is an integer."""
+    for v in values:
+        try:
+            operator.index(v)
+        except TypeError:
+            raise InvalidSettingError(f"value {v!r} is not an integer") from None
+
+
 class MonomialCodec:
     """Packing and arithmetic of monomials for one ring (n variables, GF(q), order).
 
@@ -111,6 +120,7 @@ class MonomialCodec:
             raise InvalidSettingError(
                 f"monomial {exps} has {len(exps)} exponents, ring has {self.n}"
             )
+        _require_integers(exps)
         if min(exps) < 0:
             raise InvalidSettingError(f"negative exponent in {exps}")
         d = sum(exps)

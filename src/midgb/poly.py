@@ -12,13 +12,12 @@ back.
 from __future__ import annotations
 
 import heapq
-import operator
 from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import InvalidSettingError, MixedRingsError, NonPrimeFieldError, ZeroInputError
 from .gf import is_prime
-from .monomials import ExponentIndex, MonomialCodec
+from .monomials import ExponentIndex, MonomialCodec, _require_integers
 
 
 class PolyRing:
@@ -52,8 +51,11 @@ class PolyRing:
         return (0,) * self.n
 
     def var_monomial(self, i: int, e: int = 1):
-        """The exponent tuple of x_i ** e."""
+        """The exponent tuple of x_i ** e, for an integer e >= 0."""
         _require_index(self, i)
+        _require_integers((e,))
+        if e < 0:
+            raise InvalidSettingError(f"negative exponent {e}")
         m = [0] * self.n
         m[i] = e
         return tuple(m)
@@ -71,6 +73,7 @@ class PolyRing:
         return self._one
 
     def constant(self, c: int) -> "Polynomial":
+        _require_integers((c,))
         c %= self.q
         if c == 0:
             return self._zero
@@ -85,12 +88,13 @@ class PolyRing:
 
         Merges duplicate monomials, reduces coefficients mod q, drops zeros and
         sorts terms strictly descending under the ring order. A monomial past
-        the ring's degree limit raises MonomialOverflowError.
+        the ring's degree limit raises MonomialOverflowError, and a coefficient
+        or exponent that is not an integer InvalidSettingError.
         """
         q = self.q
         pack = self.codec.pack
-        if isinstance(pairs, dict):
-            pairs = pairs.items()
+        pairs = list(pairs.items() if isinstance(pairs, dict) else pairs)
+        _require_integers([c for _, c in pairs])
         acc: dict = {}
         for mono, coeff in pairs:
             m = pack(mono)
@@ -125,15 +129,6 @@ def _require_index(ring: PolyRing, i) -> None:
     """Raise InvalidSettingError unless i is a variable index of ``ring``."""
     if i not in range(ring.n):
         raise InvalidSettingError(f"variable index {i!r} is outside 0..{ring.n - 1}")
-
-
-def _require_integers(values) -> None:
-    """Raise InvalidSettingError unless every value is an integer."""
-    for v in values:
-        try:
-            operator.index(v)
-        except TypeError:
-            raise InvalidSettingError(f"value {v!r} is not an integer") from None
 
 
 def require_ring(ring: PolyRing, p: "Polynomial") -> None:
@@ -218,6 +213,7 @@ class Polynomial:
         return self + (-other)
 
     def scale(self, c: int) -> "Polynomial":
+        _require_integers((c,))
         q = self.ring.q
         c %= q
         if c == 0:
@@ -228,6 +224,7 @@ class Polynomial:
 
     def term_mul(self, mono, coeff: int = 1) -> "Polynomial":
         """Multiply by a single term. Term order is preserved, so no re-sort."""
+        _require_integers((coeff,))
         q = self.ring.q
         coeff %= q
         if coeff == 0:
@@ -336,12 +333,14 @@ def normal_form(p: Polynomial, reducers: Sequence[Polynomial], first=None) -> Po
     whose leading monomial divides it. Every monomial of the result is
     irreducible. ``first`` is a ``FirstDivisor`` over ``reducers`` whose
     lookups outlive this call; without one, the call checks that every
-    reducer is nonzero and over p's ring and builds its own.
+    reducer is a nonzero polynomial over p's ring and builds its own.
     """
     if p.is_zero or not reducers:
         return p
     if first is None:
         for g in reducers:
+            if not isinstance(g, Polynomial):
+                raise MixedRingsError(f"reducer {g!r} is not a polynomial over {p.ring}")
             if g.is_zero:
                 raise ZeroInputError("zero polynomial in reducer list")
             require_ring(p.ring, g)
@@ -362,14 +361,12 @@ class FirstDivisor:
     first divisor or None). The member list may grow by appends between
     lookups, and then a monomial with no divisor yet is tested only against
     the members appended since; any other change to the list needs a new
-    FirstDivisor. Members must be nonzero. ``field_members()`` gives the
-    indices of the members that are field polynomials x^q - x, each member
-    tested once. ``heads()`` is the members' leading monomials in a
-    ``monomials.ExponentIndex``, brought up to the appends when asked; it
-    is how ``engine.update`` pairs a new member. Lookups scan the members
-    instead: a lookup's members are few or its misses are answered from
-    the memo, and a scan of the appended members alone beats a query of
-    the index there.
+    FirstDivisor. Members must be nonzero. ``heads()`` is the members'
+    leading monomials in a ``monomials.ExponentIndex``, brought up to the
+    appends when asked; it is how ``engine.update`` pairs a new member.
+    Lookups scan the members instead: a lookup's members are few or its
+    misses are answered from the memo, and a scan of the appended members
+    alone beats a query of the index there.
 
     The lookup is also the whole context of the F4 kernels (``f4``): it
     keeps the ``ring`` and ``field_active``, whether the run adjoins field
@@ -382,14 +379,12 @@ class FirstDivisor:
     on the ring alone, so a caller may pass one table to every lookup of a
     run (``runner.RunState`` does); without one, the lookup starts its own.
     It holds only valid monomials, so a product past the limit still misses
-    and raises. ``masks`` is where ``f4``'s mask kernel keeps the members'
-    terms as Boolean masks; that kernel forms its reducer rows itself and
-    leaves ``rows`` alone, so every row there is a ``Polynomial``.
+    and raises.
     """
 
     __slots__ = (
-        "members", "ring", "field_active", "reducers", "rows", "folds", "masks", "_fields",
-        "_tested", "_shifts", "_memo", "_guard", "_heads",
+        "members", "ring", "field_active", "reducers", "rows", "folds", "_shifts", "_memo",
+        "_guard", "_heads",
     )
 
     def __init__(self, members: list, ring: PolyRing, field_active: bool, folds=None):
@@ -399,22 +394,10 @@ class FirstDivisor:
         self.reducers: list = []  # _reducer(g) of the members seen so far
         self.rows: dict = {}  # m -> reducer row
         self.folds: dict = {} if folds is None else folds
-        self.masks: list | None = []  # see f4._member_masks
-        self._fields: set = set()  # the field polynomials among members[:_tested]
-        self._tested = 0
         self._shifts: list = []
         self._memo: dict = {}
         self._guard = ring.codec.guard
         self._heads = None  # made by heads()
-
-    def field_members(self) -> set:
-        """The indices of the members that are field polynomials."""
-        members = self.members
-        for i in range(self._tested, len(members)):
-            if is_field_polynomial(members[i]) is not None:
-                self._fields.add(i)
-        self._tested = len(members)
-        return self._fields
 
     def heads(self) -> ExponentIndex:
         """The members' leading monomials, indexed, brought up to the members."""

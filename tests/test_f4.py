@@ -1108,6 +1108,62 @@ def test_a_mask_round_leaves_the_reducer_table_to_polynomials(monkeypatch):
     assert isinstance(later, f4.Rows) and later == fresh
 
 
+def all_pairs(polys, start=0) -> list:
+    """A pair of every two members, each with at least one index from ``start`` on."""
+    return [
+        make_pair(f, g, i, j)
+        for (i, f), (j, g) in itertools.combinations(enumerate(polys), 2)
+        if j >= start
+    ]
+
+
+def test_a_mask_round_after_appends_gives_a_fresh_lookups_rows(monkeypatch):
+    """Members appended between mask rounds, as a run's ``update`` appends
+    them, field polynomials among them, are taken as masks too: a second
+    mask round on the grown lookup lays out the same rows as a fresh lookup
+    over the same list, and its matrix reduces to the same rows."""
+    monkeypatch.setattr(f4, "MASK_ROUND_TERMS", 0)
+    ring, polys = planted_mq(6, 0)
+    members = polys[:4]
+    first = FirstDivisor(members, ring, True)
+    rows = symbolic_preprocess(all_pairs(members), first)
+    assert isinstance(rows, f4.MaskRows)
+    made, _ = MacaulayMatrix(rows, first).reduce()
+    x1 = ring.variable(0)
+    start = len(members)
+    members += [x1 * x1 + x1] + polys[4:] + made[:3]  # the lookup's own list grows
+    pairs = [pr for pr in all_pairs(members, start) if start not in (pr.left, pr.right)]
+    again = symbolic_preprocess(pairs, first)
+    fresh = FirstDivisor(list(members), ring, True)
+    ref = symbolic_preprocess(pairs, fresh)
+    assert isinstance(again, f4.MaskRows) and isinstance(ref, f4.MaskRows)
+    assert again.columns == ref.columns and again.heads == ref.heads
+    assert np.array_equal(again.lengths, ref.lengths)
+    assert np.array_equal(again.term_columns, ref.term_columns)
+    assert MacaulayMatrix(again, first).reduce() == MacaulayMatrix(ref, fresh).reduce()
+
+
+def test_a_non_boolean_member_sends_every_round_to_the_polynomial_path(monkeypatch,
+                                                                       mask_rounds):
+    """A lookup that holds an unfolded member with an exponent past 1 takes
+    the polynomial path in every round, not only in its first, though the
+    member is on no pair side; without it the same pairs take masks."""
+    monkeypatch.setattr(f4, "MASK_ROUND_TERMS", 0)
+    ring, polys = planted_mq(6, 1)
+    pairs = all_pairs(polys)
+    rows = symbolic_preprocess(pairs, FirstDivisor(list(polys), ring, True))
+    assert isinstance(rows, f4.MaskRows) and mask_rounds["mask"] == 1
+    g = over_degree(ring, (2, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1))  # x1^2*x2 + x6
+    members = polys + [g]
+    first = FirstDivisor(members, ring, True)
+    for _ in range(3):
+        rows = symbolic_preprocess(pairs, first)
+        assert isinstance(rows, f4.Rows)
+        made, _ = MacaulayMatrix(rows, first).reduce()
+        members += made[:2]  # later rounds see more Boolean members
+    assert mask_rounds["mask"] == 1
+
+
 @pytest.mark.parametrize("bound_test", [
     test_the_created_bound_fires_on_pair_rows,
     test_the_created_bound_fires_on_closure_rows,

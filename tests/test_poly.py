@@ -140,6 +140,36 @@ def test_evaluate_at_a_value_that_is_not_an_integer_raises_typed_error(r3, value
     assert (x + y).evaluate((True, 1)) == 2  # a bool is an int
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda r, x: r.constant(1.5), InvalidSettingError),
+    (lambda r, x: r.constant("a"), InvalidSettingError),
+    (lambda r, x: r.poly({(1, 0): 1.5}), InvalidSettingError),
+    (lambda r, x: r.poly([((1, 0), 1), ((0, 0), None)]), InvalidSettingError),
+    (lambda r, x: r.poly({(1.5, 0): 1}), InvalidSettingError),
+    (lambda r, x: r.codec.pack(("1", 0)), InvalidSettingError),
+    (lambda r, x: x.scale(1.5), InvalidSettingError),
+    (lambda r, x: x.term_mul(r.codec.one, 1.5), InvalidSettingError),
+    (lambda r, x: r.var_monomial(0, -1), InvalidSettingError),
+    (lambda r, x: r.var_monomial(0, 1.5), InvalidSettingError),
+    (lambda r, x: normal_form(x, [1]), MixedRingsError),
+    (lambda r, x: normal_form(x, [x, "y"]), MixedRingsError),
+], ids=[
+    "constant-float", "constant-str", "poly-float-coefficient", "poly-none-coefficient",
+    "poly-float-exponent", "pack-str-exponent", "scale-float", "term_mul-float",
+    "var_monomial-negative", "var_monomial-float", "normal_form-int-reducer",
+    "normal_form-str-reducer",
+])
+def test_values_that_are_not_integers_raise_typed_errors_at_the_ring_boundary(r3, call, error):
+    x = r3.variable(0)
+    with pytest.raises(error):
+        call(r3, x)
+    # integers, bools among them, keep their meaning
+    assert r3.constant(4) == r3.one and r3.constant(True) == r3.one
+    assert r3.poly({(1, 0): 4, (0, True): 2}) == x + r3.variable(1).scale(2)
+    assert x.term_mul(r3.codec.pack((0, 1)), -1) == (x * r3.variable(1)).scale(2)
+    assert r3.var_monomial(0, 0) == (0, 0)
+
+
 def test_s_polynomial_cancels_leading_terms(r7):
     f = r7.poly({(2, 0): 1, (0, 1): 1})  # x^2 + y
     g = r7.poly({(1, 1): 1, (0, 0): 1})  # x*y + 1
